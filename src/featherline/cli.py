@@ -19,7 +19,7 @@ from . import kernel as ke
 from . import multiline as ml
 from . import separation as sp
 from .intervals import CofiniteSet, FinSet, IntervalSet
-from .rationals import ParseError, PreconditionError, parse_ext
+from .rationals import ParseError, PreconditionError, parse_ext, parse_rat
 from .syntax import fmt_basic, fmt_point, jsonable, parse_basic, parse_point
 
 EXIT_OK = 0
@@ -89,8 +89,6 @@ def cmd_twin(args):
 def cmd_flip(args):
     s = parse_point(args.s)
     r = parse_point(args.r)
-    if len(s) < 2:
-        raise PreconditionError("flip pivot needs length >= 2")
     out = fe.flip_apply(s, r)
     c = cert.homeo_word((fe.FlipGen(s),), r, out, involutive=True)
     report = {
@@ -121,7 +119,7 @@ def cmd_homotopy(args):
     if args.space not in ("F", "feather"):
         raise PreconditionError("the contraction homotopy lives on the feather")
     s = parse_point(args.p)
-    t = Fraction(parse_ext(args.t))
+    t = parse_rat(args.t)
     out = fe.homotopy_eval(t, s)
     report = {
         "command": "homotopy %s %s --t %s" % (args.space, args.p, args.t),
@@ -135,7 +133,7 @@ def cmd_homotopy(args):
 def cmd_chart(args):
     space = ke.space_of(args.space)
     p = _point(args.p, space)
-    eps = Fraction(parse_ext(args.eps))
+    eps = parse_rat(args.eps)
     b = space.canonical_neighborhood(p, eps)
     report = {
         "command": "chart %s %s --eps %s" % (args.space, args.p, args.eps),
@@ -184,7 +182,7 @@ def cmd_converges(args):
     tag = "feather" if isinstance(space, ke.FeatherSpace) else "multiline"
     index = args.index if args.index is not None else (
         len(base) - 1 if tag == "feather" else 0)
-    descr = ke.SeqDescriptor(tag, base, index, Fraction(parse_ext(args.limit)),
+    descr = ke.SeqDescriptor(tag, base, index, parse_rat(args.limit),
                              args.direction)
     verdict = space.converges(descr, target)
     report = {
@@ -230,7 +228,10 @@ def cmd_chain(args):
     src = _point(args.src, space)
     dst = _point(args.dst, space)
     removed = [_point(t.strip(), space) for t in args.remove.split(";")] if args.remove else []
-    lo, hi = (parse_ext(t) for t in args.window.split(","))
+    window = args.window.split(",")
+    if len(window) != 2:
+        raise ParseError("--window takes LO,HI, got %r" % args.window)
+    lo, hi = (parse_ext(t) for t in window)
     links = ml.chain_connect(space.spec, src, dst, removed, (lo, hi))
     command = "chain %s %s %s --remove %s --window %s" % (
         args.space, args.src, args.dst, args.remove or "", args.window)
@@ -300,6 +301,8 @@ def cmd_baire(args):
             "citations": ["finite-complement-topology", "baire-property"],
         }
         return report, EXIT_NEGATIVE
+    if args.probe is None:
+        raise ParseError("baire on %s needs --probe" % args.space)
     members = [_basic(b, space) for b in args.members]
     probe = _basic(args.probe, space)
     fam = sp.DenseFamily("finite", tuple(members))

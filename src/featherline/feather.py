@@ -9,6 +9,14 @@ space carries the order topology of the tree order
 Basic opens are order intervals {w : u < w < v}.  Internally every interval
 is decomposed into "arms": sets of the form {prefix + (r,) : r in range},
 which make meets, twin detection and chart reasoning finite case analyses.
+
+Validation contract.  A point is checked by `fp_validate` once, where it
+enters: `parse_point`, the `FeatherInterval` and `FlipGen` constructors, and
+the public operations `flip_apply`, `replay`, `normalize_to_line`,
+`fp_move`, `fp_chart`, `homotopy_eval` and `SkeletonHandle.contains`.
+Internal transforms trust tuples that are already valid: a generator's
+`apply` takes a valid point, a flip glues a prefix of its pivot to a tail of
+the point and checks only that seam, and a translation preserves the order.
 """
 
 from __future__ import annotations
@@ -23,13 +31,18 @@ from .rationals import PreconditionError
 
 
 def fp_validate(seq) -> tuple:
-    """Check the increasing-then-slack constraint and return the point."""
-    seq = tuple(Fraction(x) for x in seq)
+    """Check the increasing-then-slack constraint and return the point.
+    A tuple of exact Fractions is checked as it is; anything else is
+    coerced first."""
+    if type(seq) is not tuple or set(map(type, seq)) != {Fraction}:
+        seq = tuple(Fraction(x) for x in seq)
     if not seq:
         raise PreconditionError("feather point must be nonempty")
-    for i in range(len(seq) - 2):
-        if not seq[i] < seq[i + 1]:
-            raise PreconditionError("coordinates must be strictly increasing before the last step: %s" % (seq,))
+    # the exact test a < b on lowest-terms Fractions (positive denominators),
+    # without the numbers-ABC dispatch of Fraction.__lt__
+    if not all(a.numerator * b.denominator < b.numerator * a.denominator
+               for a, b in zip(seq[:-2], seq[1:-1])):
+        raise PreconditionError("coordinates must be strictly increasing before the last step: %s" % (seq,))
     if len(seq) >= 2 and not seq[-2] <= seq[-1]:
         raise PreconditionError("last step must be non-decreasing: %s" % (seq,))
     return seq
@@ -102,8 +115,8 @@ class FeatherInterval:
     upper: tuple
 
     def __post_init__(self):
-        fp_validate(self.lower)
-        fp_validate(self.upper)
+        object.__setattr__(self, "lower", fp_validate(self.lower))
+        object.__setattr__(self, "upper", fp_validate(self.upper))
         if not fp_less(self.lower, self.upper):
             raise PreconditionError(
                 "interval endpoints must satisfy lower < upper: %s, %s" % (self.lower, self.upper))
@@ -286,31 +299,39 @@ def fp_chart(p: tuple, eps) -> Chart:
 
 
 def flip_apply(s: tuple, r: tuple) -> tuple:
-    """The branch flip pinned at s (length >= 2): exchanges the two branches
-    emanating from s[:-1]'s branch point.  An involution; the first case
-    takes precedence when both patterns match."""
-    s = fp_validate(s)
-    r = fp_validate(r)
-    n = len(s) - 1
-    if n < 1:
-        raise PreconditionError("flip needs a point of length >= 2")
-    base = s[: n - 1]
-    pivot = s[n - 1]
-    if len(r) >= n + 1 and r[:n] == s[:n]:
-        out = base + r[n:]
-    elif len(r) >= n and r[: n - 1] == base and r[n - 1] >= pivot:
-        out = base + (pivot,) + r[n - 1:]
-    else:
-        out = r
-    return fp_validate(out)
+    """The branch flip pinned at s (length >= 2) applied to r: exchanges the
+    two branches emanating from s[:-1]'s branch point.  An involution."""
+    return FlipGen(s).apply(fp_validate(r))
+
+
+def _glue(head: tuple, tail: tuple) -> tuple:
+    """head + tail for a proper prefix and a suffix of valid points; only
+    the seam between them needs checking."""
+    if head and tail and not (head[-1] < tail[0] or (len(tail) == 1 and head[-1] == tail[0])):
+        raise PreconditionError("flip seam breaks the order: %s + %s" % (head, tail))
+    return head + tail
 
 
 @dataclass(frozen=True)
 class FlipGen:
     pivot: tuple
 
+    def __post_init__(self):
+        pivot = fp_validate(self.pivot)
+        if len(pivot) < 2:
+            raise PreconditionError("flip needs a point of length >= 2")
+        object.__setattr__(self, "pivot", pivot)
+
     def apply(self, p: tuple) -> tuple:
-        return flip_apply(self.pivot, p)
+        """Image of a valid point; the first case takes precedence when both
+        patterns match."""
+        s = self.pivot
+        n = len(s) - 1
+        if len(p) >= n + 1 and p[:n] == s[:n]:
+            return _glue(s[:n - 1], p[n:])
+        if len(p) >= n and p[:n - 1] == s[:n - 1] and p[n - 1] >= s[n - 1]:
+            return _glue(s[:n], p[n - 1:])
+        return p
 
     def to_jsonable(self):
         from .rationals import fmt_ext
@@ -339,7 +360,8 @@ def normalize_to_line(s: tuple):
         gen = FlipGen(s[:length])
         word.append(gen)
         cur = gen.apply(cur)
-    assert cur == (s[-1],)
+    if cur != (s[-1],):
+        raise AssertionError("flip word does not reach the line: %s" % (cur,))
     return tuple(word), cur
 
 
@@ -357,6 +379,7 @@ def fp_move(p: tuple, q: tuple):
 
 
 def replay(word, p: tuple) -> tuple:
+    p = fp_validate(p)
     for gen in word:
         p = gen.apply(p)
     return p
@@ -406,9 +429,9 @@ def homotopy_seam_limits(t0, s: tuple):
     if t0 == 1:
         right = (s[0],)
     else:
-        n = 1 / t0
-        assert n.denominator == 1
-        n = n.numerator
+        if t0.numerator != 1:
+            raise PreconditionError("seam times are 1 and 1/n")
+        n = t0.denominator
         if len(s) - 1 >= n:
             right = s[:n]
         else:
@@ -429,8 +452,8 @@ class SkeletonHandle:
     flip: FlipGen = None
 
     def contains(self, p: tuple) -> bool:
-        q = self.flip.apply(p) if self.flip else p
-        return fp_is_strict(q)
+        p = fp_validate(p)
+        return fp_is_strict(self.flip.apply(p) if self.flip else p)
 
     def chart_inside(self, p: tuple) -> Chart:
         """A canonical chart at a member whose member set stays inside the
@@ -449,7 +472,8 @@ class SkeletonHandle:
         if self.contains(p):
             raise PreconditionError("point already inside handle")
         partner = fp_twin(p)
-        assert self.contains(partner)
+        if not self.contains(partner):
+            raise AssertionError("twin partner %s outside the handle" % (partner,))
         return (p, partner)
 
 

@@ -74,7 +74,8 @@ class FeatherSpace:
             raise PreconditionError("separable needs two distinct points")
         if self.non_separable_pair(p, q):
             refuted = bounded_refuter(self, p, q)
-            assert refuted is None, "refuter contradicts the twin characterization"
+            if refuted is not None:
+                raise AssertionError("refuter contradicts the twin characterization")
             return False, cert.twin_pair(p, q)
         b1, b2 = self._separating_charts(p, q)
         return True, cert.separated_by(p, q, b1, b2)
@@ -142,7 +143,8 @@ class MultiLineSpace:
             raise PreconditionError("separable needs two distinct points")
         if self.non_separable_pair(p, q):
             refuted = bounded_refuter(self, p, q)
-            assert refuted is None, "refuter contradicts the same-abscissa characterization"
+            if refuted is not None:
+                raise AssertionError("refuter contradicts the same-abscissa characterization")
             return False, cert.twin_pair(p, q)
         b1, b2 = ml.separating_waves(self.spec, p, q)
         return True, cert.separated_by(p, q, b1, b2)
@@ -186,7 +188,8 @@ class BranchSpace:
             raise PreconditionError("separable needs two distinct points")
         if self.non_separable_pair(p, q):
             refuted = bounded_refuter(self, p, q)
-            assert refuted is None, "refuter contradicts the two-origins characterization"
+            if refuted is not None:
+                raise AssertionError("refuter contradicts the two-origins characterization")
             return False, cert.twin_pair(p, q)
         b1, b2 = ml.branch_separating(p, q)
         return True, cert.separated_by(p, q, b1, b2)
@@ -222,8 +225,8 @@ class CofiniteSpace:
     def separable(self, p, q):
         if p == q:
             raise PreconditionError("separable needs two distinct points")
-        refuted = bounded_refuter(self, p, q)
-        assert refuted is None
+        if bounded_refuter(self, p, q) is not None:
+            raise AssertionError("refuter separates two points of a cofinite space")
         return False, cert.twin_pair(p, q)
 
     def dense(self, u) -> bool:
@@ -285,11 +288,12 @@ def converges(space, descr: SeqDescriptor, p) -> bool:
 
 def bounded_refuter(space, p, q):
     """Search the canonical charts at scales 1, 1/2, 1/4, 1/8 for a disjoint
-    pair separating p from q; returns the pair or None."""
-    for e1 in REFUTER_SCALES:
-        for e2 in REFUTER_SCALES:
-            b1 = space.canonical_neighborhood(p, e1)
-            b2 = space.canonical_neighborhood(q, e2)
+    pair separating p from q; returns the first such pair in scale order, or
+    None after all 16 probes.  Each chart is built once."""
+    ps = [space.canonical_neighborhood(p, e) for e in REFUTER_SCALES]
+    qs = [space.canonical_neighborhood(q, e) for e in REFUTER_SCALES]
+    for b1 in ps:
+        for b2 in qs:
             if space.meet_is_empty(b1, b2):
                 return b1, b2
     return None

@@ -355,11 +355,14 @@ def chain_connect(spec: SpaceSpec, src: MultiLinePoint, dst: MultiLinePoint,
             if endpoint.level > 0:
                 ext[endpoint.x] = endpoint.level
             links.append(Wave(spec, parts, tuple(ext.items())))
-        assert links[0].contains(src) and links[1].contains(dst)
-        assert not wave_meet(links[0], links[1]).is_empty()
+        if not (links[0].contains(src) and links[1].contains(dst)):
+            raise AssertionError("chain links miss their endpoints")
+        if wave_meet(links[0], links[1]).is_empty():
+            raise AssertionError("chain links do not meet")
         return links
     wave = Wave(spec, parts, tuple(lift.items()))
-    assert wave.contains(src) and wave.contains(dst)
+    if not (wave.contains(src) and wave.contains(dst)):
+        raise AssertionError("chain wave misses its endpoints")
     return [wave]
 
 

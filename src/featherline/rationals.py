@@ -34,11 +34,12 @@ def as_ext(x):
 
 
 def fmt_ext(x) -> str:
-    if x == POS_INF and isinstance(x, float):
-        return "inf"
-    if x == NEG_INF and isinstance(x, float):
-        return "-inf"
-    f = Fraction(x)
+    if isinstance(x, float):
+        if x == POS_INF:
+            return "inf"
+        if x == NEG_INF:
+            return "-inf"
+    f = x if isinstance(x, Fraction) else Fraction(x)
     if f.denominator == 1:
         return str(f.numerator)
     return "%d/%d" % (f.numerator, f.denominator)
@@ -54,6 +55,21 @@ def parse_ext(s: str):
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("cannot parse rational %r" % s) from exc
+
+
+def parse_rat(s: str) -> Fraction:
+    """A finite rational; the infinities are rejected."""
+    x = parse_ext(s)
+    if isinstance(x, float):
+        raise ParseError("expected a finite rational, got %r" % s.strip())
+    return x
+
+
+def parse_int(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError as exc:
+        raise ParseError("cannot parse integer %r" % s.strip()) from exc
 
 
 class ParseError(ValueError):

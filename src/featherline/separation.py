@@ -159,7 +159,8 @@ def subcover_attempt(space, cover: CoverDescriptor, chosen):
 
 def _checked_uncovered(space, point, chosen):
     c = cert.uncovered(point, chosen)
-    assert ke.verify_certificate(space, c), "constructed uncovered point is covered"
+    if not ke.verify_certificate(space, c):
+        raise AssertionError("constructed uncovered point is covered")
     return c
 
 
@@ -206,7 +207,8 @@ def baire_intersect(space, fam: DenseFamily, probe, candidates=range(100)):
         raise PreconditionError("finite Baire intersection unsupported for %s" % space.tag)
     c = cert.Certificate("baire-point", {"point": point, "probe": probe,
                                          "members": tuple(fam.members)})
-    assert verify_baire_point_cert(space, c)
+    if not verify_baire_point_cert(space, c):
+        raise AssertionError("constructed Baire point does not verify")
     return point, c
 
 
@@ -353,7 +355,8 @@ def microcompact_neighborhood(space, p, v):
         radius = getattr(chart, "radius", eps)
         if ke.basic_subset(space, chart, v):
             c = cert.compact_cert(p, radius, (-radius / 2, radius / 2), v)
-            assert ke.verify_certificate(space, c)
+            if not ke.verify_certificate(space, c):
+                raise AssertionError("compact neighborhood certificate does not verify")
             return c, space.canonical_neighborhood(p, radius / 2)
         eps /= 2
     raise AssertionError("no chart neighborhood fits inside v")
@@ -369,7 +372,8 @@ def microcompact_nesting(space, p, v, depth=5):
         chain.append(c)
         cur = interior
     radii = [c.payload["radius"] for c in chain]
-    assert all(a > b for a, b in zip(radii, radii[1:])), "nesting not strict"
+    if not all(a > b for a, b in zip(radii, radii[1:])):
+        raise AssertionError("nesting not strict")
     return chain
 
 

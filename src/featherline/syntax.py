@@ -23,7 +23,7 @@ from . import certificates as cert
 from . import feather as fe
 from . import multiline as ml
 from .intervals import CofiniteSet, FinSet, IntervalSet
-from .rationals import ParseError, fmt_ext, parse_ext
+from .rationals import ParseError, fmt_ext, parse_ext, parse_int, parse_rat
 
 # ---------------------------------------------------------------------------
 # Formatting.
@@ -126,25 +126,28 @@ def parse_point(text: str, spec: ml.SpaceSpec = None):
     tag, body = m.groups()
     if tag == "F":
         try:
-            return fe.fp_validate(tuple(Fraction(parse_ext(c)) for c in body.split(",")))
+            return fe.fp_validate(tuple(parse_rat(c) for c in body.split(",")))
         except Exception as exc:
             raise ParseError("invalid feather point %r: %s" % (text, exc)) from exc
     if tag == "D":
-        if "@" in body:
-            xs, lvl = body.split("@")
-            level = int(lvl)
-        else:
-            xs, level = body, 0
-        x = parse_ext(xs)
+        xs, at, lvl = body.partition("@")
+        x, level = parse_rat(xs), parse_int(lvl) if at else 0
         if spec is not None:
             return ml.ml_point(spec, x, level)
-        return ml.MultiLinePoint(Fraction(x), level)
+        return ml.MultiLinePoint(x, level)
     if tag == "B":
-        xs, side = body.rsplit(",", 1)
-        return ml.branch_point(Fraction(parse_ext(xs)), side.strip())
+        xs, _, side = body.rpartition(",")
+        return ml.branch_point(parse_rat(xs), side.strip())
     if tag == "N":
-        return int(body)
+        return _parse_natural(body)
     raise ParseError("unknown point tag %r" % tag)
+
+
+def _parse_natural(text: str) -> int:
+    n = parse_int(text)
+    if n < 0:
+        raise ParseError("%s is not a natural number" % n)
+    return n
 
 
 def parse_iset(text: str) -> IntervalSet:
@@ -179,7 +182,7 @@ def parse_cofinite(text: str) -> CofiniteSet:
         body = text[len("cofinite-excl{"):-1].strip()
         if not body:
             return CofiniteSet.ground()
-        return CofiniteSet.excl(*(int(n) for n in body.split(",")))
+        return CofiniteSet.excl(*(_parse_natural(n) for n in body.split(",")))
     raise ParseError("cannot parse cofinite set %r" % text)
 
 
@@ -195,12 +198,12 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
                 if "^" not in item:
                     raise ParseError("lift entries look like x^level: %r" % item)
                 xs, js = item.split("^")
-                lift.append((Fraction(parse_ext(xs)), int(js)))
+                lift.append((parse_rat(xs), parse_int(js)))
         return ml.Wave(spec or ml.DOUBLED, parts, tuple(lift))
     m = _FI_RE.match(text)
     if m:
-        lower = tuple(Fraction(parse_ext(c)) for c in m.group(1).split(","))
-        upper = tuple(Fraction(parse_ext(c)) for c in m.group(2).split(","))
+        lower = tuple(parse_rat(c) for c in m.group(1).split(","))
+        upper = tuple(parse_rat(c) for c in m.group(2).split(","))
         try:
             return fe.FeatherInterval(lower, upper)
         except Exception as exc:
@@ -213,7 +216,7 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
     if text == "strict-skeleton":
         return fe.strict_skeleton()
     if text.startswith("strict-skeleton*flip"):
-        pivot = tuple(Fraction(parse_ext(c))
+        pivot = tuple(parse_rat(c)
                       for c in text[len("strict-skeleton*flip("):-1].split(","))
-        return fe.SkeletonHandle(fe.FlipGen(fe.fp_validate(pivot)))
+        return fe.SkeletonHandle(fe.FlipGen(pivot))
     raise ParseError("cannot parse basic open %r" % text)

@@ -94,6 +94,36 @@ def test_invalid_point_in_valid_syntax():
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["chart", "F", "F(0)", "--eps", "inf"],
+    ["homotopy", "F", "F(0)", "--t", "inf"],
+    ["separate", "D", "D(inf)", "D(1)"],
+    ["separate", "D", "D(0 @x)", "D(1)"],
+    ["separate", "N", "N(a)", "N(1)"],
+    ["converges", "F", "F(0,1)", "--limit=-inf", "--direction", "below", "F(0,1)"],
+    ["separate", "branch", "B(0)", "B(1,L)"],
+    ["chain", "doubled", "D(0)", "D(1)", "--window=1"],
+    ["baire", "doubled", "W[(-inf,inf)-{}]"],
+], ids=["eps-inf", "t-inf", "D-inf", "D-level", "N-text", "limit-inf", "B-side",
+        "window", "no-probe"])
+def test_malformed_scalar_is_a_parse_error(args):
+    proc = run_cli(args)
+    assert proc.returncode == 1, proc.stderr
+    assert "parse error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["separate", "N", "N(-3)", "N(1)"],
+    ["meet", "N", "cofinite-excl{-1}", "cofinite-excl{2}"],
+], ids=["point", "excluded"])
+def test_integer_outside_the_naturals_rejected(args):
+    proc = run_cli(args)
+    assert proc.returncode == 1
+    assert "is not a natural number" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_chain_inconclusive_exit_code():
     proc = run_cli(["chain", "two-origins", "D(-1 @0)", "D(1 @0)",
                     "--remove", "D(0 @0);D(0 @1)", "--window=-5,5"])

@@ -1,0 +1,225 @@
+"""Contracts that keep the engine's checks cheap and always on: points are
+validated once at the boundary, the refuter's strength is fixed, formatting
+matches its reference, and no check lives in an `assert` statement."""
+
+import ast
+import pathlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+import featherline
+from featherline import feather as fe
+from featherline import kernel as ke
+from featherline.rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
+
+F = Fraction
+
+PACKAGE_DIR = pathlib.Path(featherline.__file__).resolve().parent
+
+rationals = st.fractions(min_value=-10, max_value=10)
+
+
+@st.composite
+def feather_points(draw, max_len=5):
+    n = draw(st.integers(1, max_len))
+    coords = sorted(draw(st.lists(rationals, min_size=n, max_size=n, unique=True)))
+    p = tuple(coords)
+    if draw(st.booleans()):
+        p = p + (p[-1],)
+    return p
+
+
+@st.composite
+def flip_pivots(draw):
+    p = draw(feather_points())
+    if len(p) < 2:
+        p = p + (p[-1] + 1,)
+    return p
+
+
+# ---------------------------------------------------------------------------
+# Checks survive `python -O`.
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, "%s has assert statements at lines %s" % (path.name, lines)
+
+
+# ---------------------------------------------------------------------------
+# Every public feather entry rejects an invalid point.
+
+BAD = (F(0), F(0), F(0))
+GOOD = (F(0), F(1))
+PIVOT = (F(0), F(1), F(2))
+
+PUBLIC_ENTRIES = {
+    "fp_validate": lambda: fe.fp_validate(BAD),
+    "fp_validate-empty": lambda: fe.fp_validate(()),
+    "flip_apply-point": lambda: fe.flip_apply(PIVOT, BAD),
+    "flip_apply-pivot": lambda: fe.flip_apply(BAD, GOOD),
+    "FlipGen": lambda: fe.FlipGen(BAD),
+    "FlipGen-short": lambda: fe.FlipGen((F(0),)),
+    "replay-empty-word": lambda: fe.replay((), BAD),
+    "replay": lambda: fe.replay((fe.FlipGen(PIVOT),), BAD),
+    "normalize_to_line": lambda: fe.normalize_to_line(BAD),
+    "fp_move-src": lambda: fe.fp_move(BAD, GOOD),
+    "fp_move-dst": lambda: fe.fp_move(GOOD, BAD),
+    "fp_chart": lambda: fe.fp_chart(BAD, F(1)),
+    "FeatherInterval-lower": lambda: fe.FeatherInterval(BAD, (F(1),)),
+    "FeatherInterval-upper": lambda: fe.FeatherInterval((F(-1),), BAD),
+    "homotopy_eval": lambda: fe.homotopy_eval(F(1, 2), BAD),
+    "SkeletonHandle.contains": lambda: fe.strict_skeleton().contains(BAD),
+    "SkeletonHandle.contains-flipped": lambda: fe.SkeletonHandle(fe.FlipGen(PIVOT)).contains(BAD),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PUBLIC_ENTRIES))
+def test_public_entry_rejects_invalid_point(entry):
+    with pytest.raises(PreconditionError):
+        PUBLIC_ENTRIES[entry]()
+
+
+def _reference_is_valid(seq):
+    seq = tuple(Fraction(x) for x in seq)
+    return (bool(seq) and all(seq[i] < seq[i + 1] for i in range(len(seq) - 2))
+            and (len(seq) < 2 or seq[-2] <= seq[-1]))
+
+
+@given(st.lists(st.one_of(rationals, st.integers(-3, 3)), max_size=6),
+       st.sampled_from([tuple, list]))
+def test_fp_validate_matches_reference(coords, container):
+    seq = container(coords)
+    assert fe.fp_is_valid(seq) == _reference_is_valid(seq)
+    if _reference_is_valid(seq):
+        assert fe.fp_validate(seq) == tuple(Fraction(x) for x in coords)
+
+
+def test_constructors_store_the_validated_point():
+    gen = fe.FlipGen([0, 1])
+    itv = fe.FeatherInterval([0], [1])
+    for point in (gen.pivot, itv.lower, itv.upper):
+        assert type(point) is tuple and all(type(x) is Fraction for x in point)
+    assert gen == fe.FlipGen((F(0), F(1)))
+    assert hash(itv) == hash(fe.FeatherInterval((F(0),), (F(1),)))
+
+
+def test_flip_checks_its_seam():
+    # apply trusts its input; an invalid one is still caught where the flip
+    # glues the pivot's prefix to the point's tail
+    with pytest.raises(PreconditionError):
+        fe.FlipGen(PIVOT).apply((F(0), F(1), F(-5)))
+
+
+@given(flip_pivots(), feather_points())
+def test_every_flip_output_is_valid(s, r):
+    out = fe.FlipGen(s).apply(r)
+    assert fe.fp_validate(out) == out
+
+
+@given(feather_points(), feather_points())
+def test_every_point_along_a_move_is_valid(p, q):
+    cur = p
+    for gen in fe.fp_move(p, q):
+        cur = gen.apply(cur)
+        assert fe.fp_validate(cur) == cur
+    assert cur == q
+
+
+def _count_validations(monkeypatch):
+    calls = []
+    original = fe.fp_validate
+
+    def counting(seq):
+        calls.append(len(seq))
+        return original(seq)
+
+    monkeypatch.setattr(fe, "fp_validate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_move_and_replay_validate_linearly(monkeypatch, n):
+    p = tuple(F(i) for i in range(n))
+    q = tuple(F(i, 2) for i in range(n - 1)) + (F(n), F(n))
+    calls = _count_validations(monkeypatch)
+    word = fe.fp_move(p, q)
+    assert fe.replay(word, p) == q
+    # one check per input point, one per flip pivot (len - 1 for each
+    # point) and one for replay's input: linear, not one per flip step
+    assert len(calls) == len(p) + len(q) + 1
+
+
+# ---------------------------------------------------------------------------
+# The refuter: charts built once, every probe still made.
+
+
+class CountingSpace:
+    def __init__(self, inner):
+        self.inner = inner
+        self.charts = 0
+        self.probes = 0
+
+    def canonical_neighborhood(self, p, eps):
+        self.charts += 1
+        return self.inner.canonical_neighborhood(p, eps)
+
+    def meet_is_empty(self, b1, b2):
+        self.probes += 1
+        return self.inner.meet_is_empty(b1, b2)
+
+
+@pytest.mark.parametrize("space_name,p,q", [
+    ("feather", (F(0), F(1)), (F(0), F(1), F(1))),
+    ("doubled", "D(0 @0)", "D(0 @1)"),
+    ("branch", "B(0,L)", "B(0,R)"),
+])
+def test_refuter_builds_eight_charts_and_makes_sixteen_probes(space_name, p, q):
+    from featherline.syntax import parse_point
+    inner = ke.space_of(space_name)
+    spec = getattr(inner, "spec", None)
+    if isinstance(p, str):
+        p, q = parse_point(p, spec), parse_point(q, spec)
+    space = CountingSpace(inner)
+    assert ke.bounded_refuter(space, p, q) is None
+    assert (space.charts, space.probes) == (8, 16)
+
+
+def _reference_refuter(space, p, q):
+    for e1 in ke.REFUTER_SCALES:
+        for e2 in ke.REFUTER_SCALES:
+            b1 = space.canonical_neighborhood(p, e1)
+            b2 = space.canonical_neighborhood(q, e2)
+            if space.meet_is_empty(b1, b2):
+                return b1, b2
+    return None
+
+
+@given(feather_points(max_len=3), feather_points(max_len=3))
+def test_refuter_answers_as_the_chart_per_probe_loop(p, q):
+    assert ke.bounded_refuter(ke.FEATHER, p, q) == _reference_refuter(ke.FEATHER, p, q)
+
+
+# ---------------------------------------------------------------------------
+# Formatting.
+
+
+def _reference_fmt_ext(x):
+    if x == POS_INF and isinstance(x, float):
+        return "inf"
+    if x == NEG_INF and isinstance(x, float):
+        return "-inf"
+    f = Fraction(x)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return "%d/%d" % (f.numerator, f.denominator)
+
+
+@given(st.one_of(st.integers(), st.fractions(),
+                 st.floats(allow_nan=False, allow_infinity=True)))
+def test_fmt_ext_matches_reference(x):
+    assert fmt_ext(x) == _reference_fmt_ext(x)

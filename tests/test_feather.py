@@ -250,6 +250,12 @@ def test_seam_limits_equal_or_twins(s):
         assert left == right or fe.fp_twin(left) == right
 
 
+@pytest.mark.parametrize("t0", [F(0), F(2, 5), F(2), F(-1, 2)])
+def test_seam_limits_reject_non_seam_times(t0):
+    with pytest.raises(PreconditionError):
+        fe.homotopy_seam_limits(t0, (F(0), F(1)))
+
+
 # ---------------------------------------------------------------------------
 # Skeleton and branch families.
 
