@@ -668,12 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="featherline",
         description="exact symbolic engine for non-Hausdorff 1-manifolds")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites (deterministic commands ignore it)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="verb", required=True,
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[common], **kw))

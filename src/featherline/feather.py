@@ -21,7 +21,6 @@ the point and checks only that seam, and a translation preserves the order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -454,17 +453,6 @@ class SkeletonHandle:
     def contains(self, p: tuple) -> bool:
         p = fp_validate(p)
         return fp_is_strict(self.flip.apply(p) if self.flip else p)
-
-    def chart_inside(self, p: tuple) -> Chart:
-        """A canonical chart at a member whose member set stays inside the
-        handle (pure charts at strict points consist of strict points)."""
-        if not self.contains(p):
-            raise PreconditionError("point outside handle")
-        if self.flip is None:
-            return fp_chart(p, Fraction(1))
-        # conjugated: any small chart works because the flip is a homeo;
-        # certify by sampling is done by callers, the pure shape is enough
-        return fp_chart(p, Fraction(1))
 
     def adjoin_witness(self, p: tuple):
         """For p outside the handle, the twin pair created by adjoining it:

@@ -7,8 +7,10 @@ every operation here is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .rationals import NEG_INF, POS_INF, PreconditionError, as_ext, fmt_ext
 
@@ -37,15 +39,18 @@ class IntervalSet:
         return not self.intervals
 
     def contains(self, x) -> bool:
-        for lo, hi in self.intervals:
-            if lo < x < hi:
-                return True
-        return False
+        """Bisect for the last interval opening strictly below x.  A left
+        bisection keeps the endpoint shared by touching intervals out."""
+        k = bisect_left(self.intervals, x, key=_LO) - 1
+        return k >= 0 and x < self.intervals[k][1]
 
     def __str__(self):
         if not self.intervals:
             return "empty"
         return "u".join("(%s,%s)" % (fmt_ext(a), fmt_ext(b)) for a, b in self.intervals)
+
+
+_LO = itemgetter(0)
 
 
 def canon_intervals(pairs) -> IntervalSet:
@@ -81,19 +86,20 @@ def iset_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return canon_intervals(list(a.intervals) + list(b.intervals))
 
 
-def iset_contains(a: IntervalSet, x) -> bool:
-    return a.contains(x)
-
-
-def iset_remove_point(a: IntervalSet, x) -> IntervalSet:
-    """Punch a single point out of the set (splits its interval)."""
+def iset_remove_points(a: IntervalSet, xs) -> IntervalSet:
+    """Punch finitely many points out of the set (each splits its interval)
+    in one merge sweep over the sorted intervals and the sorted points.
+    Order and duplicates in `xs` do not matter."""
+    pts = sorted(xs)
     out = []
+    k = 0
     for lo, hi in a.intervals:
-        if lo < x < hi:
-            out.append((lo, x))
-            out.append((x, hi))
-        else:
-            out.append((lo, hi))
+        while k < len(pts) and pts[k] < hi:
+            if lo < pts[k]:
+                out.append((lo, pts[k]))
+                lo = pts[k]
+            k += 1
+        out.append((lo, hi))
     return IntervalSet(tuple(out))
 
 
@@ -109,14 +115,6 @@ def iset_complement_is_finite(a: IntervalSet) -> bool:
         if iv[k][1] != iv[k + 1][0]:
             return False
     return True
-
-
-def iset_dense_in_line(a: IntervalSet, holes: "FinSet") -> bool:
-    """True iff a-minus-holes meets every nonempty open interval.  Removing
-    finitely many points cannot destroy that, so the verdict depends only on
-    the complement of `a` being finite."""
-    del holes
-    return iset_complement_is_finite(a)
 
 
 def iset_covers_line(a: IntervalSet) -> bool:

@@ -50,7 +50,7 @@ class FeatherSpace:
     def member(self, p, b) -> bool:
         if isinstance(b, (fe.FeatherInterval, fe.Chart, fe.SkeletonHandle)):
             return b.contains(p)
-        raise PreconditionError("not a feather basic: %r" % (b,))
+        raise PreconditionError("not a feather basic: %s" % (b,))
 
     def basic_arms(self, b):
         if isinstance(b, fe.SkeletonHandle):
@@ -81,8 +81,11 @@ class FeatherSpace:
         return True, cert.separated_by(p, q, b1, b2)
 
     def _separating_charts(self, p, q):
+        # distinct coordinates differ by at least 1/(den_a*den_b), so this
+        # many halvings always reach a separating scale
+        rounds = 64 + sum(c.denominator.bit_length() for c in p + q)
         eps = Fraction(1)
-        for _ in range(64):
+        for _ in range(rounds):
             c1, c2 = fe.fp_chart(p, eps), fe.fp_chart(q, eps)
             if self.meet_is_empty(c1, c2):
                 return c1, c2
@@ -121,14 +124,14 @@ class MultiLineSpace:
     def member(self, p, b) -> bool:
         if isinstance(b, ml.Wave):
             return b.contains(p)
-        raise PreconditionError("not a wave: %r" % (b,))
+        raise PreconditionError("not a wave: %s" % (b,))
 
     def meet(self, b1, b2) -> list:
         w = ml.wave_meet(b1, b2)
         return [] if w.is_empty() else [w]
 
     def meet_is_empty(self, b1, b2) -> bool:
-        return ml.wave_meet(b1, b2).is_empty()
+        return ml.waves_disjoint(b1, b2)
 
     def canonical_neighborhood(self, p, eps):
         eps = Fraction(eps)
@@ -168,7 +171,7 @@ class BranchSpace:
     def member(self, p, b) -> bool:
         if isinstance(b, ml.BranchInterval):
             return b.contains(p)
-        raise PreconditionError("not a branch interval: %r" % (b,))
+        raise PreconditionError("not a branch interval: %s" % (b,))
 
     def meet(self, b1, b2) -> list:
         return ml.branch_meet(b1, b2)
@@ -206,7 +209,7 @@ class CofiniteSpace:
     def member(self, p, b) -> bool:
         if isinstance(b, CofiniteSet):
             return b.contains(p)
-        raise PreconditionError("not a cofinite set: %r" % (b,))
+        raise PreconditionError("not a cofinite set: %s" % (b,))
 
     def meet(self, b1, b2) -> list:
         w = cofinite_meet(b1, b2)
@@ -238,10 +241,6 @@ class CofiniteSpace:
 FEATHER = FeatherSpace()
 BRANCH = BranchSpace()
 COFINITE = CofiniteSpace()
-
-
-def multiline_space(spec: ml.SpaceSpec) -> MultiLineSpace:
-    return MultiLineSpace(spec)
 
 
 def space_of(name: str):
@@ -282,10 +281,6 @@ def _multiline_descr_check(spec: ml.SpaceSpec, descr: SeqDescriptor):
         raise PreconditionError("up-level terms leave a restricted doubling domain")
 
 
-def converges(space, descr: SeqDescriptor, p) -> bool:
-    return space.converges(descr, p)
-
-
 def bounded_refuter(space, p, q):
     """Search the canonical charts at scales 1, 1/2, 1/4, 1/8 for a disjoint
     pair separating p from q; returns the first such pair in scale order, or
@@ -297,10 +292,6 @@ def bounded_refuter(space, p, q):
             if space.meet_is_empty(b1, b2):
                 return b1, b2
     return None
-
-
-def dense(space, u) -> bool:
-    return space.dense(u)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,15 @@ doubling restricted to the abscissa 0) -- plus the branching line.
 
 Basic opens are waves: an open set downstairs with finitely many abscissae
 removed and lifted to an upper level.
+
+The wave algebra is near-linear in the number of lifts.  A `Wave` builds its
+abscissa -> level map once, when it is constructed, and membership, member
+levels and meets read that stored map; `lift_map()` hands out a copy.
+Lifted abscissae are punched out of the open set in one merge sweep
+(`iset_remove_points`), by `wave_meet` and `down_projection` alike.
+Disjointness is decided downstairs (`waves_disjoint`): removing finitely many
+points from a nonempty open set leaves it nonempty, so two waves meet exactly
+when their open sets do, and no meet wave is built.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .intervals import (FinSet, IntervalSet, iset_meet, iset_pick_point,
-                        iset_remove_point)
+                        iset_remove_points)
 from .rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
 
 
@@ -73,10 +82,14 @@ class Wave:
     spec: SpaceSpec
     parts: IntervalSet
     lift: tuple = ()  # sorted tuple of (abscissa, level) with level >= 1
+    _levels: dict = field(init=False, compare=False, repr=False)  # abscissa -> level
 
     def __post_init__(self):
-        object.__setattr__(self, "lift", tuple(sorted(
-            (Fraction(x), int(j)) for x, j in dict(self.lift).items())))
+        levels = {}
+        for x, j in self.lift:
+            levels[x if type(x) is Fraction else Fraction(x)] = int(j)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "lift", tuple(sorted(levels.items())))
         for x, j in self.lift:
             if not 1 <= j < self.spec.k:
                 raise PreconditionError("lift level %d out of range" % j)
@@ -86,12 +99,12 @@ class Wave:
                 raise PreconditionError("lifted abscissa %s is not doubled" % fmt_ext(x))
 
     def lift_map(self) -> dict:
-        return dict(self.lift)
+        return dict(self._levels)
 
     def contains(self, p: MultiLinePoint) -> bool:
-        j = self.lift_map().get(p.x)
+        j = self._levels.get(p.x)
         if p.level == 0:
-            return self.parts.contains(p.x) and j is None
+            return j is None and self.parts.contains(p.x)
         return j == p.level
 
     def is_empty(self) -> bool:
@@ -102,10 +115,7 @@ class Wave:
 
     def down_projection(self) -> IntervalSet:
         """Open set of abscissae whose down point belongs to the wave."""
-        out = self.parts
-        for x, _ in self.lift:
-            out = iset_remove_point(out, x)
-        return out
+        return iset_remove_points(self.parts, (x for x, _ in self.lift))
 
     def __str__(self):
         lifts = ",".join("%s^%d" % (fmt_ext(x), j) for x, j in self.lift)
@@ -123,22 +133,30 @@ def wave_meet(w1: Wave, w2: Wave) -> Wave:
     if w1.spec != w2.spec:
         raise PreconditionError("waves from different spaces")
     parts = iset_meet(w1.parts, w2.parts)
-    m1, m2 = w1.lift_map(), w2.lift_map()
-    lift = {}
-    for x in set(m1) | set(m2):
-        if not parts.contains(x):
-            continue
-        j1, j2 = m1.get(x), m2.get(x)
-        if j1 == j2:
-            lift[x] = j1
-        else:
-            parts = iset_remove_point(parts, x)
-    return Wave(w1.spec, parts, tuple(lift.items()))
+    m1, m2 = w1._levels, w2._levels
+    lift, punched = [], []
+    for x, j1 in m1.items():
+        if parts.contains(x):
+            if m2.get(x) == j1:
+                lift.append((x, j1))
+            else:
+                punched.append(x)
+    punched.extend(x for x in m2 if x not in m1 and parts.contains(x))
+    return Wave(w1.spec, iset_remove_points(parts, punched), tuple(lift))
+
+
+def waves_disjoint(w1: Wave, w2: Wave) -> bool:
+    """Same verdict as `wave_meet(w1, w2).is_empty()`, decided downstairs:
+    the meet only punches finitely many points out of the meet of the open
+    sets, which leaves a nonempty open set nonempty."""
+    if w1.spec != w2.spec:
+        raise PreconditionError("waves from different spaces")
+    return iset_meet(w1.parts, w2.parts).is_empty()
 
 
 def wave_member_levels(w: Wave, x) -> set:
     """Levels the wave occupies at abscissa x (empty, {0}, or one lift)."""
-    j = w.lift_map().get(x)
+    j = w._levels.get(x)
     if j is not None:
         return {j}
     if w.parts.contains(x):
@@ -270,12 +288,6 @@ def ml_replay(word, p: MultiLinePoint) -> MultiLinePoint:
     return p
 
 
-def ml_replay_wave(word, w: Wave) -> Wave:
-    for gen in word:
-        w = gen.apply_wave(w)
-    return w
-
-
 # ---------------------------------------------------------------------------
 # Witness generators.
 
@@ -331,11 +343,14 @@ def chain_connect(spec: SpaceSpec, src: MultiLinePoint, dst: MultiLinePoint,
 
     required = {} if split else {src.x: src.level, dst.x: dst.level}
     lift = {}
-    constrained = set(required) | {r.x for r in removed if parts.contains(r.x)}
+    forbidden_at = {}
+    for r in removed:
+        forbidden_at.setdefault(r.x, set()).add(r.level)
+    constrained = set(required) | {x for x in forbidden_at if parts.contains(x)}
     if split:
         constrained.discard(src.x)
     for x in constrained:
-        forbidden = {r.level for r in removed if r.x == x}
+        forbidden = forbidden_at.get(x, ())
         if x in required:
             choice = required[x]
             if choice in forbidden:
@@ -357,7 +372,7 @@ def chain_connect(spec: SpaceSpec, src: MultiLinePoint, dst: MultiLinePoint,
             links.append(Wave(spec, parts, tuple(ext.items())))
         if not (links[0].contains(src) and links[1].contains(dst)):
             raise AssertionError("chain links miss their endpoints")
-        if wave_meet(links[0], links[1]).is_empty():
+        if waves_disjoint(links[0], links[1]):
             raise AssertionError("chain links do not meet")
         return links
     wave = Wave(spec, parts, tuple(lift.items()))

@@ -12,9 +12,6 @@ from fractions import Fraction
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-# ExtRat is Fraction | float, where the only floats allowed are +-inf.
-ExtRat = "Fraction | float"
-
 
 def rat(p, q=1) -> Fraction:
     return Fraction(p, q)

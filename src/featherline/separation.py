@@ -19,7 +19,7 @@ from . import kernel as ke
 from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, iset_covers_line,
                         iset_pick_point, iset_union, pick_rational_in)
-from .rationals import NEG_INF, POS_INF, PreconditionError
+from .rationals import NEG_INF, PreconditionError
 
 # ---------------------------------------------------------------------------
 # Lemma-style maximal Hausdorff dense opens.
@@ -134,7 +134,7 @@ def subcover_attempt(space, cover: CoverDescriptor, chosen):
     chosen = tuple(chosen)
     for b in chosen:
         if not cover.admits(space, b):
-            raise PreconditionError("chosen basic %r is not in the cover" % (b,))
+            raise PreconditionError("chosen basic %s is not in the cover" % (b,))
     if isinstance(space, ke.MultiLineSpace) and space.spec.k == 1:
         union = IntervalSet.empty()
         for w in chosen:

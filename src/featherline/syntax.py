@@ -44,17 +44,14 @@ def fmt_tuple(p) -> str:
 
 
 def fmt_basic(b) -> str:
-    if isinstance(b, ml.Wave):
-        lifts = ",".join("%s^%d" % (fmt_ext(x), j) for x, j in b.lift)
-        return "W[%s-{%s}]" % (b.parts, lifts)
+    if isinstance(b, (ml.Wave, CofiniteSet)):
+        return str(b)
     if isinstance(b, fe.Chart):
         return "FI[%s;%s]" % (fmt_tuple(b.interval.lower), fmt_tuple(b.interval.upper))
     if isinstance(b, fe.FeatherInterval):
         return "FI[%s;%s]" % (fmt_tuple(b.lower), fmt_tuple(b.upper))
     if isinstance(b, ml.BranchInterval):
         return "BI[(%s,%s)@%s]" % (fmt_ext(b.lo), fmt_ext(b.hi), b.side)
-    if isinstance(b, CofiniteSet):
-        return str(b)
     if isinstance(b, fe.SkeletonHandle):
         if b.flip is None:
             return "strict-skeleton"
@@ -162,16 +159,6 @@ def parse_iset(text: str) -> IntervalSet:
             raise ParseError("cannot parse interval set %r" % rest)
         pairs.append((parse_ext(m.group(1)), parse_ext(m.group(2))))
     return IntervalSet.of(*pairs)
-
-
-def parse_finset(text: str) -> FinSet:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError("cannot parse finite set %r" % text)
-    body = text[1:-1].strip()
-    if not body:
-        return FinSet.empty()
-    return FinSet.of(*(Fraction(parse_ext(c)) for c in body.split(",")))
 
 
 def parse_cofinite(text: str) -> CofiniteSet:

@@ -124,6 +124,19 @@ def test_integer_outside_the_naturals_rejected(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args,shown", [
+    (["subcover", "doubled", "W[(0,1)-{}]"], "chosen basic W[(0,1)-{}] is not in the cover"),
+    (["microcompact", "feather", "F(0)", "W[(-1,1)-{0^1}]"],
+     "not a feather basic: W[(-1,1)-{0^1}]"),
+    (["microcompact", "doubled", "D(0)", "cofinite-excl{1}"], "not a wave: cofinite-excl{1}"),
+], ids=["subcover", "feather-member", "wave-member"])
+def test_precondition_message_shows_the_basic_in_input_syntax(args, shown):
+    proc = run_cli(args)
+    assert proc.returncode == 2
+    assert shown in proc.stderr
+    assert "Wave(" not in proc.stderr and "SpaceSpec(" not in proc.stderr
+
+
 def test_chain_inconclusive_exit_code():
     proc = run_cli(["chain", "two-origins", "D(-1 @0)", "D(1 @0)",
                     "--remove", "D(0 @0);D(0 @1)", "--window=-5,5"])

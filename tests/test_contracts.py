@@ -1,6 +1,7 @@
 """Contracts that keep the engine's checks cheap and always on: points are
 validated once at the boundary, the refuter's strength is fixed, formatting
-matches its reference, and no check lives in an `assert` statement."""
+matches its reference, the wave algebra is near-linear with the answers of
+its per-point references, and no check lives in an `assert` statement."""
 
 import ast
 import pathlib
@@ -12,6 +13,8 @@ from hypothesis import given, strategies as st
 import featherline
 from featherline import feather as fe
 from featherline import kernel as ke
+from featherline import multiline as ml
+from featherline.intervals import IntervalSet, iset_remove_points
 from featherline.rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
 
 F = Fraction
@@ -223,3 +226,155 @@ def _reference_fmt_ext(x):
                  st.floats(allow_nan=False, allow_infinity=True)))
 def test_fmt_ext_matches_reference(x):
     assert fmt_ext(x) == _reference_fmt_ext(x)
+
+
+# ---------------------------------------------------------------------------
+# The wave algebra: bisected membership, one-sweep punching, disjointness
+# decided downstairs, each wave's level map built once.
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def cut_sets(draw):
+    """A canonical interval set cut from consecutive breakpoints, so kept
+    neighbours touch at a shared, absent endpoint; ends may be infinite.
+    Returns the set and its breakpoints."""
+    cuts = sorted(draw(st.sets(small_rationals, max_size=7)))
+    if draw(st.booleans()):
+        cuts = [NEG_INF] + cuts
+    if draw(st.booleans()):
+        cuts = cuts + [POS_INF]
+    pairs = list(zip(cuts, cuts[1:]))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return IntervalSet(tuple(pr for pr, k in zip(pairs, keep) if k)), cuts
+
+
+def _probes(cuts):
+    """Breakpoints (shared and infinite ends included) or other rationals."""
+    return st.sampled_from(cuts) | small_rationals if cuts else small_rationals
+
+
+@st.composite
+def sets_and_points(draw):
+    a, cuts = draw(cut_sets())
+    return a, draw(_probes(cuts))
+
+
+@st.composite
+def sets_and_point_lists(draw):
+    a, cuts = draw(cut_sets())
+    return a, draw(st.lists(_probes(cuts), max_size=8))
+
+
+def _reference_contains(a, x):
+    return any(lo < x < hi for lo, hi in a.intervals)
+
+
+def _reference_remove_point(a, x):
+    out = []
+    for lo, hi in a.intervals:
+        out += [(lo, x), (x, hi)] if lo < x < hi else [(lo, hi)]
+    return IntervalSet(tuple(out))
+
+
+def test_contains_rejects_the_endpoint_of_touching_intervals():
+    a = IntervalSet.of((F(3, 2), 3), (3, 7))
+    assert not a.contains(F(3)) and not a.contains(F(3, 2)) and not a.contains(F(7))
+    assert a.contains(F(5, 2)) and a.contains(F(4))
+
+
+@given(sets_and_points())
+def test_bisected_contains_matches_linear_reference(case):
+    a, x = case
+    assert a.contains(x) == _reference_contains(a, x)
+
+
+@given(sets_and_point_lists())
+def test_remove_points_matches_folded_single_point_reference(case):
+    a, xs = case
+    folded = a
+    for x in xs:
+        folded = _reference_remove_point(folded, x)
+    assert iset_remove_points(a, xs) == folded
+    assert iset_remove_points(a, reversed(xs)) == folded
+    assert iset_remove_points(a, xs + xs) == folded
+
+
+@st.composite
+def waves(draw, spec):
+    parts, _ = draw(cut_sets())
+    xs = draw(st.lists(small_rationals, max_size=6))
+    lift = tuple((x, draw(st.integers(1, spec.k - 1))) for x in xs if parts.contains(x))
+    return ml.Wave(spec, parts, lift)
+
+
+@st.composite
+def wave_pairs(draw):
+    spec = draw(st.sampled_from([ml.DOUBLED, ml.TRIPLED]))
+    return draw(waves(spec)), draw(waves(spec))
+
+
+@given(wave_pairs())
+def test_waves_disjoint_matches_empty_meet(pair):
+    w1, w2 = pair
+    expected = ml.wave_meet(w1, w2).is_empty()
+    assert ml.waves_disjoint(w1, w2) == expected
+    assert ke.MultiLineSpace(w1.spec).meet_is_empty(w1, w2) == expected
+
+
+def test_disjointness_of_waves_from_different_spaces_is_refused():
+    w1 = ml.full_wave(ml.DOUBLED)
+    w2 = ml.full_wave(ml.TRIPLED)
+    with pytest.raises(PreconditionError):
+        ml.waves_disjoint(w1, w2)
+    with pytest.raises(PreconditionError):
+        ke.space_of("doubled").meet_is_empty(w1, w2)
+
+
+def test_wave_equality_and_hash_ignore_the_stored_level_map():
+    lift = ((F(2), 1), (F(-1), 2), (F(1, 2), 1))
+    w1 = ml.full_wave(ml.TRIPLED, lift)
+    w2 = ml.full_wave(ml.TRIPLED, tuple(reversed(lift)))
+    assert w1 == w2 and hash(w1) == hash(w2)
+    assert len({w1: "a", w2: "b"}) == 1
+    assert "_levels" not in repr(w1)
+    assert w1.lift_map() == dict(lift) and w1.lift_map() is not w1.lift_map()
+
+
+def _count_punches(monkeypatch):
+    calls = []
+    original = ml.iset_remove_points
+
+    def counting(a, xs):
+        calls.append(a)
+        return original(a, xs)
+
+    monkeypatch.setattr(ml, "iset_remove_points", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, 10, 100])
+def test_meet_and_projection_punch_once(monkeypatch, n):
+    w1 = ml.full_wave(ml.DOUBLED, tuple((F(i), 1) for i in range(n)))
+    w2 = ml.full_wave(ml.DOUBLED, tuple((F(i), 1) for i in range(0, n, 2)))
+    calls = _count_punches(monkeypatch)
+    meet = ml.wave_meet(w1, w2)
+    assert len(calls) == 1
+    assert len(meet.parts.intervals) == n // 2 + 1
+    down = w1.down_projection()
+    assert len(calls) == 2
+    assert len(down.intervals) == n + 1
+
+
+def test_wave_contains_reads_the_stored_map(monkeypatch):
+    w = ml.full_wave(ml.DOUBLED, ((F(0), 1),))
+
+    def forbidden(self):
+        raise AssertionError("lift_map called")
+
+    monkeypatch.setattr(ml.Wave, "lift_map", forbidden)
+    assert w.contains(ml.MultiLinePoint(F(0), 1))
+    assert not w.contains(ml.MultiLinePoint(F(0), 0))
+    assert w.contains(ml.MultiLinePoint(F(1), 0))
+    assert ml.wave_member_levels(w, F(0)) == {1}

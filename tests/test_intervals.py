@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from featherline.intervals import (CofiniteSet, FinSet, IntervalSet,
                                    cofinite_meet, iset_complement_is_finite,
                                    iset_covers_line, iset_meet,
-                                   iset_remove_point, iset_union,
+                                   iset_remove_points, iset_union,
                                    pick_rational_in)
 from featherline.rationals import NEG_INF, POS_INF
 
@@ -48,7 +48,7 @@ def test_meet_union_pointwise(a, b, x):
 
 @given(interval_sets, rationals, rationals)
 def test_remove_point_membership(a, x, y):
-    r = iset_remove_point(a, x)
+    r = iset_remove_points(a, (x,))
     assert not r.contains(x)
     if y != x:
         assert r.contains(y) == a.contains(y)
@@ -56,7 +56,7 @@ def test_remove_point_membership(a, x, y):
 
 def test_complement_finite():
     assert iset_complement_is_finite(IntervalSet.full_line())
-    punched = iset_remove_point(IntervalSet.full_line(), Fraction(0))
+    punched = iset_remove_points(IntervalSet.full_line(), (Fraction(0),))
     assert iset_complement_is_finite(punched)
     assert not iset_complement_is_finite(IntervalSet.of((0, POS_INF)))
     assert not iset_complement_is_finite(IntervalSet.of((0, 1)))
@@ -64,7 +64,7 @@ def test_complement_finite():
 
 def test_covers_line():
     assert iset_covers_line(IntervalSet.full_line())
-    assert not iset_covers_line(iset_remove_point(IntervalSet.full_line(), Fraction(0)))
+    assert not iset_covers_line(iset_remove_points(IntervalSet.full_line(), (Fraction(0),)))
     assert not iset_covers_line(IntervalSet.of((NEG_INF, 0), (0, POS_INF)))
 
 

@@ -80,6 +80,17 @@ def test_separable_symmetric_feather(p, q):
     assert ke.verify_certificate(f, c1) and ke.verify_certificate(f, c2)
 
 
+@pytest.mark.parametrize("p,q", [
+    ((F(0),), (F(1, 2**62 + 1),)),
+    ((F(0), F(1)), (F(0), F(1) + F(1, 2**200))),
+], ids=["gap-2^-62", "gap-2^-200"])
+def test_separable_feather_points_closer_than_64_halvings(p, q):
+    # the search for separating charts halves the radius as often as the
+    # coordinates' denominators need, not a fixed 64 times
+    ok, c = ke.FEATHER.separable(p, q)
+    assert ok and ke.verify_certificate(ke.FEATHER, c)
+
+
 @given(doubled_points, doubled_points)
 def test_separable_symmetric_doubled(p, q):
     if p == q:
