@@ -58,3 +58,15 @@ def maximal_hausdorff(x, handle, adjoin_samples) -> Certificate:
     that adjoining the outside point creates a non-separable pair."""
     return Certificate("maximal-hausdorff", {"x": x, "handle": handle,
                                              "adjoin_samples": tuple(adjoin_samples)})
+
+
+def hausdorff_open(basics, extra_points) -> Certificate:
+    """The union of `basics` and `extra_points` holds no non-separable pair."""
+    return Certificate("hausdorff-open", {"basics": tuple(basics),
+                                          "extra_points": tuple(extra_points)})
+
+
+def baire_point(point, probe, members) -> Certificate:
+    """`point` lies in the basic `probe` and in every dense member."""
+    return Certificate("baire-point", {"point": point, "probe": probe,
+                                       "members": tuple(members)})

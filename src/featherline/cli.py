@@ -20,24 +20,12 @@ from . import multiline as ml
 from . import separation as sp
 from .intervals import CofiniteSet, FinSet, IntervalSet
 from .rationals import ParseError, PreconditionError, parse_ext, parse_rat
-from .syntax import fmt_basic, fmt_point, jsonable, parse_basic, parse_point
+from .syntax import fmt_basic, fmt_point, jsonable
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_NEGATIVE = 3
-
-
-def _spec_of(space):
-    return space.spec if isinstance(space, ke.MultiLineSpace) else None
-
-
-def _point(text, space):
-    return parse_point(text, _spec_of(space))
-
-
-def _basic(text, space):
-    return parse_basic(text, _spec_of(space))
 
 
 def _render(report, fmt, out):
@@ -58,69 +46,61 @@ def _render(report, fmt, out):
 
 def cmd_separate(args):
     space = ke.space_of(args.space)
-    p = _point(args.p, space)
-    q = _point(args.q, space)
+    p = space.parse_point(args.p)
+    q = space.parse_point(args.q)
     ok, c = space.separable(p, q)
-    verified = ke.verify_certificate(space, c)
     report = {
         "command": "separate %s %s %s" % (args.space, args.p, args.q),
         "verdict": "separable" if ok else "NOT separable: twin pair",
-        "certificate": c,
-        "verified": verified,
+        **ke.verified(space, c),
         "citations": ["separation-of-points"],
     }
     return report, EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def cmd_twin(args):
-    p = parse_point(args.p)
+    p = ke.FEATHER.parse_point(args.p)
     tw = fe.fp_twin(p)
-    c = cert.twin_pair(p, tw)
     report = {
         "command": "twin %s" % args.p,
         "verdict": fmt_point(tw),
-        "certificate": c,
-        "verified": ke.verify_certificate(ke.FEATHER, c),
+        **ke.verified(ke.FEATHER, cert.twin_pair(p, tw)),
         "citations": ["complete-feather", "twin-pairs"],
     }
     return report, EXIT_OK
 
 
 def cmd_flip(args):
-    s = parse_point(args.s)
-    r = parse_point(args.r)
+    s = ke.FEATHER.parse_point(args.s)
+    r = ke.FEATHER.parse_point(args.r)
     out = fe.flip_apply(s, r)
     c = cert.homeo_word((fe.FlipGen(s),), r, out, involutive=True)
     report = {
         "command": "flip %s %s" % (args.s, args.r),
         "verdict": fmt_point(out),
-        "certificate": c,
-        "verified": ke.verify_certificate(ke.FEATHER, c),
+        **ke.verified(ke.FEATHER, c),
         "citations": ["complete-feather", "flip-homeomorphisms"],
     }
     return report, EXIT_OK
 
 
 def cmd_normalize(args):
-    p = parse_point(args.p)
+    p = ke.FEATHER.parse_point(args.p)
     word, out = fe.normalize_to_line(p)
-    c = cert.homeo_word(word, p, out)
     report = {
         "command": "normalize %s" % args.p,
         "verdict": fmt_point(out),
-        "certificate": c,
-        "verified": ke.verify_certificate(ke.FEATHER, c),
+        **ke.verified(ke.FEATHER, cert.homeo_word(word, p, out)),
         "citations": ["complete-feather", "homogeneity"],
     }
     return report, EXIT_OK
 
 
 def cmd_homotopy(args):
-    if args.space not in ("F", "feather"):
-        raise PreconditionError("the contraction homotopy lives on the feather")
-    s = parse_point(args.p)
+    space = ke.space_of(args.space)
+    s = space.parse_point(args.p)
     t = parse_rat(args.t)
-    out = fe.homotopy_eval(t, s)
+    out = space.homotopy(t, s)
     report = {
         "command": "homotopy %s %s --t %s" % (args.space, args.p, args.t),
         "verdict": fmt_point(out),
@@ -132,7 +112,7 @@ def cmd_homotopy(args):
 
 def cmd_chart(args):
     space = ke.space_of(args.space)
-    p = _point(args.p, space)
+    p = space.parse_point(args.p)
     eps = parse_rat(args.eps)
     b = space.canonical_neighborhood(p, eps)
     report = {
@@ -146,8 +126,8 @@ def cmd_chart(args):
 
 def cmd_meet(args):
     space = ke.space_of(args.space)
-    b1 = _basic(args.b1, space)
-    b2 = _basic(args.b2, space)
+    b1 = space.parse_basic(args.b1)
+    b2 = space.parse_basic(args.b2)
     parts = space.meet(b1, b2)
     report = {
         "command": "meet %s %s %s" % (args.space, args.b1, args.b2),
@@ -160,12 +140,12 @@ def cmd_meet(args):
 
 def cmd_dense(args):
     space = ke.space_of(args.space)
-    basics = [_basic(b, space) for b in args.basics]
-    u = basics[0] if len(basics) == 1 and isinstance(basics[0], fe.SkeletonHandle) else basics
-    verdict = space.dense(u)
+    basics = [space.parse_basic(b) for b in args.basics]
+    verdict = space.dense(basics)
     payload = {"basics": basics}
-    if not verdict and isinstance(space, ke.FeatherSpace):
-        payload["missed-by"] = space.fresh_chart_missing(basics)
+    witness = None if verdict else space.density_witness(basics)
+    if witness is not None:
+        payload["missed-by"] = witness
     report = {
         "command": "dense %s %s" % (args.space, " ".join(args.basics)),
         "verdict": "dense" if verdict else "not dense",
@@ -177,19 +157,15 @@ def cmd_dense(args):
 
 def cmd_converges(args):
     space = ke.space_of(args.space)
-    base = _point(args.base, space)
-    target = _point(args.target, space)
-    tag = "feather" if isinstance(space, ke.FeatherSpace) else "multiline"
-    index = args.index if args.index is not None else (
-        len(base) - 1 if tag == "feather" else 0)
-    descr = ke.SeqDescriptor(tag, base, index, parse_rat(args.limit),
-                             args.direction)
+    base = space.parse_point(args.base)
+    target = space.parse_point(args.target)
+    descr = space.descriptor(base, args.index, parse_rat(args.limit), args.direction)
     verdict = space.converges(descr, target)
     report = {
         "command": "converges %s %s --limit %s --direction %s %s"
                    % (args.space, args.base, args.limit, args.direction, args.target),
         "verdict": "converges" if verdict else "does not converge",
-        "certificate": {"base": base, "coord_index": index,
+        "certificate": {"base": base, "coord_index": descr.coord_index,
                         "limit": descr.limit, "direction": descr.direction,
                         "target": target, "sample_terms": [descr.term(m) for m in (3, 4, 5)]},
         "citations": ["twin-convergence"],
@@ -199,23 +175,16 @@ def cmd_converges(args):
 
 def cmd_move(args):
     space = ke.space_of(args.space)
-    p = _point(args.p, space)
-    q = _point(args.q, space)
-    if isinstance(space, ke.FeatherSpace):
-        if args.involutive:
-            raise PreconditionError("involutive words are implemented for the line family")
-        word = fe.fp_move(p, q)
-        out = fe.replay(word, p)
-    else:
-        word = ml.ml_move(space.spec, p, q, involutive=args.involutive)
-        out = ml.ml_replay(word, p)
+    p = space.parse_point(args.p)
+    q = space.parse_point(args.q)
+    word = space.move(p, q, args.involutive)
+    out = space.replay(word, p)
     c = cert.homeo_word(word, p, out, involutive=args.involutive)
     report = {
         "command": "move %s %s %s%s" % (args.space, args.p, args.q,
                                         " --involutive" if args.involutive else ""),
         "verdict": "moved" if out == q else "move failed",
-        "certificate": c,
-        "verified": ke.verify_certificate(space, c),
+        **ke.verified(space, c),
         "citations": ["homogeneity"],
     }
     return report, EXIT_OK if out == q else EXIT_NEGATIVE
@@ -223,16 +192,14 @@ def cmd_move(args):
 
 def cmd_chain(args):
     space = ke.space_of(args.space)
-    if not isinstance(space, ke.MultiLineSpace):
-        raise PreconditionError("chain connection is implemented for the line family")
-    src = _point(args.src, space)
-    dst = _point(args.dst, space)
-    removed = [_point(t.strip(), space) for t in args.remove.split(";")] if args.remove else []
+    src = space.parse_point(args.src)
+    dst = space.parse_point(args.dst)
+    removed = [space.parse_point(t) for t in args.remove.split(";")] if args.remove else []
     window = args.window.split(",")
     if len(window) != 2:
         raise ParseError("--window takes LO,HI, got %r" % args.window)
     lo, hi = (parse_ext(t) for t in window)
-    links = ml.chain_connect(space.spec, src, dst, removed, (lo, hi))
+    links = space.chain(src, dst, removed, (lo, hi))
     command = "chain %s %s %s --remove %s --window %s" % (
         args.space, args.src, args.dst, args.remove or "", args.window)
     if links is None:
@@ -243,12 +210,10 @@ def cmd_chain(args):
             "citations": ["two-point-removal-connectivity"],
         }
         return report, EXIT_NEGATIVE
-    c = cert.chain(links, src, dst, removed)
     report = {
         "command": command,
         "verdict": "connected",
-        "certificate": c,
-        "verified": ke.verify_certificate(space, c),
+        **ke.verified(space, cert.chain(links, src, dst, removed)),
         "citations": ["two-point-removal-connectivity"],
     }
     return report, EXIT_OK
@@ -256,13 +221,12 @@ def cmd_chain(args):
 
 def cmd_maximal_hausdorff(args):
     space = ke.space_of(args.space)
-    p = _point(args.p, space)
+    p = space.parse_point(args.p)
     handle, c = sp.maximal_hausdorff_at(space, p)
     report = {
         "command": "maximal-hausdorff %s %s" % (args.space, args.p),
         "verdict": fmt_basic(handle),
-        "certificate": c,
-        "verified": ke.verify_certificate(space, c),
+        **ke.verified(space, c),
         "citations": ["maximal-hausdorff-dense-opens"],
     }
     return report, EXIT_OK
@@ -271,17 +235,12 @@ def cmd_maximal_hausdorff(args):
 def cmd_subcover(args):
     space = ke.space_of(args.space)
     cover = sp.canonical_cover(space)
-    if isinstance(space, ke.FeatherSpace):
-        # the canonical feather cover consists of charts; name them by center
-        chosen = [fe.fp_chart(parse_point(b), Fraction(1)) for b in args.chosen]
-    else:
-        chosen = [_basic(b, space) for b in args.chosen]
+    chosen = [space.cover_member(b) for b in args.chosen]
     covered, c = sp.subcover_attempt(space, cover, chosen)
     report = {
         "command": "subcover %s %s" % (args.space, " ".join(args.chosen)),
         "verdict": "covers" if covered else "uncovered",
-        "certificate": c,
-        "verified": ke.verify_certificate(space, c),
+        **ke.verified(space, c),
         "citations": ["lindelof-failure"],
     }
     return report, EXIT_OK if covered else EXIT_NEGATIVE
@@ -289,30 +248,30 @@ def cmd_subcover(args):
 
 def cmd_baire(args):
     space = ke.space_of(args.space)
-    if args.space in ("cofinite", "N"):
+    if not space.is_baire:
+        if args.candidates < 1:
+            raise ParseError("--candidates must be at least 1, got %d" % args.candidates)
         fam = sp.DenseFamily("cofinite-diagonal")
         verdict, c = sp.baire_intersect(space, fam, CofiniteSet.ground(),
                                         candidates=range(args.candidates))
         report = {
             "command": "baire %s --candidates %d" % (args.space, args.candidates),
             "verdict": verdict,
-            "certificate": c,
-            "verified": ke.verify_certificate(space, c),
+            **ke.verified(space, c),
             "citations": ["finite-complement-topology", "baire-property"],
         }
         return report, EXIT_NEGATIVE
     if args.probe is None:
         raise ParseError("baire on %s needs --probe" % args.space)
-    members = [_basic(b, space) for b in args.members]
-    probe = _basic(args.probe, space)
+    members = [space.parse_basic(b) for b in args.members]
+    probe = space.parse_basic(args.probe)
     fam = sp.DenseFamily("finite", tuple(members))
     point, c = sp.baire_intersect(space, fam, probe)
     report = {
         "command": "baire %s --probe %s %s" % (args.space, args.probe,
                                                " ".join(args.members)),
         "verdict": fmt_point(point),
-        "certificate": c,
-        "verified": sp.verify_baire_point_cert(space, c),
+        **ke.verified(space, c),
         "citations": ["baire-property"],
     }
     return report, EXIT_OK
@@ -320,8 +279,10 @@ def cmd_baire(args):
 
 def cmd_microcompact(args):
     space = ke.space_of(args.space)
-    p = _point(args.p, space)
-    v = _basic(args.v, space)
+    p = space.parse_point(args.p)
+    v = space.parse_basic(args.v)
+    if args.depth < 1:
+        raise ParseError("--depth must be at least 1, got %d" % args.depth)
     if args.depth > 1:
         chain = sp.microcompact_nesting(space, p, v, depth=args.depth)
         report = {
@@ -337,8 +298,7 @@ def cmd_microcompact(args):
     report = {
         "command": "microcompact %s %s %s" % (args.space, args.p, args.v),
         "verdict": "compact neighborhood found",
-        "certificate": c,
-        "verified": ke.verify_certificate(space, c),
+        **ke.verified(space, c),
         "citations": ["microcompactness"],
     }
     return report, EXIT_OK
@@ -357,12 +317,9 @@ def demo_two_origins():
     ok2, c2 = space.separable(o0, away)
     handle, mc = sp.maximal_hausdorff_at(space, o0)
     certificate = {
-        "origins-pair": {"separable": ok1, "certificate": c1,
-                         "verified": ke.verify_certificate(space, c1)},
-        "away-from-origin": {"separable": ok2, "certificate": c2,
-                             "verified": ke.verify_certificate(space, c2)},
-        "maximal-hausdorff": {"handle": handle, "certificate": mc,
-                              "verified": ke.verify_certificate(space, mc)},
+        "origins-pair": ke.verified(space, c1, separable=ok1),
+        "away-from-origin": ke.verified(space, c2, separable=ok2),
+        "maximal-hausdorff": ke.verified(space, mc, handle=handle),
     }
     return {"verdict": "origins are the only non-separable pair",
             "certificate": certificate,
@@ -379,12 +336,9 @@ def demo_branching_line():
     ok2, c2 = space.separable(tip_l, tip_r)
     ok3, c3 = space.separable(tip_l, origin_l)
     certificate = {
-        "origins-pair": {"separable": ok1, "certificate": c1,
-                         "verified": ke.verify_certificate(space, c1)},
-        "tips-pair": {"separable": ok2, "certificate": c2,
-                      "verified": ke.verify_certificate(space, c2)},
-        "tip-vs-origin": {"separable": ok3, "certificate": c3,
-                          "verified": ke.verify_certificate(space, c3)},
+        "origins-pair": ke.verified(space, c1, separable=ok1),
+        "tips-pair": ke.verified(space, c2, separable=ok2),
+        "tip-vs-origin": ke.verified(space, c3, separable=ok3),
         "note": "the origin has a non-separable partner while (1,L) has none "
                 "among the samples, so no self-homeomorphism exchanges them",
     }
@@ -403,8 +357,8 @@ def demo_feather_homogeneity():
     out = fe.replay(word, p)
     cm = cert.homeo_word(word, p, out)
     certificate = {
-        "normalize": {"certificate": cn, "verified": ke.verify_certificate(space, cn)},
-        "move": {"certificate": cm, "verified": ke.verify_certificate(space, cm)},
+        "normalize": ke.verified(space, cn),
+        "move": ke.verified(space, cm),
     }
     verdict = "homogeneous: replay maps p to q" if out == q else "move failed"
     return {"verdict": verdict, "certificate": certificate,
@@ -446,8 +400,7 @@ def demo_feather_twins():
     below = ke.SeqDescriptor("feather", p, len(p) - 1, p[-1], "below")
     above = ke.SeqDescriptor("feather", p, len(p) - 1, p[-1], "above")
     certificate = {
-        "pair": {"separable": ok, "certificate": c,
-                 "verified": ke.verify_certificate(space, c)},
+        "pair": ke.verified(space, c, separable=ok),
         "refuter": {"scales": ke.REFUTER_SCALES,
                     "found_separation": ke.bounded_refuter(space, p, q) is not None},
         "from-below": {"to_lower": space.converges(below, p),
@@ -479,10 +432,8 @@ def demo_doubled_line():
         down_point=ml.MultiLinePoint(Fraction(1, 2), 0))
     certificate = {
         "wave-meet": {"w1": w1, "w2": w2, "meet": meet},
-        "same-abscissa": {"separable": ok1, "certificate": c1,
-                          "verified": ke.verify_certificate(space, c1)},
-        "distinct-abscissae": {"separable": ok2, "certificate": c2,
-                               "verified": ke.verify_certificate(space, c2)},
+        "same-abscissa": ke.verified(space, c1, separable=ok1),
+        "distinct-abscissae": ke.verified(space, c2, separable=ok2),
         "rational-down-witness": {"wave": small, "point": witness},
         "up-points-discrete": {"isolating": isolating, "avoiding": avoiding},
     }
@@ -516,7 +467,7 @@ def demo_fuks_rokhlin():
     two = ke.space_of("two-origins")
     control = ml.chain_connect(two.spec, src, dst, removed, (-5, 5))
     certificate = {
-        "tripled": {"certificate": c, "verified": ke.verify_certificate(tripled, c)},
+        "tripled": ke.verified(tripled, c),
         "two-origins-control": {"result": "inconclusive" if control is None else "connected"},
     }
     ok = links is not None and control is None
@@ -531,17 +482,11 @@ def demo_lemma_zorn():
     cases = [("doubled", "D(0 @1)"), ("feather", "F(0,0)"), ("two-origins", "D(0 @0)")]
     for name, ptext in cases:
         space = ke.space_of(name)
-        p = parse_point(ptext, _spec_of(space))
+        p = space.parse_point(ptext)
         handle, c = sp.maximal_hausdorff_at(space, p)
         hd, _ = sp.hausdorff_open(space, handle)
-        rows[name] = {
-            "point": p,
-            "handle": handle,
-            "certificate": c,
-            "verified": ke.verify_certificate(space, c),
-            "hausdorff": hd,
-            "dense": space.dense(handle),
-        }
+        rows[name] = dict(ke.verified(space, c, point=p, handle=handle),
+                          hausdorff=hd, dense=space.dense(handle))
     ok = all(r["verified"] and r["hausdorff"] and r["dense"] for r in rows.values())
     return {"verdict": "maximal Hausdorff dense opens certified" if ok else "failed",
             "certificate": rows,
@@ -551,12 +496,7 @@ def demo_lemma_zorn():
 
 def demo_theorem2(space_name="line"):
     space = ke.space_of(space_name)
-    if isinstance(space, ke.MultiLineSpace):
-        samples = [ml.MultiLinePoint(Fraction(n), space.spec.k - 1) for n in (0, 1)]
-        probes = [ml.MultiLinePoint(Fraction(n), 0) for n in (2, 3)]
-    else:
-        samples = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))]
-        probes = [(Fraction(5),), (Fraction(6), Fraction(7))]
+    samples, probes = space.pipeline_sample()
     report = sp.theorem_pipeline(space, samples, probes=probes)
     ok = report["verdict"] == "separated-point-found"
     return {"verdict": report["verdict"],
@@ -576,10 +516,8 @@ def demo_lindelof_failure():
                 for n in (0, 1, 2)]
     covered_f, cf = sp.subcover_attempt(feather, sp.canonical_cover(feather), chosen_f)
     certificate = {
-        "doubled": {"covered": covered_d, "certificate": cd,
-                    "verified": ke.verify_certificate(doubled, cd)},
-        "feather": {"covered": covered_f, "certificate": cf,
-                    "verified": ke.verify_certificate(feather, cf)},
+        "doubled": ke.verified(doubled, cd, covered=covered_d),
+        "feather": ke.verified(feather, cf, covered=covered_f),
     }
     failed = not covered_d and not covered_f
     return {"verdict": "subfamilies leave uncovered points" if failed else "covered",
@@ -594,8 +532,7 @@ def demo_cofinite_not_baire():
                                     CofiniteSet.ground(), candidates=range(10))
     sub = sp.quasi_compact_subcover([CofiniteSet.excl(1), CofiniteSet.excl(2)])
     certificate = {
-        "intersection": {"certificate": c,
-                         "verified": ke.verify_certificate(space, c)},
+        "intersection": ke.verified(space, c),
         "quasi-compact-contrast": {"cover": [CofiniteSet.excl(1), CofiniteSet.excl(2)],
                                    "subcover": sub},
     }
@@ -606,12 +543,10 @@ def demo_cofinite_not_baire():
 
 def demo_microcompact():
     doubled = ke.space_of("doubled")
-    p_d = ml.MultiLinePoint(Fraction(0), 0)
-    v_d = ml.Wave(doubled.spec, IntervalSet.of((-1, 1)))
+    p_d, v_d, _ = doubled.chart_sample()
     chain_d = sp.microcompact_nesting(doubled, p_d, v_d, depth=5)
     feather = ke.FEATHER
-    p_f = (Fraction(0), Fraction(1))
-    v_f = fe.fp_chart(p_f, Fraction(1))
+    p_f, v_f, _ = feather.chart_sample()
     chain_f = sp.microcompact_nesting(feather, p_f, v_f, depth=5)
     chart = sp.chart_of_implications()
     certificate = {

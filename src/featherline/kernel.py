@@ -4,6 +4,30 @@ density and certificate verification for every space in the corpus.
 Each space is basis-presented: its basic opens have decidable membership and
 meet, and every point has a canonical shrinking family of basic
 neighborhoods, which is what makes separation and convergence decidable.
+
+The space protocol.  `FeatherSpace`, `MultiLineSpace` (line, doubled,
+tripled, two-origins), `BranchSpace` and `CofiniteSpace` answer the same
+calls, so no caller asks which space it holds:
+
+    every space          parse_point parse_basic member meet meet_is_empty
+                         canonical_neighborhood non_separable_pair separable
+    all but branch       dense
+    feather, multiline   descriptor converges move replay union_twin_pair
+                         basic_subset maximal_hausdorff canonical_cover
+                         cover_member uncovered_point default_subfamily
+                         baire_point chart_sample pipeline_sample
+    feather only         homotopy
+    multiline only       chain
+
+An operation a space lacks raises the one error `Space` defines,
+`PreconditionError("<op> is not implemented for <tag>")`.  Every space also
+answers `density_witness` (a basic missing a non-dense union; None except on
+the feather) and `is_baire` (False only for the cofinite space, whose
+diagonal family of dense opens has empty intersection).
+
+Parsing is the boundary: `parse_point` and `parse_basic` reject another
+space's objects with a `PreconditionError` quoting the input, so wrong-space
+objects never reach the operations the refuter calls in its inner loop.
 """
 
 from __future__ import annotations
@@ -14,9 +38,10 @@ from fractions import Fraction
 from . import certificates as cert
 from . import feather as fe
 from . import multiline as ml
-from .intervals import (CofiniteSet, IntervalSet, cofinite_meet,
-                        iset_complement_is_finite, iset_union)
-from .rationals import PreconditionError
+from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
+                        iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
+from .rationals import NEG_INF, PreconditionError
+from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
 
@@ -44,8 +69,60 @@ class SeqDescriptor:
         return ml.MultiLinePoint(x, self.base.level)
 
 
-class FeatherSpace:
+@dataclass(frozen=True)
+class CoverDescriptor:
+    """Either a parametric family with decidable membership or an explicit
+    finite list of basics."""
+
+    kind: str  # "lift-cover" | "chart-cover" | "explicit"
+    basics: tuple = ()
+
+    def admits(self, b) -> bool:
+        if self.kind == "lift-cover":
+            if not isinstance(b, ml.Wave) or b.parts != IntervalSet.full_line():
+                return False
+            return len(b.lift) == 0 or (len(b.lift) == 1 and b.lift[0][1] == 1)
+        if self.kind == "chart-cover":
+            return isinstance(b, fe.Chart)
+        return b in self.basics
+
+
+class Space:
+    """Boundary parsing and the one not-implemented path of the protocol."""
+
+    spec = None
+    is_baire = True
+
+    def __getattr__(self, name):
+        # only for names the class lacks: an operation another space implements
+        if name.startswith("_") or not any(name in vars(c) for c in Space.__subclasses__()):
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+
+        def missing(*args, **kwargs):
+            raise PreconditionError("%s is not implemented for %s" % (name, self.tag))
+        return missing
+
+    def _parse(self, parse, kind, text):
+        types, noun = kind  # accepted types, name in messages
+        x = parse(text, self.spec)
+        if type(x) not in types:
+            raise PreconditionError("not a %s: %s" % (noun, text.strip()))
+        return x
+
+    def parse_point(self, text):
+        return self._parse(parse_point, self.point_kind, text)
+
+    def parse_basic(self, text):
+        return self._parse(parse_basic, self.basic_kind, text)
+
+    def density_witness(self, basics):
+        return None
+
+
+class FeatherSpace(Space):
     tag = "feather"
+    point_kind = ((tuple,), "feather point")
+    basic_kind = ((fe.FeatherInterval, fe.SkeletonHandle), "feather basic")
 
     def member(self, p, b) -> bool:
         if isinstance(b, (fe.FeatherInterval, fe.Chart, fe.SkeletonHandle)):
@@ -70,15 +147,7 @@ class FeatherSpace:
         return fe.fp_twin(p) == q
 
     def separable(self, p, q):
-        if p == q:
-            raise PreconditionError("separable needs two distinct points")
-        if self.non_separable_pair(p, q):
-            refuted = bounded_refuter(self, p, q)
-            if refuted is not None:
-                raise AssertionError("refuter contradicts the twin characterization")
-            return False, cert.twin_pair(p, q)
-        b1, b2 = self._separating_charts(p, q)
-        return True, cert.separated_by(p, q, b1, b2)
+        return _separate(self, p, q, self._separating_charts)
 
     def _separating_charts(self, p, q):
         # distinct coordinates differ by at least 1/(den_a*den_b), so this
@@ -92,6 +161,10 @@ class FeatherSpace:
             eps /= 2
         raise AssertionError("no separating charts found for a non-twin pair")
 
+    def descriptor(self, base, index, limit, direction) -> SeqDescriptor:
+        return SeqDescriptor("feather", base, len(base) - 1 if index is None else index,
+                             limit, direction)
+
     def converges(self, descr: SeqDescriptor, p) -> bool:
         prefix, limit = _feather_descr_check(descr)
         fe.fp_validate(p)
@@ -100,23 +173,112 @@ class FeatherSpace:
         return p == prefix + (limit,)
 
     def dense(self, u) -> bool:
-        if isinstance(u, fe.SkeletonHandle):
-            # every chart contains strict points (and flip-images of them)
-            return True
-        # a finite explicit union touches finitely many branch prefixes, so a
-        # chart at a fresh level-one branch always misses it
-        return False
+        # every chart contains strict points, so the skeleton is dense; a finite
+        # explicit union misses the chart at a fresh level-one branch
+        basics = u if isinstance(u, (list, tuple)) else [u]
+        return any(isinstance(b, fe.SkeletonHandle) for b in basics)
 
-    def fresh_chart_missing(self, basics):
-        """Witness for non-density of an explicit union: a chart disjoint
-        from every listed basic."""
+    def density_witness(self, basics):
+        """A chart disjoint from every listed feather interval."""
         coords = [c for b in basics for pt in (b.lower, b.upper) for c in pt]
         x = (max(abs(c) for c in coords) if coords else Fraction(0)) + 1
         return fe.fp_chart((x, x + 1), Fraction(1, 2))
 
+    def move(self, p, q, involutive=False):
+        if involutive:
+            raise PreconditionError("involutive words are implemented for the line family")
+        return fe.fp_move(p, q)
 
-class MultiLineSpace:
+    def replay(self, word, p):
+        return fe.replay(word, p)
+
+    def homotopy(self, t, s):
+        return fe.homotopy_eval(t, s)
+
+    def union_twin_pair(self, basics, extra_points=()):
+        """A non-separable pair in the union of `basics` (skeleton handles
+        allowed) and `extra_points`, or None."""
+        arms = []
+        handles = []
+        for b in basics:
+            if isinstance(b, fe.SkeletonHandle):
+                handles.append(b)
+            else:
+                arms.extend(b.arms())
+        pair = fe.arms_twin_pair(arms)
+        if pair:
+            return pair
+
+        def in_union(w):
+            return any(h.contains(w) for h in handles) or any(a.contains(w) for a in arms)
+        for w in extra_points:
+            partner = fe.fp_twin(w)
+            if in_union(partner) or partner in extra_points:
+                return (w, partner)
+        # a handle plus an explicit arm may overlap in twins
+        for h in handles:
+            for a in arms:
+                tw = _arm_twin_inside_handle(h, a)
+                if tw:
+                    return tw
+        return None
+
+    def basic_subset(self, small, big) -> bool:
+        """small subset-of big, decided symbolically."""
+        small_arms = fe.normalize_arms(small.arms())
+        big_arms = fe.normalize_arms(big.arms())
+        for a in small_arms:
+            if not any(_arm_subset(a, b) for b in big_arms):
+                return False
+        return True
+
+    def maximal_hausdorff(self, x):
+        handle = fe.skeleton_through(x)
+        candidates = [fe.fp_twin(x)]
+        for shift in (1, -1):
+            c = x[0] + shift
+            tw = (c, c)
+            candidates.append(handle.flip.apply(tw) if handle.flip else tw)
+        return handle, [handle.adjoin_witness(w) for w in candidates if not handle.contains(w)]
+
+    def canonical_cover(self) -> CoverDescriptor:
+        return CoverDescriptor("chart-cover")
+
+    def cover_member(self, text):
+        # the canonical feather cover consists of charts; name them by center
+        return fe.fp_chart(self.parse_point(text), Fraction(1))
+
+    def uncovered_point(self, chosen):
+        return self.density_witness([ch.interval for ch in chosen]).center
+
+    def default_subfamily(self, sample_points):
+        return tuple(fe.fp_chart(p, Fraction(1)) for p in sample_points)
+
+    def baire_point(self, members, probe):
+        arm = fe.normalize_arms(self.basic_arms(probe))[0]
+        q = arm.prefix
+        avoid = set(q[-1:])  # skip the branch point: keep the pick strict
+        for _ in range(64):
+            r = pick_rational_in(arm.lo, arm.hi, avoid)
+            p = q + (r,)
+            if fe.fp_is_valid(p) and fe.fp_is_strict(p) and all(h.contains(p) for h in members):
+                return p
+            avoid.add(r)
+        raise AssertionError("no skeleton point found in probe")
+
+    def chart_sample(self):
+        p = (Fraction(0), Fraction(1))
+        return p, fe.fp_chart(p, Fraction(1)), fe.fp_chart((Fraction(0),), Fraction(1))
+
+    def pipeline_sample(self):
+        return ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))],
+                [(Fraction(5),), (Fraction(6), Fraction(7))])
+
+
+class MultiLineSpace(Space):
     tag = "multiline"
+    point_kind = ((ml.MultiLinePoint,), "line point")
+    basic_kind = ((ml.Wave,), "wave")
 
     def __init__(self, spec: ml.SpaceSpec):
         self.spec = spec
@@ -142,15 +304,11 @@ class MultiLineSpace:
         return p.x == q.x and p.level != q.level
 
     def separable(self, p, q):
-        if p == q:
-            raise PreconditionError("separable needs two distinct points")
-        if self.non_separable_pair(p, q):
-            refuted = bounded_refuter(self, p, q)
-            if refuted is not None:
-                raise AssertionError("refuter contradicts the same-abscissa characterization")
-            return False, cert.twin_pair(p, q)
-        b1, b2 = ml.separating_waves(self.spec, p, q)
-        return True, cert.separated_by(p, q, b1, b2)
+        return _separate(self, p, q, lambda p, q: ml.separating_waves(self.spec, p, q))
+
+    def descriptor(self, base, index, limit, direction) -> SeqDescriptor:
+        return SeqDescriptor("multiline", base, 0 if index is None else index,
+                             limit, direction)
 
     def converges(self, descr: SeqDescriptor, p) -> bool:
         _multiline_descr_check(self.spec, descr)
@@ -164,9 +322,101 @@ class MultiLineSpace:
             down = iset_union(down, w.down_projection())
         return iset_complement_is_finite(down)
 
+    def move(self, p, q, involutive=False):
+        return ml.ml_move(self.spec, p, q, involutive=involutive)
 
-class BranchSpace:
+    def replay(self, word, p):
+        return ml.ml_replay(word, p)
+
+    def chain(self, src, dst, removed, window):
+        return ml.chain_connect(self.spec, src, dst, removed, window)
+
+    def union_twin_pair(self, basics, extra_points=()):
+        waves = list(basics)
+        lifted = {x for w in waves for x, _ in w.lift}
+        lifted |= {p.x for p in extra_points}
+        for x in sorted(lifted):
+            levels = set()
+            for w in waves:
+                levels |= ml.wave_member_levels(w, x)
+            for p in extra_points:
+                if p.x == x:
+                    levels.add(p.level)
+            if len(levels) > 1:
+                js = sorted(levels)
+                return (ml.MultiLinePoint(x, js[0]), ml.MultiLinePoint(x, js[1]))
+        return None
+
+    def basic_subset(self, small, big) -> bool:
+        return ml.wave_meet(small, big) == small
+
+    def _full_wave_through(self, x) -> ml.Wave:
+        return ml.full_wave(self.spec, ((x.x, x.level),) if x.level > 0 else ())
+
+    def maximal_hausdorff(self, x):
+        spec = self.spec
+        handle = self._full_wave_through(x)
+        samples = []
+        abscissae = [x.x] if spec.doubling == "all" else list(spec.doubling)
+        lift_map = handle.lift_map()
+        for a in abscissae:
+            if not spec.is_doubled(a):
+                continue
+            inside_level = lift_map.get(a, 0)
+            partner = ml.MultiLinePoint(a, inside_level)
+            for level in range(spec.k):
+                if level != inside_level:
+                    samples.append((ml.MultiLinePoint(a, level), partner))
+        if spec.doubling == "all" and spec.k > 1:
+            y = x.x + 1
+            samples.append((ml.MultiLinePoint(y, 1), ml.MultiLinePoint(y, 0)))
+        return handle, samples
+
+    def canonical_cover(self) -> CoverDescriptor:
+        if self.spec.k == 1:
+            return CoverDescriptor("explicit", (ml.full_wave(self.spec),))
+        return CoverDescriptor("lift-cover")
+
+    def cover_member(self, text):
+        return self.parse_basic(text)
+
+    def uncovered_point(self, chosen):
+        # None when the chosen waves cover
+        if self.spec.k == 1:
+            union = IntervalSet.empty()
+            for w in chosen:
+                union = iset_union(union, w.parts)
+            if iset_covers_line(union):
+                return None
+            return ml.MultiLinePoint(_line_gap_point(union), 0)
+        lifted = {x for w in chosen for x, _ in w.lift}
+        fresh = (max((abs(x) for x in lifted), default=Fraction(0))) + 1
+        return ml.MultiLinePoint(fresh, 1)
+
+    def default_subfamily(self, sample_points):
+        if self.spec.k == 1:
+            return (ml.full_wave(self.spec),)
+        return tuple(self._full_wave_through(p) for p in sample_points)
+
+    def baire_point(self, members, probe):
+        avoid = {x for x, _ in probe.lift}
+        for m in members:
+            avoid |= _down_gaps(m)
+        return ml.MultiLinePoint(iset_pick_point(probe.parts, avoid=avoid), 0)
+
+    def chart_sample(self):
+        v = ml.Wave(self.spec, IntervalSet.of((-1, 1)))
+        return ml.MultiLinePoint(Fraction(0), 0), v, v
+
+    def pipeline_sample(self):
+        return ([ml.MultiLinePoint(Fraction(n), self.spec.k - 1) for n in (0, 1)],
+                [ml.MultiLinePoint(Fraction(n), 0) for n in (2, 3)])
+
+
+class BranchSpace(Space):
     tag = "branch"
+    point_kind = ((ml.BranchPoint,), "branch point")
+    basic_kind = ((ml.BranchInterval,), "branch interval")
 
     def member(self, p, b) -> bool:
         if isinstance(b, ml.BranchInterval):
@@ -187,24 +437,16 @@ class BranchSpace:
         return p.x == q.x == 0 and p.side != q.side
 
     def separable(self, p, q):
-        if p == q:
-            raise PreconditionError("separable needs two distinct points")
-        if self.non_separable_pair(p, q):
-            refuted = bounded_refuter(self, p, q)
-            if refuted is not None:
-                raise AssertionError("refuter contradicts the two-origins characterization")
-            return False, cert.twin_pair(p, q)
-        b1, b2 = ml.branch_separating(p, q)
-        return True, cert.separated_by(p, q, b1, b2)
-
-    def dense(self, u) -> bool:
-        raise PreconditionError("density is not implemented for the branching line")
+        return _separate(self, p, q, ml.branch_separating)
 
 
-class CofiniteSpace:
+class CofiniteSpace(Space):
     """Countably infinite ground set with the finite complement topology."""
 
     tag = "cofinite"
+    is_baire = False
+    point_kind = ((int,), "natural number")
+    basic_kind = ((CofiniteSet,), "cofinite set")
 
     def member(self, p, b) -> bool:
         if isinstance(b, CofiniteSet):
@@ -226,11 +468,7 @@ class CofiniteSpace:
         return p != q  # any two nonempty opens intersect
 
     def separable(self, p, q):
-        if p == q:
-            raise PreconditionError("separable needs two distinct points")
-        if bounded_refuter(self, p, q) is not None:
-            raise AssertionError("refuter separates two points of a cofinite space")
-        return False, cert.twin_pair(p, q)
+        return _separate(self, p, q, None)  # every pair of points is non-separable
 
     def dense(self, u) -> bool:
         if isinstance(u, CofiniteSet):
@@ -277,8 +515,23 @@ def _feather_descr_check(descr: SeqDescriptor):
 def _multiline_descr_check(spec: ml.SpaceSpec, descr: SeqDescriptor):
     if descr.space != "multiline":
         raise PreconditionError("multiline descriptor expected")
+    if descr.coord_index != 0:
+        raise PreconditionError("a line point has one coordinate: index must be 0")
     if descr.base.level > 0 and spec.doubling != "all":
         raise PreconditionError("up-level terms leave a restricted doubling domain")
+
+
+def _separate(space, p, q, separating):
+    """Every `separable`: the space's non-separable pairs, cross-checked by
+    the refuter, else the disjoint basics `separating(p, q)` builds."""
+    if p == q:
+        raise PreconditionError("separable needs two distinct points")
+    if space.non_separable_pair(p, q):
+        if bounded_refuter(space, p, q) is not None:
+            raise AssertionError("refuter contradicts the %s characterization" % space.tag)
+        return False, cert.twin_pair(p, q)
+    b1, b2 = separating(p, q)
+    return True, cert.separated_by(p, q, b1, b2)
 
 
 def bounded_refuter(space, p, q):
@@ -294,46 +547,6 @@ def bounded_refuter(space, p, q):
     return None
 
 
-# ---------------------------------------------------------------------------
-# Handle-level Hausdorffness (no non-separable pair inside).
-
-
-def union_twin_pair(space, basics, extra_points=()):
-    """Search the union of `basics` plus the adjoined points for a
-    non-separable pair.  `basics` may also contain predicate handles."""
-    if isinstance(space, FeatherSpace):
-        return _feather_union_twin_pair(basics, extra_points)
-    if isinstance(space, MultiLineSpace):
-        return _multiline_union_twin_pair(basics, extra_points)
-    raise PreconditionError("hausdorff check unsupported for %s" % space.tag)
-
-
-def _feather_union_twin_pair(basics, extra_points):
-    arms = []
-    handles = []
-    for b in basics:
-        if isinstance(b, fe.SkeletonHandle):
-            handles.append(b)
-        else:
-            arms.extend(b.arms())
-    pair = fe.arms_twin_pair(arms)
-    if pair:
-        return pair
-    def in_union(w):
-        return any(h.contains(w) for h in handles) or any(a.contains(w) for a in arms)
-    for w in extra_points:
-        partner = fe.fp_twin(w)
-        if in_union(partner) or partner in extra_points:
-            return (w, partner)
-    # a handle plus an explicit arm may overlap in twins
-    for h in handles:
-        for a in arms:
-            tw = _arm_twin_inside_handle(h, a)
-            if tw:
-                return tw
-    return None
-
-
 def _arm_twin_inside_handle(handle, arm):
     # an arm's twin partners: for (q, r) the partner (q, r, r) or q; the
     # skeleton contains exactly the strict points (up to the conjugating
@@ -346,70 +559,62 @@ def _arm_twin_inside_handle(handle, arm):
     return None
 
 
-def _multiline_union_twin_pair(basics, extra_points):
-    waves = list(basics)
-    lifted = {x for w in waves for x, _ in w.lift}
-    lifted |= {p.x for p in extra_points}
-    for x in sorted(lifted):
-        levels = set()
-        for w in waves:
-            levels |= ml.wave_member_levels(w, x)
-        for p in extra_points:
-            if p.x == x:
-                levels.add(p.level)
-        if len(levels) > 1:
-            js = sorted(levels)
-            return (ml.MultiLinePoint(x, js[0]), ml.MultiLinePoint(x, js[1]))
-    return None
+def _arm_subset(a, b) -> bool:
+    if a.prefix != b.prefix or a.hi > b.hi:
+        return False
+    if a.lo > b.lo:
+        return True
+    if a.lo < b.lo:
+        return False
+    return b.lo_closed or not a.lo_closed
 
 
-def hausdorff_union(space, basics, extra_points=()):
-    """(verdict, certificate): True when the union contains no non-separable
-    pair, else False with the offending pair."""
-    pair = union_twin_pair(space, basics, extra_points)
-    if pair is None:
-        return True, None
-    return False, cert.twin_pair(*pair)
+def _line_gap_point(union: IntervalSet) -> Fraction:
+    iv = union.intervals
+    if not iv:
+        return Fraction(0)
+    if iv[0][0] != NEG_INF:
+        return iv[0][0] - 1
+    for k in range(len(iv) - 1):
+        hi, lo = iv[k][1], iv[k + 1][0]
+        return hi if hi == lo else (hi + lo) / 2
+    return iv[-1][1] + 1  # right end is finite here
+
+
+def _down_gaps(member) -> set:
+    """Finite set of abscissae whose down point is missed by a dense wave
+    union (the zero-width gaps of its down projection)."""
+    waves = member if isinstance(member, (list, tuple)) else [member]
+    down = IntervalSet.empty()
+    for w in waves:
+        down = iset_union(down, w.down_projection())
+    iv = down.intervals
+    return {iv[k][1] for k in range(len(iv) - 1) if iv[k][1] == iv[k + 1][0]}
 
 
 # ---------------------------------------------------------------------------
-# Certificate verification (independent of the producers).
+# Certificate verification (independent of the producers): one check per
+# certificate kind.
 
 
 def verify_certificate(space, c: cert.Certificate) -> bool:
+    check = _CHECKS.get(c.kind)
     try:
-        return _verify(space, c)
+        return check is not None and check(space, c.payload)
     except (PreconditionError, AssertionError):
         return False
 
 
-def _verify(space, c: cert.Certificate) -> bool:
-    kind, pl = c.kind, c.payload
-    if kind == "separated-by":
-        return (space.member(pl["p"], pl["b1"]) and space.member(pl["q"], pl["b2"])
-                and space.meet_is_empty(pl["b1"], pl["b2"]))
-    if kind == "twin-pair":
-        p, q = pl["p"], pl["q"]
-        return (p != q and space.non_separable_pair(p, q)
-                and bounded_refuter(space, p, q) is None)
-    if kind == "uncovered":
-        return all(not space.member(pl["point"], b) for b in pl["chosen"])
-    if kind == "covered":
-        return all(any(space.member(p, b) for b in pl["chosen"]) for p in pl["probes"])
-    if kind == "excluded-by":
-        if pl["family"] != "cofinite-diagonal":
-            return False
-        return all(not CofiniteSet.excl(idx).contains(n)
-                   for n, idx in pl["candidates"].items())
-    if kind == "chain":
-        return _verify_chain(space, pl)
-    if kind == "homeo-word":
-        return _verify_word(space, pl)
-    if kind == "compact":
-        return _verify_compact(space, pl)
-    if kind == "maximal-hausdorff":
-        return _verify_maximal(space, pl)
-    return False
+def verified(space, c: cert.Certificate, **fields) -> dict:
+    """`fields`, then the certificate and whether `verify_certificate`
+    accepts it: the key order of every report entry that ships one."""
+    return dict(fields, certificate=c, verified=verify_certificate(space, c))
+
+
+def _verify_excluded(space, pl) -> bool:
+    if pl["family"] != "cofinite-diagonal" or not pl["candidates"]:
+        return False
+    return all(not CofiniteSet.excl(idx).contains(n) for n, idx in pl["candidates"].items())
 
 
 def _verify_chain(space, pl) -> bool:
@@ -430,10 +635,7 @@ def _verify_chain(space, pl) -> bool:
 
 
 def _verify_word(space, pl) -> bool:
-    if isinstance(space, FeatherSpace):
-        run = fe.replay
-    else:
-        run = ml.ml_replay
+    run = space.replay
     if run(pl["word"], pl["src"]) != pl["dst"]:
         return False
     if pl.get("involutive"):
@@ -454,20 +656,19 @@ def _verify_compact(space, pl) -> bool:
     # in the enclosing neighborhood certifies the nesting
     probe = (max(abs(a), abs(b)) + radius) / 2
     small = space.canonical_neighborhood(pl["center"], probe)
-    return basic_subset(space, small, pl["enclosing"])
+    return space.basic_subset(small, pl["enclosing"])
 
 
 def _verify_maximal(space, pl) -> bool:
     handle = pl["handle"]
-    if not _handle_contains(space, handle, pl["x"]):
+    if not space.member(pl["x"], handle):
         return False
-    ok, _ = hausdorff_union(space, [handle])
-    if not ok or not space.dense(handle):
+    if space.union_twin_pair([handle]) is not None or not space.dense(handle):
         return False
     for outside, partner in pl["adjoin_samples"]:
-        if _handle_contains(space, handle, outside):
+        if space.member(outside, handle):
             return False
-        if not _handle_contains(space, handle, partner):
+        if not space.member(partner, handle):
             return False
         if not space.non_separable_pair(outside, partner):
             return False
@@ -476,31 +677,35 @@ def _verify_maximal(space, pl) -> bool:
     return True
 
 
-def _handle_contains(space, handle, p) -> bool:
-    if isinstance(handle, fe.SkeletonHandle):
-        return handle.contains(p)
-    return space.member(p, handle)
-
-
-def basic_subset(space, small, big) -> bool:
-    """small subset-of big, decided symbolically."""
-    if isinstance(space, MultiLineSpace):
-        return ml.wave_meet(small, big) == small
-    if isinstance(space, FeatherSpace):
-        small_arms = fe.normalize_arms(small.arms())
-        big_arms = fe.normalize_arms(big.arms())
-        for a in small_arms:
-            if not any(_arm_subset(a, b) for b in big_arms):
+def _verify_baire_point(space, pl) -> bool:
+    p = pl["point"]
+    if not space.member(p, pl["probe"]):
+        return False
+    for m in pl["members"]:
+        if isinstance(m, (list, tuple)):
+            if not any(space.member(p, b) for b in m):
                 return False
-        return True
-    raise PreconditionError("subset check unsupported for %s" % space.tag)
+        elif not space.member(p, m):
+            return False
+    return True
 
 
-def _arm_subset(a, b) -> bool:
-    if a.prefix != b.prefix or a.hi > b.hi:
-        return False
-    if a.lo > b.lo:
-        return True
-    if a.lo < b.lo:
-        return False
-    return b.lo_closed or not a.lo_closed
+_CHECKS = {
+    "separated-by": lambda space, pl: (space.member(pl["p"], pl["b1"])
+                                       and space.member(pl["q"], pl["b2"])
+                                       and space.meet_is_empty(pl["b1"], pl["b2"])),
+    "twin-pair": lambda space, pl: (pl["p"] != pl["q"]
+                                    and space.non_separable_pair(pl["p"], pl["q"])
+                                    and bounded_refuter(space, pl["p"], pl["q"]) is None),
+    "uncovered": lambda space, pl: all(not space.member(pl["point"], b) for b in pl["chosen"]),
+    "covered": lambda space, pl: all(any(space.member(p, b) for b in pl["chosen"])
+                                     for p in pl["probes"]),
+    "excluded-by": _verify_excluded,
+    "chain": _verify_chain,
+    "homeo-word": _verify_word,
+    "compact": _verify_compact,
+    "maximal-hausdorff": _verify_maximal,
+    "hausdorff-open": lambda space, pl: space.union_twin_pair(list(pl["basics"]),
+                                                              pl["extra_points"]) is None,
+    "baire-point": _verify_baire_point,
+}

@@ -17,10 +17,6 @@ def rat(p, q=1) -> Fraction:
     return Fraction(p, q)
 
 
-def is_finite(x) -> bool:
-    return isinstance(x, Fraction) or isinstance(x, int)
-
-
 def as_ext(x):
     """Coerce ints/Fractions to Fraction, pass infinities through."""
     if isinstance(x, float):

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import certificates as cert
-from . import feather as fe
 from . import kernel as ke
 from . import multiline as ml
-from .intervals import (CofiniteSet, IntervalSet, iset_covers_line,
-                        iset_pick_point, iset_union, pick_rational_in)
-from .rationals import NEG_INF, PreconditionError
+from .intervals import CofiniteSet
+from .rationals import PreconditionError
 
 # ---------------------------------------------------------------------------
 # Lemma-style maximal Hausdorff dense opens.
@@ -29,151 +27,46 @@ def maximal_hausdorff_at(space, x):
     """A Hausdorff dense open set containing x, maximal in the sense that
     adjoining any outside point creates a non-separable pair inside the
     union.  Returns (handle, certificate)."""
-    if isinstance(space, ke.MultiLineSpace):
-        handle = _ml_maximal_handle(space.spec, x)
-        samples = _ml_adjoin_samples(space.spec, handle, x)
-    elif isinstance(space, ke.FeatherSpace):
-        handle = fe.skeleton_through(x)
-        samples = _feather_adjoin_samples(handle, x)
-    else:
-        raise PreconditionError("maximal Hausdorff opens implemented for the "
-                                "line family and the feather only")
+    handle, samples = space.maximal_hausdorff(x)
     return handle, cert.maximal_hausdorff(x, handle, samples)
-
-
-def _ml_maximal_handle(spec, x) -> ml.Wave:
-    lift = ((x.x, x.level),) if x.level > 0 else ()
-    return ml.full_wave(spec, lift)
-
-
-def _ml_adjoin_samples(spec, handle: ml.Wave, x):
-    samples = []
-    abscissae = [x.x] if spec.doubling == "all" else list(spec.doubling)
-    lift_map = handle.lift_map()
-    for a in abscissae:
-        if not spec.is_doubled(a):
-            continue
-        inside_level = lift_map.get(a, 0)
-        partner = ml.MultiLinePoint(a, inside_level)
-        for level in range(spec.k):
-            if level != inside_level:
-                samples.append((ml.MultiLinePoint(a, level), partner))
-    if spec.doubling == "all" and spec.k > 1:
-        y = x.x + 1
-        samples.append((ml.MultiLinePoint(y, 1), ml.MultiLinePoint(y, 0)))
-    return samples
-
-
-def _feather_adjoin_samples(handle: fe.SkeletonHandle, x):
-    candidates = [fe.fp_twin(x)]
-    for shift in (1, -1):
-        c = x[0] + shift
-        tw = (c, c)
-        candidates.append(handle.flip.apply(tw) if handle.flip else tw)
-    samples = []
-    for w in candidates:
-        if not handle.contains(w):
-            samples.append(handle.adjoin_witness(w))
-    return samples
 
 
 def hausdorff_open(space, u, extra_points=()):
     """(verdict, certificate).  u is a handle or a list of basics; the
     verdict is True iff the union holds no non-separable pair."""
     basics = u if isinstance(u, (list, tuple)) else [u]
-    ok, bad = ke.hausdorff_union(space, basics, tuple(extra_points))
-    if ok:
-        return True, cert.Certificate("hausdorff-open", {
-            "basics": tuple(basics), "extra_points": tuple(extra_points)})
-    return False, bad
-
-
-def verify_hausdorff_open_cert(space, c) -> bool:
-    if c.kind != "hausdorff-open":
-        return False
-    return ke.union_twin_pair(space, list(c.payload["basics"]),
-                              c.payload["extra_points"]) is None
+    extra_points = tuple(extra_points)
+    pair = space.union_twin_pair(basics, extra_points)
+    if pair is None:
+        return True, cert.hausdorff_open(basics, extra_points)
+    return False, cert.twin_pair(*pair)
 
 
 # ---------------------------------------------------------------------------
 # Covers and the Lindelof failure.
 
 
-@dataclass(frozen=True)
-class CoverDescriptor:
-    """Either a parametric family with decidable membership or an explicit
-    finite list of basics."""
-
-    kind: str  # "lift-cover" | "chart-cover" | "explicit"
-    basics: tuple = ()
-
-    def admits(self, space, b) -> bool:
-        if self.kind == "lift-cover":
-            if not isinstance(b, ml.Wave) or b.parts != IntervalSet.full_line():
-                return False
-            return len(b.lift) == 0 or (len(b.lift) == 1 and b.lift[0][1] == 1)
-        if self.kind == "chart-cover":
-            return isinstance(b, fe.Chart)
-        return b in self.basics
+def canonical_cover(space) -> ke.CoverDescriptor:
+    return space.canonical_cover()
 
 
-def canonical_cover(space) -> CoverDescriptor:
-    if isinstance(space, ke.MultiLineSpace):
-        if space.spec.k == 1:
-            return CoverDescriptor("explicit", (ml.full_wave(space.spec),))
-        return CoverDescriptor("lift-cover")
-    if isinstance(space, ke.FeatherSpace):
-        return CoverDescriptor("chart-cover")
-    raise PreconditionError("no canonical cover for %s" % space.tag)
-
-
-def subcover_attempt(space, cover: CoverDescriptor, chosen):
+def subcover_attempt(space, cover: ke.CoverDescriptor, chosen):
     """Check whether the presented subfamily still covers.  Returns
     (True, covered-certificate) or (False, uncovered-certificate with an
     explicit point missed by every chosen basic)."""
     chosen = tuple(chosen)
     for b in chosen:
-        if not cover.admits(space, b):
+        if not cover.admits(b):
             raise PreconditionError("chosen basic %s is not in the cover" % (b,))
-    if isinstance(space, ke.MultiLineSpace) and space.spec.k == 1:
-        union = IntervalSet.empty()
-        for w in chosen:
-            union = iset_union(union, w.parts)
-        if iset_covers_line(union):
-            probes = [ml.MultiLinePoint(Fraction(n), 0) for n in (-1, 0, 1)]
-            return True, cert.covered(probes, chosen)
-        point = ml.MultiLinePoint(_line_gap_point(union), 0)
-        return False, _checked_uncovered(space, point, chosen)
-    if isinstance(space, ke.MultiLineSpace):
-        lifted = {x for w in chosen for x, _ in w.lift}
-        fresh = (max((abs(x) for x in lifted), default=Fraction(0))) + 1
-        point = ml.MultiLinePoint(fresh, 1)
-        return False, _checked_uncovered(space, point, chosen)
-    if isinstance(space, ke.FeatherSpace):
-        coords = [abs(c) for ch in chosen for pt in (ch.interval.lower, ch.interval.upper) for c in pt]
-        fresh = (max(coords, default=Fraction(0))) + 1
-        point = (fresh, fresh + 1)
-        return False, _checked_uncovered(space, point, chosen)
-    raise PreconditionError("subcover attempt unsupported for %s" % space.tag)
-
-
-def _checked_uncovered(space, point, chosen):
+    point = space.uncovered_point(chosen)
+    if point is None:
+        # only the ordinary line is covered by finitely many chosen basics
+        probes = [ml.MultiLinePoint(Fraction(n), 0) for n in (-1, 0, 1)]
+        return True, cert.covered(probes, chosen)
     c = cert.uncovered(point, chosen)
     if not ke.verify_certificate(space, c):
         raise AssertionError("constructed uncovered point is covered")
-    return c
-
-
-def _line_gap_point(union: IntervalSet) -> Fraction:
-    iv = union.intervals
-    if not iv:
-        return Fraction(0)
-    if iv[0][0] != NEG_INF:
-        return iv[0][0] - 1
-    for k in range(len(iv) - 1):
-        hi, lo = iv[k][1], iv[k + 1][0]
-        return hi if hi == lo else (hi + lo) / 2
-    return iv[-1][1] + 1  # right end is finite here
+    return False, c
 
 
 # ---------------------------------------------------------------------------
@@ -199,65 +92,11 @@ def baire_intersect(space, fam: DenseFamily, probe, candidates=range(100)):
     for m in fam.members:
         if not space.dense(m):
             raise PreconditionError("family member is not dense")
-    if isinstance(space, ke.MultiLineSpace):
-        point = _ml_baire_point(space, fam.members, probe)
-    elif isinstance(space, ke.FeatherSpace):
-        point = _feather_baire_point(fam.members, probe)
-    else:
-        raise PreconditionError("finite Baire intersection unsupported for %s" % space.tag)
-    c = cert.Certificate("baire-point", {"point": point, "probe": probe,
-                                         "members": tuple(fam.members)})
-    if not verify_baire_point_cert(space, c):
+    point = space.baire_point(fam.members, probe)
+    c = cert.baire_point(point, probe, fam.members)
+    if not ke.verify_certificate(space, c):
         raise AssertionError("constructed Baire point does not verify")
     return point, c
-
-
-def _member_down_gaps(member) -> set:
-    """Finite set of abscissae whose down point is missed by a dense wave
-    union (the zero-width gaps of its down projection)."""
-    waves = member if isinstance(member, (list, tuple)) else [member]
-    down = IntervalSet.empty()
-    for w in waves:
-        down = iset_union(down, w.down_projection())
-    iv = down.intervals
-    return {iv[k][1] for k in range(len(iv) - 1) if iv[k][1] == iv[k + 1][0]}
-
-
-def _ml_baire_point(space, members, probe: ml.Wave):
-    avoid = {x for x, _ in probe.lift}
-    for m in members:
-        avoid |= _member_down_gaps(m)
-    x = iset_pick_point(probe.parts, avoid=avoid)
-    return ml.MultiLinePoint(x, 0)
-
-
-def _feather_baire_point(members, probe):
-    handles = list(members)
-    arm = fe.normalize_arms(probe.arms())[0]
-    q = arm.prefix
-    avoid = set(q[-1:])  # skip the branch point: keep the pick strict
-    for _ in range(64):
-        r = pick_rational_in(arm.lo, arm.hi, avoid)
-        p = q + (r,)
-        if fe.fp_is_valid(p) and fe.fp_is_strict(p) and all(h.contains(p) for h in handles):
-            return p
-        avoid.add(r)
-    raise AssertionError("no skeleton point found in probe")
-
-
-def verify_baire_point_cert(space, c) -> bool:
-    if c.kind != "baire-point":
-        return False
-    p = c.payload["point"]
-    if not space.member(p, c.payload["probe"]):
-        return False
-    for m in c.payload["members"]:
-        if isinstance(m, (list, tuple)):
-            if not any(space.member(p, b) for b in m):
-                return False
-        elif not ke._handle_contains(space, m, p):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +112,20 @@ def theorem_pipeline(space, sample_points, chosen=None, probes=None):
     opens = []
     for p in sample_points:
         handle, mcert = maximal_hausdorff_at(space, p)
-        ok = ke.verify_certificate(space, mcert)
         opens.append(handle)
-        report["stages"].append({"id": "lemma-zorn", "point": p, "handle": handle,
-                                 "certificate": mcert, "verified": ok})
+        report["stages"].append(ke.verified(space, mcert, id="lemma-zorn", point=p, handle=handle))
     cover = canonical_cover(space)
     if chosen is None:
-        chosen = _default_subfamily(space, sample_points)
+        chosen = space.default_subfamily(sample_points)
     covered, scert = subcover_attempt(space, cover, chosen)
-    report["stages"].append({"id": "subcover", "covered": covered, "certificate": scert,
-                             "verified": ke.verify_certificate(space, scert)})
+    report["stages"].append(ke.verified(space, scert, id="subcover", covered=covered))
     if not covered:
         report["verdict"] = "subcover-stage-failure"
         return report
     fam = DenseFamily("finite", tuple(opens))
     probe = chosen[0]
     point, bcert = baire_intersect(space, fam, probe)
-    report["stages"].append({"id": "baire", "point": point, "certificate": bcert,
-                             "verified": verify_baire_point_cert(space, bcert)})
+    report["stages"].append(ke.verified(space, bcert, id="baire", point=point))
     separations = []
     for y in (probes or []):
         if y == point:
@@ -306,14 +141,6 @@ def theorem_pipeline(space, sample_points, chosen=None, probes=None):
     report["verdict"] = "separated-point-found"
     report["separated_point"] = point
     return report
-
-
-def _default_subfamily(space, sample_points):
-    if isinstance(space, ke.MultiLineSpace):
-        if space.spec.k == 1:
-            return (ml.full_wave(space.spec),)
-        return tuple(_ml_maximal_handle(space.spec, p) for p in sample_points)
-    return tuple(fe.fp_chart(p, Fraction(1)) for p in sample_points)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +180,7 @@ def microcompact_neighborhood(space, p, v):
     for _ in range(128):
         chart = space.canonical_neighborhood(p, eps)
         radius = getattr(chart, "radius", eps)
-        if ke.basic_subset(space, chart, v):
+        if space.basic_subset(chart, v):
             c = cert.compact_cert(p, radius, (-radius / 2, radius / 2), v)
             if not ke.verify_certificate(space, c):
                 raise AssertionError("compact neighborhood certificate does not verify")
@@ -385,21 +212,15 @@ def chart_of_implications():
     rows = {}
     for name in ("line", "doubled", "feather"):
         space = ke.space_of(name)
-        if isinstance(space, ke.MultiLineSpace):
-            p = ml.MultiLinePoint(Fraction(0), 0)
-            v = ml.Wave(space.spec, IntervalSet.of((-1, 1)))
-        else:
-            p = (Fraction(0), Fraction(1))
-            v = fe.fp_chart(p, Fraction(1))
+        p, v, probe = space.chart_sample()
         ccert, _ = microcompact_neighborhood(space, p, v)
         handle, mcert = maximal_hausdorff_at(space, p)
         fam = DenseFamily("finite", (handle,))
-        probe = v if isinstance(space, ke.MultiLineSpace) else fe.fp_chart((Fraction(0),), Fraction(1))
         point, bcert = baire_intersect(space, fam, probe)
         rows[name] = {
             "locally_compact": ke.verify_certificate(space, ccert),
             "microcompact": ke.verify_certificate(space, ccert),
-            "baire_finite": verify_baire_point_cert(space, bcert),
+            "baire_finite": ke.verify_certificate(space, bcert),
             "witness_point": point,
         }
     cof = ke.COFINITE

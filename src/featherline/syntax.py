@@ -74,8 +74,6 @@ def jsonable(value):
     if isinstance(value, (ml.Wave, fe.Chart, fe.FeatherInterval,
                           ml.BranchInterval, CofiniteSet, fe.SkeletonHandle)):
         return fmt_basic(value)
-    if isinstance(value, (ml.MultiLinePoint, ml.BranchPoint)):
-        return fmt_point(value)
     if _is_point(value):
         return fmt_point(value)
     if isinstance(value, Fraction):

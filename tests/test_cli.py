@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from featherline import cli
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -137,6 +142,44 @@ def test_precondition_message_shows_the_basic_in_input_syntax(args, shown):
     assert "Wave(" not in proc.stderr and "SpaceSpec(" not in proc.stderr
 
 
+@pytest.mark.parametrize("args,shown", [
+    (["separate", "D", "F(0)", "F(1)"], "not a line point: F(0)"),
+    (["separate", "branch", "D(0)", "D(1)"], "not a branch point: D(0)"),
+    (["separate", "branch", "N(0)", "N(1)"], "not a branch point: N(0)"),
+    (["separate", "D", "B(0,L)", "B(0,R)"], "not a line point: B(0,L)"),
+    (["separate", "N", "F(0)", "F(1)"], "not a natural number: F(0)"),
+    (["chart", "F", "N(3)"], "not a feather point: N(3)"),
+    (["meet", "F", "W[(0,1)-{}]", "W[(0,2)-{}]"], "not a feather basic: W[(0,1)-{}]"),
+    (["dense", "N", "W[(0,1)-{}]"], "not a cofinite set: W[(0,1)-{}]"),
+    (["move", "branch", "B(1,L)", "B(2,L)"], "move is not implemented for branch"),
+    (["move", "N", "N(1)", "N(2)"], "move is not implemented for cofinite"),
+    (["converges", "branch", "B(0,L)", "B(0,R)", "--limit", "0", "--direction", "below"],
+     "descriptor is not implemented for branch"),
+    (["converges", "N", "N(1)", "N(2)", "--limit", "0", "--direction", "below"],
+     "descriptor is not implemented for cofinite"),
+], ids=["D-feather", "branch-line", "branch-naturals", "D-branch", "N-feather", "chart",
+        "meet", "dense", "move-branch", "move-N", "converges-branch", "converges-N"])
+def test_wrong_space_input_is_a_precondition_error(args, shown):
+    proc = run_cli(args)
+    assert proc.returncode == 2, proc.stderr
+    assert shown in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["baire", "N", "--candidates", "0"],
+    ["baire", "N", "--candidates=-5"],
+    ["microcompact", "D", "D(0)", "W[(-1,1)-{}]", "--depth", "0"],
+    ["microcompact", "D", "D(0)", "W[(-1,1)-{}]", "--depth=-3"],
+], ids=["candidates-0", "candidates-neg", "depth-0", "depth-neg"])
+def test_nonpositive_count_is_a_parse_error(args):
+    proc = run_cli(args)
+    assert proc.returncode == 1, proc.stderr
+    assert "must be at least 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_chain_inconclusive_exit_code():
     proc = run_cli(["chain", "two-origins", "D(-1 @0)", "D(1 @0)",
                     "--remove", "D(0 @0);D(0 @1)", "--window=-5,5"])
@@ -158,3 +201,59 @@ def test_every_printed_certificate_reverifies():
         proc = run_cli(args + ["--format", "json"])
         report = json.loads(proc.stdout)
         assert report["verified"] is True, args
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the whole front end in-process: whatever the argv, `main` returns an
+# exit code and lets no exception escape.
+
+VERBS = ["separate", "twin", "flip", "normalize", "homotopy", "chart", "meet", "dense",
+         "converges", "move", "chain", "maximal-hausdorff", "subcover", "baire",
+         "microcompact", "demo", "frobnicate"]
+SPACE_NAMES = ["feather", "F", "line", "doubled", "D", "tripled", "two-origins",
+               "branch", "branching-line", "cofinite", "N", "klein-bottle"]
+TOKENS = ["F(0)", "F(0,0)", "F(0,1)", "F(0,1,1)", "F(1,2,5)", "F(-1/2,3)",
+          "D(0)", "D(0 @1)", "D(1/2 @1)", "D(-1 @2)", "N(0)", "N(3)",
+          "B(0,L)", "B(0,R)", "B(1,L)", "B(-1,R)",
+          "W[(-1,1)-{0^1}]", "W[(-inf,inf)-{}]", "W[(0,1)u(2,3)-{1/2^1}]", "W[empty-{}]",
+          "FI[(0,0);(0,1)]", "FI[(0);(1)]", "BI[(0,2)@L]", "BI[(-1,1)@R]",
+          "cofinite-excl{1,2}", "cofinite-excl{}", "cofinite-empty",
+          "strict-skeleton", "strict-skeleton*flip(0,1)", "0", "1/2", "inf"]
+MUTATION_CHARS = "()[]{},;@^-/.u0123456789FDBNWLR "
+small = st.integers(-3, 50).map(str)
+
+
+@st.composite
+def tokens(draw):
+    tok = draw(st.sampled_from(TOKENS))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tok)))
+        c = draw(st.sampled_from(MUTATION_CHARS))
+        tok = draw(st.sampled_from([tok[:i] + c + tok[i:], tok[:i] + c + tok[i + 1:],
+                                    tok[:i] + tok[i + 1:]]))
+    return tok
+
+
+OPTIONS = st.one_of(
+    st.tuples(st.sampled_from(["--candidates", "--depth", "--eps", "--t", "--limit",
+                               "--index"]), small),
+    st.tuples(st.just("--direction"), st.sampled_from(["below", "above", "sideways"])),
+    st.tuples(st.sampled_from(["--probe", "--eps", "--limit"]), tokens()),
+    st.tuples(st.just("--window"), st.tuples(small, small).map(",".join)),
+    st.tuples(st.just("--remove"), st.lists(tokens(), min_size=1, max_size=2).map(";".join)),
+    st.tuples(st.just("--space"), st.sampled_from(SPACE_NAMES)),
+    st.tuples(st.just("--format"), st.sampled_from(["text", "json"])),
+).map("=".join) | st.just("--involutive")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.sampled_from(VERBS),
+       st.one_of(st.sampled_from(SPACE_NAMES), st.sampled_from(list(cli.DEMOS) + ["nope"]),
+                 tokens()),
+       st.lists(tokens(), max_size=3), st.lists(OPTIONS, max_size=3))
+def test_main_returns_an_exit_code_for_any_argv(verb, first, rest, options):
+    argv = [verb, first] + rest + options
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -1,7 +1,8 @@
 """Contracts that keep the engine's checks cheap and always on: points are
 validated once at the boundary, the refuter's strength is fixed, formatting
 matches its reference, the wave algebra is near-linear with the answers of
-its per-point references, and no check lives in an `assert` statement."""
+its per-point references, no check lives in an `assert` statement, and only
+the space classes ask which space they are."""
 
 import ast
 import pathlib
@@ -51,6 +52,64 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, "%s has assert statements at lines %s" % (path.name, lines)
+
+
+# ---------------------------------------------------------------------------
+# Only the space classes know which space they are.
+
+SPACE_CLASSES = {"FeatherSpace", "MultiLineSpace", "BranchSpace", "CofiniteSpace"}
+
+
+def _names(node):
+    """The bare names in an isinstance class argument: `X`, `m.X` or a tuple."""
+    if isinstance(node, ast.Tuple):
+        return {n for elt in node.elts for n in _names(elt)}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return set()
+
+
+def _space_branches(tree, allowed):
+    """Lines outside the `allowed` class bodies that ask for a space class
+    (`isinstance(x, MultiLineSpace)`) or branch on a space name
+    (`args.space in (...)`)."""
+    lines = []
+
+    def visit(node, inside):
+        inside = inside or (isinstance(node, ast.ClassDef) and node.name in allowed)
+        if (not inside and isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2
+                and _names(node.args[1]) & SPACE_CLASSES):
+            lines.append(node.lineno)
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
+                and node.left.attr == "space" and getattr(node.left.value, "id", None) == "args"):
+            lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_space_type_branches(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = SPACE_CLASSES if path.name == "kernel.py" else set()
+    lines = _space_branches(tree, allowed)
+    assert not lines, "%s asks which space it holds at lines %s" % (path.name, lines)
+
+
+def test_space_branch_guard_sees_both_forms():
+    tree = ast.parse("def f(args, space):\n"
+                     "    if isinstance(space, (ke.FeatherSpace, int)):\n"
+                     "        return args.space in ('N', 'cofinite')\n"
+                     "class FeatherSpace:\n"
+                     "    def g(self, s):\n"
+                     "        return isinstance(s, FeatherSpace)\n")
+    assert _space_branches(tree, set()) == [2, 3, 6]
+    assert _space_branches(tree, SPACE_CLASSES) == [2, 3]
 
 
 # ---------------------------------------------------------------------------

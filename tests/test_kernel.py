@@ -151,6 +151,17 @@ def test_convergence_separation_link(p):
     assert not ok
 
 
+def test_multiline_descriptor_moves_coordinate_zero_only():
+    d = ke.space_of("doubled")
+    base = ml.MultiLinePoint(F(0), 0)
+    assert d.converges(ke.SeqDescriptor("multiline", base, 0, F(1), "below"),
+                       ml.MultiLinePoint(F(1), 1))
+    for index in (3, 1, -1):
+        with pytest.raises(PreconditionError):
+            d.converges(ke.SeqDescriptor("multiline", base, index, F(1), "below"),
+                        ml.MultiLinePoint(F(1), 1))
+
+
 def test_descriptor_terms_are_valid_points():
     descr = ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below")
     for m in range(2, 8):
@@ -169,7 +180,7 @@ def test_density_criteria():
     assert f.dense(fe.strict_skeleton())
     charts = [fe.fp_chart((F(0), F(1)), F(1))]
     assert not f.dense(charts)
-    missing = f.fresh_chart_missing([c.interval for c in charts])
+    missing = f.density_witness([c.interval for c in charts])
     assert f.meet_is_empty(missing, charts[0])
 
 
@@ -181,15 +192,15 @@ def test_union_twin_pair_multiline():
     d = ke.space_of("doubled")
     w1 = ml.Wave(d.spec, IntervalSet.of((-1, 1)), ((F(0), 1),))
     w2 = ml.Wave(d.spec, IntervalSet.of((-1, 1)))
-    pair = ke.union_twin_pair(d, [w1, w2])
+    pair = d.union_twin_pair([w1, w2])
     assert set(pair) == {ml.MultiLinePoint(F(0), 0), ml.MultiLinePoint(F(0), 1)}
-    assert ke.union_twin_pair(d, [w2]) is None
+    assert d.union_twin_pair([w2]) is None
 
 
 def test_union_twin_pair_feather():
     f = ke.FEATHER
-    assert ke.union_twin_pair(f, [fe.strict_skeleton()]) is None
-    pair = ke.union_twin_pair(f, [fe.strict_skeleton()], ((F(0), F(0)),))
+    assert f.union_twin_pair([fe.strict_skeleton()]) is None
+    pair = f.union_twin_pair([fe.strict_skeleton()], ((F(0), F(0)),))
     assert set(pair) == {(F(0), F(0)), (F(0),)}
 
 
@@ -218,6 +229,12 @@ def test_verify_rejects_covered_uncovered_point():
     assert not ke.verify_certificate(d, bad)
 
 
+def test_verify_rejects_empty_exclusion_map():
+    n = ke.COFINITE
+    assert ke.verify_certificate(n, cert.excluded_by("cofinite-diagonal", {3: 3}))
+    assert not ke.verify_certificate(n, cert.excluded_by("cofinite-diagonal", {}))
+
+
 def test_verify_rejects_disconnected_chain():
     d = ke.space_of("doubled")
     w1 = ml.Wave(d.spec, IntervalSet.of((-2, -1)))
@@ -239,10 +256,10 @@ def test_basic_subset():
     d = ke.space_of("doubled")
     small = ml.Wave(d.spec, IntervalSet.of((0, 1)))
     big = ml.Wave(d.spec, IntervalSet.of((-1, 2)))
-    assert ke.basic_subset(d, small, big)
-    assert not ke.basic_subset(d, big, small)
+    assert d.basic_subset(small, big)
+    assert not d.basic_subset(big, small)
     f = ke.FEATHER
     c_small = fe.fp_chart((F(0), F(1)), F(1, 4))
     c_big = fe.fp_chart((F(0), F(1)), F(1, 2))
-    assert ke.basic_subset(f, c_small, c_big)
-    assert not ke.basic_subset(f, c_big, c_small)
+    assert f.basic_subset(c_small, c_big)
+    assert not f.basic_subset(c_big, c_small)

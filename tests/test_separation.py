@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from featherline import certificates as cert
 from featherline import feather as fe
 from featherline import kernel as ke
 from featherline import multiline as ml
@@ -63,7 +64,41 @@ def test_hausdorff_open_union_with_both_levels():
     ok, bad = sp.hausdorff_open(d, [w1, w2])
     assert not ok and bad.kind == "twin-pair"
     ok, good = sp.hausdorff_open(d, [w2])
-    assert ok and sp.verify_hausdorff_open_cert(d, good)
+    assert ok and ke.verify_certificate(d, good)
+
+
+def _with_point(c, key, value):
+    return cert.Certificate(c.kind, dict(c.payload, **{key: value}))
+
+
+def test_verify_certificate_checks_hausdorff_open():
+    d = ke.space_of("doubled")
+    handle, _ = sp.maximal_hausdorff_at(d, ml.MultiLinePoint(F(0), 1))
+    ok, c = sp.hausdorff_open(d, handle, extra_points=[ml.MultiLinePoint(F(5), 0)])
+    assert ok and c.kind == "hausdorff-open" and ke.verify_certificate(d, c)
+    # the other level over 5 pairs up with the handle's own point there
+    assert not ke.verify_certificate(d, _with_point(c, "extra_points",
+                                                    (ml.MultiLinePoint(F(5), 1),)))
+    f = ke.FEATHER
+    ok, c = sp.hausdorff_open(f, fe.strict_skeleton(), extra_points=[(F(0), F(1))])
+    assert ok and ke.verify_certificate(f, c)
+    assert not ke.verify_certificate(f, _with_point(c, "extra_points", ((F(0), F(0)),)))
+
+
+def test_verify_certificate_checks_baire_point():
+    d = ke.space_of("doubled")
+    members = (ml.full_wave(d.spec, ((F(0), 1),)),)
+    probe = ml.Wave(d.spec, IntervalSet.of((-1, 2)))
+    point, c = sp.baire_intersect(d, sp.DenseFamily("finite", members), probe)
+    assert c.kind == "baire-point" and ke.verify_certificate(d, c)
+    assert not ke.verify_certificate(d, _with_point(c, "point", ml.MultiLinePoint(F(3), 0)))
+    assert not ke.verify_certificate(d, _with_point(c, "point", ml.MultiLinePoint(F(0), 0)))
+    f = ke.FEATHER
+    probe = fe.fp_chart((F(0), F(1)), F(1, 2))
+    point, c = sp.baire_intersect(f, sp.DenseFamily("finite", (fe.strict_skeleton(),)), probe)
+    assert ke.verify_certificate(f, c)
+    assert not ke.verify_certificate(f, _with_point(c, "point", (F(5),)))
+    assert not ke.verify_certificate(f, _with_point(c, "point", point + (point[-1],)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +159,7 @@ def test_baire_finite_doubled():
     probe = ml.Wave(d.spec, IntervalSet.of((-1, 2)))
     point, c = sp.baire_intersect(d, sp.DenseFamily("finite", members), probe)
     assert point.level == 0 and point.x not in (F(0), F(1))
-    assert sp.verify_baire_point_cert(d, c)
+    assert ke.verify_certificate(d, c)
 
 
 def test_baire_finite_feather():
@@ -132,7 +167,7 @@ def test_baire_finite_feather():
     members = (fe.strict_skeleton(), fe.skeleton_through((F(0), F(0))))
     probe = fe.fp_chart((F(0), F(1)), F(1, 2))
     point, c = sp.baire_intersect(f, sp.DenseFamily("finite", members), probe)
-    assert sp.verify_baire_point_cert(f, c)
+    assert ke.verify_certificate(f, c)
 
 
 def test_baire_rejects_non_dense_member():
@@ -209,7 +244,7 @@ def test_microcompact_examples():
     v = ml.Wave(d.spec, IntervalSet.of((-1, 1)))
     c, interior = sp.microcompact_neighborhood(d, p, v)
     assert ke.verify_certificate(d, c)
-    assert ke.basic_subset(d, interior, v)
+    assert d.basic_subset(interior, v)
     f = ke.FEATHER
     pf = (F(0), F(1))
     cf, _ = sp.microcompact_neighborhood(f, pf, fe.fp_chart(pf, F(1)))
