@@ -9,6 +9,10 @@ space carries the order topology of the tree order
 Basic opens are order intervals {w : u < w < v}.  Internally every interval
 is decomposed into "arms": sets of the form {prefix + (r,) : r in range},
 which make meets, twin detection and chart reasoning finite case analyses.
+An interval decomposes its arms once, on first use, and keeps them, so a
+chart probed many times is decomposed once.  Whether two arm unions meet is
+decided by `arms_meet`, which stops at the first overlapping pair and builds
+no meet.
 
 Validation contract.  A point is checked by `fp_validate` once, where it
 enters: `parse_point`, the `FeatherInterval` and `FlipGen` constructors, and
@@ -21,7 +25,7 @@ the point and checks only that seam, and a translation preserves the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rationals import PreconditionError
@@ -112,6 +116,7 @@ class FeatherInterval:
 
     lower: tuple
     upper: tuple
+    _arms: tuple = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lower", fp_validate(self.lower))
@@ -124,7 +129,9 @@ class FeatherInterval:
         return fp_less(self.lower, p) and fp_less(p, self.upper)
 
     def arms(self) -> tuple:
-        return interval_arms(self.lower, self.upper)
+        if self._arms is None:
+            object.__setattr__(self, "_arms", interval_arms(self.lower, self.upper))
+        return self._arms
 
 
 def interval_arms(u: tuple, v: tuple) -> tuple:
@@ -185,6 +192,16 @@ def meet_arms(arms1, arms2) -> tuple:
             if not arm.is_empty():
                 out.append(arm)
     return normalize_arms(out)
+
+
+def arms_meet(arms1, arms2) -> bool:
+    """Same verdict as `bool(meet_arms(arms1, arms2))`: true at the first
+    same-prefix pair whose coordinate ranges overlap, building no arm."""
+    for a in arms1:
+        for b in arms2:
+            if a.prefix == b.prefix and max(a.lo, b.lo) < min(a.hi, b.hi):
+                return True
+    return False
 
 
 def arms_to_intervals(arms) -> list:

@@ -82,6 +82,22 @@ def iset_meet(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return IntervalSet(tuple(out))
 
 
+def iset_meets(a: IntervalSet, b: IntervalSet) -> bool:
+    """Same verdict as `not iset_meet(a, b).is_empty()`: a two-pointer sweep
+    that skips an interval ending before the other one starts and stops at
+    the first overlap, building nothing."""
+    i = j = 0
+    ai, bi = a.intervals, b.intervals
+    while i < len(ai) and j < len(bi):
+        if ai[i][1] <= bi[j][0]:
+            i += 1
+        elif bi[j][1] <= ai[i][0]:
+            j += 1
+        else:
+            return True
+    return False
+
+
 def iset_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return canon_intervals(list(a.intervals) + list(b.intervals))
 

@@ -19,6 +19,11 @@ calls, so no caller asks which space it holds:
     feather only         homotopy
     multiline only       chain
 
+The probe contract.  `meet_is_empty(b1, b2)` gives the verdict of
+`not meet(b1, b2)` without building the meet: the refuter makes 16 such
+probes per call, so each is one early-exit overlap test (`arms_meet` on the
+feather, `waves_disjoint` on the line family).
+
 An operation a space lacks raises the one error `Space` defines,
 `PreconditionError("<op> is not implemented for <tag>")`.  Every space also
 answers `density_witness` (a basic missing a non-dense union; None except on
@@ -28,6 +33,8 @@ diagonal family of dense opens has empty intersection).
 Parsing is the boundary: `parse_point` and `parse_basic` reject another
 space's objects with a `PreconditionError` quoting the input, so wrong-space
 objects never reach the operations the refuter calls in its inner loop.
+`verify_certificate` holds a certificate built in-process to the same rule:
+a payload point whose type is not the space's point type is rejected.
 """
 
 from __future__ import annotations
@@ -138,7 +145,7 @@ class FeatherSpace(Space):
         return fe.arms_to_intervals(fe.meet_arms(self.basic_arms(b1), self.basic_arms(b2)))
 
     def meet_is_empty(self, b1, b2) -> bool:
-        return not fe.meet_arms(self.basic_arms(b1), self.basic_arms(b2))
+        return not fe.arms_meet(self.basic_arms(b1), self.basic_arms(b2))
 
     def canonical_neighborhood(self, p, eps):
         return fe.fp_chart(p, eps)
@@ -296,9 +303,12 @@ class MultiLineSpace(Space):
         return ml.waves_disjoint(b1, b2)
 
     def canonical_neighborhood(self, p, eps):
-        eps = Fraction(eps)
+        if type(eps) is not Fraction:
+            eps = Fraction(eps)
+        if eps <= 0:
+            raise PreconditionError("chart radius must be positive")
         lift = ((p.x, p.level),) if p.level > 0 else ()
-        return ml.Wave(self.spec, IntervalSet.of((p.x - eps, p.x + eps)), lift)
+        return ml.Wave(self.spec, IntervalSet(((p.x - eps, p.x + eps),)), lift)
 
     def non_separable_pair(self, p, q) -> bool:
         return p.x == q.x and p.level != q.level
@@ -599,10 +609,28 @@ def _down_gaps(member) -> set:
 
 def verify_certificate(space, c: cert.Certificate) -> bool:
     check = _CHECKS.get(c.kind)
+    if check is None:
+        return False
+    if not _payload_point_types(c.payload).issubset(space.point_kind[0]):
+        return False
     try:
-        return check is not None and check(space, c.payload)
+        return check(space, c.payload)
     except (PreconditionError, AssertionError):
         return False
+
+
+_POINT_FIELDS = frozenset(("p", "q", "x", "point", "src", "dst", "center"))
+_POINT_COLLECTION_FIELDS = frozenset(("probes", "removed", "extra_points", "candidates"))
+
+
+def _payload_point_types(pl) -> set:
+    """The types of the points a certificate payload names, whatever its kind."""
+    types = {type(pl[k]) for k in pl.keys() & _POINT_FIELDS}
+    for k in pl.keys() & _POINT_COLLECTION_FIELDS:
+        types.update(map(type, pl[k]))
+    for pair in pl.get("adjoin_samples", ()):
+        types.update(map(type, pair))
+    return types
 
 
 def verified(space, c: cert.Certificate, **fields) -> dict:

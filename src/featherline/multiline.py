@@ -12,7 +12,8 @@ Lifted abscissae are punched out of the open set in one merge sweep
 (`iset_remove_points`), by `wave_meet` and `down_projection` alike.
 Disjointness is decided downstairs (`waves_disjoint`): removing finitely many
 points from a nonempty open set leaves it nonempty, so two waves meet exactly
-when their open sets do, and no meet wave is built.
+when their open sets do.  The overlap test `iset_meets` stops at the first
+overlap, so neither a meet wave nor a meet of the open sets is built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .intervals import (FinSet, IntervalSet, iset_meet, iset_pick_point,
+from .intervals import (FinSet, IntervalSet, iset_meet, iset_meets, iset_pick_point,
                         iset_remove_points)
 from .rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
 
@@ -149,9 +150,9 @@ def waves_disjoint(w1: Wave, w2: Wave) -> bool:
     """Same verdict as `wave_meet(w1, w2).is_empty()`, decided downstairs:
     the meet only punches finitely many points out of the meet of the open
     sets, which leaves a nonempty open set nonempty."""
-    if w1.spec != w2.spec:
+    if w1.spec is not w2.spec and w1.spec != w2.spec:
         raise PreconditionError("waves from different spaces")
-    return iset_meet(w1.parts, w2.parts).is_empty()
+    return not iset_meets(w1.parts, w2.parts)
 
 
 def wave_member_levels(w: Wave, x) -> set:

@@ -180,6 +180,18 @@ def test_nonpositive_count_is_a_parse_error(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("space,point", [
+    ("D", "D(0)"), ("tripled", "D(1/2 @2)"), ("two-origins", "D(0 @1)"),
+])
+@pytest.mark.parametrize("eps", ["0", "-1"])
+def test_nonpositive_chart_radius_on_the_line_family(space, point, eps):
+    proc = run_cli(["chart", space, point, "--eps=" + eps])
+    assert proc.returncode == 2, proc.stderr
+    assert "chart radius must be positive" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_chain_inconclusive_exit_code():
     proc = run_cli(["chain", "two-origins", "D(-1 @0)", "D(1 @0)",
                     "--remove", "D(0 @0);D(0 @1)", "--window=-5,5"])

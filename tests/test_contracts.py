@@ -1,8 +1,9 @@
 """Contracts that keep the engine's checks cheap and always on: points are
 validated once at the boundary, the refuter's strength is fixed, formatting
 matches its reference, the wave algebra is near-linear with the answers of
-its per-point references, no check lives in an `assert` statement, and only
-the space classes ask which space they are."""
+its per-point references, each refuter probe is an overlap test with the
+verdict of the meet it replaces, no check lives in an `assert` statement, and
+only the space classes ask which space they are."""
 
 import ast
 import pathlib
@@ -15,7 +16,7 @@ import featherline
 from featherline import feather as fe
 from featherline import kernel as ke
 from featherline import multiline as ml
-from featherline.intervals import IntervalSet, iset_remove_points
+from featherline.intervals import IntervalSet, iset_meet, iset_meets, iset_remove_points
 from featherline.rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
 
 F = Fraction
@@ -26,9 +27,9 @@ rationals = st.fractions(min_value=-10, max_value=10)
 
 
 @st.composite
-def feather_points(draw, max_len=5):
+def feather_points(draw, max_len=5, coords=rationals):
     n = draw(st.integers(1, max_len))
-    coords = sorted(draw(st.lists(rationals, min_size=n, max_size=n, unique=True)))
+    coords = sorted(draw(st.lists(coords, min_size=n, max_size=n, unique=True)))
     p = tuple(coords)
     if draw(st.booleans()):
         p = p + (p[-1],)
@@ -437,3 +438,142 @@ def test_wave_contains_reads_the_stored_map(monkeypatch):
     assert not w.contains(ml.MultiLinePoint(F(0), 0))
     assert w.contains(ml.MultiLinePoint(F(1), 0))
     assert ml.wave_member_levels(w, F(0)) == {1}
+
+
+# ---------------------------------------------------------------------------
+# Refuter probes: early-exit overlap tests with the verdicts of the meets
+# they replace, each chart decomposed once.
+
+
+@given(cut_sets(), cut_sets())
+def test_iset_meets_matches_the_meet(case1, case2):
+    (a, _), (b, _) = case1, case2
+    expected = not iset_meet(a, b).is_empty()
+    assert iset_meets(a, b) == expected
+    assert iset_meets(b, a) == expected
+
+
+@pytest.mark.parametrize("a,b,expected", [
+    (((F(0), F(1)),), ((F(1), F(2)),), False),
+    (((NEG_INF, F(0)), (F(0), F(1))), ((F(1), POS_INF),), False),
+    (((NEG_INF, F(0)),), ((F(-1), POS_INF),), True),
+    (((NEG_INF, POS_INF),), ((F(5), F(6)),), True),
+    (((F(0), F(1)), (F(2), F(3))), ((F(1), F(2)), (F(3), F(4))), False),
+    ((), ((NEG_INF, POS_INF),), False),
+], ids=["touching", "touching-inf", "inf-ends", "full-line", "interleaved", "empty"])
+def test_iset_meets_at_touching_and_infinite_ends(a, b, expected):
+    a, b = IntervalSet(a), IntervalSet(b)
+    assert iset_meets(a, b) == expected == (not iset_meet(a, b).is_empty())
+
+
+@st.composite
+def feather_interval_pairs(draw):
+    """Two order intervals below prefixes of one trunk point, so their arms
+    often share prefixes.  The lower end cuts the upper one short at some
+    length and lowers the last coordinate (never below the branch point)."""
+    trunk = draw(feather_points(max_len=4, coords=small_rationals))
+
+    def below():
+        v = trunk[:draw(st.integers(1, len(trunk)))]
+        n = draw(st.integers(0, len(v) - 1))
+        if n and not v[n - 1] < v[n]:  # a slack last step leaves no room
+            n -= 1
+        floor = v[n - 1] if n else v[n] - 4
+        t = draw(st.fractions(0, 1, max_denominator=4).filter(lambda t: t < 1))
+        return fe.FeatherInterval(v[:n] + (floor + (v[n] - floor) * t,), v)
+
+    return below(), below()
+
+
+@given(feather_interval_pairs())
+def test_arms_meet_matches_meet_arms_on_intervals(pair):
+    x, y = pair
+    assert fe.arms_meet(x.arms(), y.arms()) == bool(fe.meet_arms(x.arms(), y.arms()))
+
+
+coarse_feather_points = feather_points(max_len=3, coords=small_rationals)
+
+
+@given(coarse_feather_points, coarse_feather_points, st.booleans())
+def test_arms_meet_matches_meet_arms_on_refuter_charts(p, q, twins):
+    if twins:
+        q = fe.fp_twin(p)
+    for e1 in ke.REFUTER_SCALES:
+        for e2 in ke.REFUTER_SCALES:
+            x, y = fe.fp_chart(p, e1), fe.fp_chart(q, e2)
+            assert fe.arms_meet(x.arms(), y.arms()) == bool(fe.meet_arms(x.arms(), y.arms()))
+
+
+@st.composite
+def line_points(draw, spec):
+    x = draw(small_rationals)
+    level = draw(st.integers(0, spec.k - 1)) if spec.is_doubled(x) else 0
+    return ml.MultiLinePoint(x, level)
+
+
+SPACE_POINTS = {
+    "feather": coarse_feather_points,
+    "doubled": line_points(ml.DOUBLED),
+    "tripled": line_points(ml.TRIPLED),
+    "two-origins": line_points(ml.TWO_ORIGINS) | st.sampled_from(
+        [ml.MultiLinePoint(F(0), 0), ml.MultiLinePoint(F(0), 1)]),
+    "branch": st.builds(ml.branch_point, small_rationals, st.sampled_from("LR")),
+    "cofinite": st.integers(0, 5),
+}
+
+
+@st.composite
+def space_point_pairs(draw):
+    name = draw(st.sampled_from(sorted(SPACE_POINTS)))
+    points = SPACE_POINTS[name]
+    return ke.space_of(name), draw(points), draw(points)
+
+
+@given(space_point_pairs())
+def test_meet_is_empty_gives_the_verdict_of_the_meet(case):
+    space, p, q = case
+    for e1 in ke.REFUTER_SCALES:
+        for e2 in ke.REFUTER_SCALES:
+            b1 = space.canonical_neighborhood(p, e1)
+            b2 = space.canonical_neighborhood(q, e2)
+            assert space.meet_is_empty(b1, b2) == (space.meet(b1, b2) == [])
+
+
+def test_feather_refuter_decomposes_each_chart_once(monkeypatch):
+    calls = []
+    original = fe.interval_arms
+
+    def counting(u, v):
+        calls.append((u, v))
+        return original(u, v)
+
+    monkeypatch.setattr(fe, "interval_arms", counting)
+    p = (F(0), F(1))
+    assert ke.bounded_refuter(ke.FEATHER, p, fe.fp_twin(p)) is None
+    assert len(calls) == 8
+
+
+def test_interval_equality_hash_and_repr_ignore_the_stored_arms():
+    x = fe.FeatherInterval((F(0), F(1, 2)), (F(0), F(1), F(3)))
+    y = fe.FeatherInterval((F(0), F(1, 2)), (F(0), F(1), F(3)))
+    before = repr(x)
+    arms = x.arms()
+    assert arms == fe.interval_arms(x.lower, x.upper) and x.arms() is arms
+    assert x == y and hash(x) == hash(y) and len({x: "a", y: "b"}) == 1
+    assert repr(x) == repr(y) == before and "_arms" not in before
+
+
+@st.composite
+def line_points_and_radii(draw):
+    spec = draw(st.sampled_from([ml.LINE, ml.DOUBLED, ml.TRIPLED, ml.TWO_ORIGINS]))
+    p = draw(line_points(spec))
+    eps = draw(st.integers(1, 5) | st.fractions(min_value=0, max_value=4).filter(lambda e: e > 0))
+    return spec, p, eps
+
+
+@given(line_points_and_radii())
+def test_line_chart_is_the_interval_of_its_radius(case):
+    spec, p, eps = case
+    lift = ((p.x, p.level),) if p.level > 0 else ()
+    expected = ml.Wave(spec, IntervalSet.of((p.x - eps, p.x + eps)), lift)
+    assert ke.MultiLineSpace(spec).canonical_neighborhood(p, eps) == expected

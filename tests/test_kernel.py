@@ -252,6 +252,21 @@ def test_verify_rejects_wrong_word():
     assert not ke.verify_certificate(d, bad)
 
 
+LINE_TWINS = (ml.MultiLinePoint(F(0), 0), ml.MultiLinePoint(F(0), 1))
+
+
+@pytest.mark.parametrize("space_name,c", [
+    ("doubled", cert.twin_pair((F(0),), (F(1),))),
+    ("feather", cert.twin_pair(*LINE_TWINS)),
+    ("feather", cert.uncovered(LINE_TWINS[1], ())),
+    ("cofinite", cert.twin_pair(*LINE_TWINS)),
+    ("cofinite", cert.uncovered(LINE_TWINS[0], ())),
+], ids=["feather-to-doubled", "line-twins-to-feather", "line-uncovered-to-feather",
+        "line-twins-to-cofinite", "line-uncovered-to-cofinite"])
+def test_verify_rejects_another_spaces_payload(space_name, c):
+    assert ke.verify_certificate(ke.space_of(space_name), c) is False
+
+
 def test_basic_subset():
     d = ke.space_of("doubled")
     small = ml.Wave(d.spec, IntervalSet.of((0, 1)))
