@@ -3,6 +3,9 @@
 (t, point) for plotting.
 
     python3 scripts/homotopy_trace.py 'F(0,1,3)' --steps 24 > trace.csv
+
+Exit status: 0 on success, 1 for a malformed point, 2 for a point that is
+not in the feather.
 """
 
 import argparse
@@ -11,7 +14,9 @@ import sys
 from fractions import Fraction
 
 from featherline import feather as fe
-from featherline.syntax import fmt_point, parse_point
+from featherline import kernel as ke
+from featherline.rationals import ParseError, PreconditionError
+from featherline.syntax import fmt_point
 
 
 def main(argv=None):
@@ -21,7 +26,17 @@ def main(argv=None):
                         help="grid points per unit of homotopy time")
     args = parser.parse_args(argv)
 
-    s = parse_point(args.point)
+    if args.steps < 1:
+        sys.stderr.write("parse error: --steps must be at least 1, got %d\n" % args.steps)
+        return 1
+    try:
+        s = ke.FEATHER.parse_point(args.point)
+    except ParseError as exc:
+        sys.stderr.write("parse error: %s\n" % exc)
+        return 1
+    except PreconditionError as exc:
+        sys.stderr.write("precondition error: %s\n" % exc)
+        return 2
     writer = csv.writer(sys.stdout)
     writer.writerow(["t", "point"])
     for k in range(2 * args.steps + 1):

@@ -20,7 +20,7 @@ from . import multiline as ml
 from . import separation as sp
 from .intervals import CofiniteSet, FinSet, IntervalSet
 from .rationals import ParseError, PreconditionError, parse_ext, parse_rat
-from .syntax import fmt_basic, fmt_point, jsonable
+from .syntax import jsonable
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -33,7 +33,7 @@ def _render(report, fmt, out):
         out.write(json.dumps(jsonable(report), indent=2))
         out.write("\n")
         return
-    out.write("verdict: %s\n" % report["verdict"])
+    out.write("verdict: %s\n" % jsonable(report["verdict"]))
     for key, value in report.items():
         if key in ("command", "verdict"):
             continue
@@ -63,7 +63,7 @@ def cmd_twin(args):
     tw = fe.fp_twin(p)
     report = {
         "command": "twin %s" % args.p,
-        "verdict": fmt_point(tw),
+        "verdict": tw,
         **ke.verified(ke.FEATHER, cert.twin_pair(p, tw)),
         "citations": ["complete-feather", "twin-pairs"],
     }
@@ -77,7 +77,7 @@ def cmd_flip(args):
     c = cert.homeo_word((fe.FlipGen(s),), r, out, involutive=True)
     report = {
         "command": "flip %s %s" % (args.s, args.r),
-        "verdict": fmt_point(out),
+        "verdict": out,
         **ke.verified(ke.FEATHER, c),
         "citations": ["complete-feather", "flip-homeomorphisms"],
     }
@@ -89,7 +89,7 @@ def cmd_normalize(args):
     word, out = fe.normalize_to_line(p)
     report = {
         "command": "normalize %s" % args.p,
-        "verdict": fmt_point(out),
+        "verdict": out,
         **ke.verified(ke.FEATHER, cert.homeo_word(word, p, out)),
         "citations": ["complete-feather", "homogeneity"],
     }
@@ -103,7 +103,7 @@ def cmd_homotopy(args):
     out = space.homotopy(t, s)
     report = {
         "command": "homotopy %s %s --t %s" % (args.space, args.p, args.t),
-        "verdict": fmt_point(out),
+        "verdict": out,
         "certificate": {"t": t, "input": s, "output": out},
         "citations": ["complete-feather", "contraction-homotopy"],
     }
@@ -117,7 +117,7 @@ def cmd_chart(args):
     b = space.canonical_neighborhood(p, eps)
     report = {
         "command": "chart %s %s --eps %s" % (args.space, args.p, args.eps),
-        "verdict": fmt_basic(b),
+        "verdict": b,
         "certificate": {"member": space.member(p, b)},
         "citations": ["canonical-neighborhoods"],
     }
@@ -225,7 +225,7 @@ def cmd_maximal_hausdorff(args):
     handle, c = sp.maximal_hausdorff_at(space, p)
     report = {
         "command": "maximal-hausdorff %s %s" % (args.space, args.p),
-        "verdict": fmt_basic(handle),
+        "verdict": handle,
         **ke.verified(space, c),
         "citations": ["maximal-hausdorff-dense-opens"],
     }
@@ -270,7 +270,7 @@ def cmd_baire(args):
     report = {
         "command": "baire %s --probe %s %s" % (args.space, args.probe,
                                                " ".join(args.members)),
-        "verdict": fmt_point(point),
+        "verdict": point,
         **ke.verified(space, c),
         "citations": ["baire-property"],
     }
@@ -401,7 +401,7 @@ def demo_feather_twins():
     above = ke.SeqDescriptor("feather", p, len(p) - 1, p[-1], "above")
     certificate = {
         "pair": ke.verified(space, c, separable=ok),
-        "refuter": {"scales": ke.REFUTER_SCALES,
+        "refuter": {"scales": list(ke.REFUTER_SCALES),
                     "found_separation": ke.bounded_refuter(space, p, q) is not None},
         "from-below": {"to_lower": space.converges(below, p),
                        "to_upper": space.converges(below, q)},

@@ -28,9 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import PreconditionError
+from .rationals import PreconditionError, fmt_ext
 
-# A feather point is a plain tuple of Fractions, validated by fp_validate.
+# A feather point is a plain tuple of Fractions, validated by fp_validate and
+# printed by fp_str.
+
+
+def _coords(p) -> str:
+    return ",".join(map(fmt_ext, p))
+
+
+def fp_str(p: tuple) -> str:
+    """A feather point in input syntax: F(0,1,1)."""
+    return "F(%s)" % _coords(p)
 
 
 def fp_validate(seq) -> tuple:
@@ -45,9 +55,10 @@ def fp_validate(seq) -> tuple:
     # without the numbers-ABC dispatch of Fraction.__lt__
     if not all(a.numerator * b.denominator < b.numerator * a.denominator
                for a, b in zip(seq[:-2], seq[1:-1])):
-        raise PreconditionError("coordinates must be strictly increasing before the last step: %s" % (seq,))
+        raise PreconditionError("coordinates must be strictly increasing before the last step: %s"
+                                % fp_str(seq))
     if len(seq) >= 2 and not seq[-2] <= seq[-1]:
-        raise PreconditionError("last step must be non-decreasing: %s" % (seq,))
+        raise PreconditionError("last step must be non-decreasing: %s" % fp_str(seq))
     return seq
 
 
@@ -123,7 +134,11 @@ class FeatherInterval:
         object.__setattr__(self, "upper", fp_validate(self.upper))
         if not fp_less(self.lower, self.upper):
             raise PreconditionError(
-                "interval endpoints must satisfy lower < upper: %s, %s" % (self.lower, self.upper))
+                "interval endpoints must satisfy lower < upper: %s, %s"
+                % (fp_str(self.lower), fp_str(self.upper)))
+
+    def __str__(self):
+        return "FI[(%s);(%s)]" % (_coords(self.lower), _coords(self.upper))
 
     def contains(self, p: tuple) -> bool:
         return fp_less(self.lower, p) and fp_less(p, self.upper)
@@ -268,6 +283,9 @@ class Chart:
     radius: Fraction
     interval: FeatherInterval
 
+    def __str__(self):
+        return str(self.interval)
+
     def arms(self):
         return self.interval.arms()
 
@@ -349,10 +367,6 @@ class FlipGen:
             return _glue(s[:n], p[n - 1:])
         return p
 
-    def to_jsonable(self):
-        from .rationals import fmt_ext
-        return {"gen": "flip", "at": [fmt_ext(x) for x in self.pivot]}
-
 
 @dataclass(frozen=True)
 class FeatherTranslateGen:
@@ -360,10 +374,6 @@ class FeatherTranslateGen:
 
     def apply(self, p: tuple) -> tuple:
         return fp_translate(self.shift, p)
-
-    def to_jsonable(self):
-        from .rationals import fmt_ext
-        return {"gen": "translate", "by": fmt_ext(self.shift)}
 
 
 def normalize_to_line(s: tuple):
@@ -466,6 +476,11 @@ class SkeletonHandle:
     so that a prescribed upper twin lands inside."""
 
     flip: FlipGen = None
+
+    def __str__(self):
+        if self.flip is None:
+            return "strict-skeleton"
+        return "strict-skeleton*flip(%s)" % _coords(self.flip.pivot)
 
     def contains(self, p: tuple) -> bool:
         p = fp_validate(p)

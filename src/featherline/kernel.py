@@ -232,8 +232,8 @@ class FeatherSpace(Space):
 
     def basic_subset(self, small, big) -> bool:
         """small subset-of big, decided symbolically."""
-        small_arms = fe.normalize_arms(small.arms())
-        big_arms = fe.normalize_arms(big.arms())
+        small_arms = fe.normalize_arms(self.basic_arms(small))
+        big_arms = fe.normalize_arms(self.basic_arms(big))
         for a in small_arms:
             if not any(_arm_subset(a, b) for b in big_arms):
                 return False

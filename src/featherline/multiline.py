@@ -64,6 +64,9 @@ class MultiLinePoint(NamedTuple):
     x: Fraction
     level: int
 
+    def __str__(self):
+        return "D(%s @%d)" % (fmt_ext(self.x), self.level)
+
 
 def ml_point(spec: SpaceSpec, x, level: int) -> MultiLinePoint:
     x = Fraction(x)
@@ -180,9 +183,6 @@ class TranslateGen:
         parts = IntervalSet(tuple((lo + self.shift, hi + self.shift) for lo, hi in w.parts.intervals))
         return Wave(w.spec, parts, tuple((x + self.shift, j) for x, j in w.lift))
 
-    def to_jsonable(self):
-        return {"gen": "translate", "by": fmt_ext(self.shift)}
-
 
 @dataclass(frozen=True)
 class ExchangeGen:
@@ -216,9 +216,6 @@ class ExchangeGen:
             lift[self.at] = new
         return Wave(w.spec, w.parts, tuple(lift.items()))
 
-    def to_jsonable(self):
-        return {"gen": "exchange", "at": fmt_ext(self.at), "levels": list(self.levels)}
-
 
 @dataclass(frozen=True)
 class ReflectGen:
@@ -231,9 +228,6 @@ class ReflectGen:
         c = 2 * self.about
         parts = IntervalSet(tuple(sorted((c - hi, c - lo) for lo, hi in w.parts.intervals)))
         return Wave(w.spec, parts, tuple((c - x, j) for x, j in w.lift))
-
-    def to_jsonable(self):
-        return {"gen": "reflect", "about": fmt_ext(self.about)}
 
 
 def translate_t(spec: SpaceSpec, s, p: MultiLinePoint) -> MultiLinePoint:
@@ -410,6 +404,9 @@ class BranchPoint(NamedTuple):
     x: Fraction
     side: str  # "L" or "R"; x < 0 is side-agnostic and canonicalized to "L"
 
+    def __str__(self):
+        return "B(%s,%s)" % (fmt_ext(self.x), self.side)
+
 
 def branch_point(x, side="L") -> BranchPoint:
     x = Fraction(x)
@@ -434,6 +431,9 @@ class BranchInterval:
             raise PreconditionError("empty branch interval")
         if self.side not in ("L", "R"):
             raise PreconditionError("side must be L or R")
+
+    def __str__(self):
+        return "BI[(%s,%s)@%s]" % (fmt_ext(self.lo), fmt_ext(self.hi), self.side)
 
     def contains(self, p: BranchPoint) -> bool:
         if not self.lo < p.x < self.hi:

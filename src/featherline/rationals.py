@@ -13,10 +13,6 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
-def rat(p, q=1) -> Fraction:
-    return Fraction(p, q)
-
-
 def as_ext(x):
     """Coerce ints/Fractions to Fraction, pass infinities through."""
     if isinstance(x, float):

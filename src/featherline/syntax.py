@@ -12,6 +12,12 @@ the golden files.
     feather basics   FI[(0,0);(0,1)]
     waves            W[(-1,1)-{0^1}]
     branch basics    BI[(0,2)@L]
+
+Every value type prints itself in this syntax with `str`, except the feather
+point, which is a bare tuple of Fractions printed by `feather.fp_str`.
+`jsonable` renders a report by one lookup on the exact type of each value.
+A bare tuple of Fractions is a feather point; any other sequence of
+rationals in a report must be a list, and renders as a list of rationals.
 """
 
 from __future__ import annotations
@@ -30,77 +36,50 @@ from .rationals import ParseError, fmt_ext, parse_ext, parse_int, parse_rat
 
 
 def fmt_point(p) -> str:
-    if isinstance(p, ml.MultiLinePoint):
-        return "D(%s @%d)" % (fmt_ext(p.x), p.level)
-    if isinstance(p, ml.BranchPoint):
-        return "B(%s,%s)" % (fmt_ext(p.x), p.side)
-    if isinstance(p, int):
+    t = type(p)
+    if t is tuple:
+        return fe.fp_str(p)
+    if t is int:
         return "N(%d)" % p
-    return "F(%s)" % ",".join(fmt_ext(c) for c in p)
-
-
-def fmt_tuple(p) -> str:
-    return "(%s)" % ",".join(fmt_ext(c) for c in p)
+    return str(p)
 
 
 def fmt_basic(b) -> str:
-    if isinstance(b, (ml.Wave, CofiniteSet)):
-        return str(b)
-    if isinstance(b, fe.Chart):
-        return "FI[%s;%s]" % (fmt_tuple(b.interval.lower), fmt_tuple(b.interval.upper))
-    if isinstance(b, fe.FeatherInterval):
-        return "FI[%s;%s]" % (fmt_tuple(b.lower), fmt_tuple(b.upper))
-    if isinstance(b, ml.BranchInterval):
-        return "BI[(%s,%s)@%s]" % (fmt_ext(b.lo), fmt_ext(b.hi), b.side)
-    if isinstance(b, fe.SkeletonHandle):
-        if b.flip is None:
-            return "strict-skeleton"
-        return "strict-skeleton*flip%s" % fmt_tuple(b.flip.pivot)
-    raise ParseError("unformattable basic %r" % (b,))
+    return str(b)
+
+
+def _tuple(value):
+    if value and all(type(c) is Fraction for c in value):
+        return fe.fp_str(value)
+    return [jsonable(v) for v in value]
+
+
+# One encoder per type: containers recurse, values that print themselves in
+# input syntax go through `str`, generators and certificates become dicts.
+_ENCODERS = {
+    dict: lambda d: {jsonable(k): jsonable(v) for k, v in d.items()},
+    list: lambda s: [jsonable(v) for v in s],
+    tuple: _tuple,
+    frozenset: lambda s: sorted(map(jsonable, s), key=str),
+    Fraction: fmt_ext,
+    float: fmt_ext,
+    cert.Certificate: lambda c: {"kind": c.kind, "payload": jsonable(c.payload)},
+    fe.FlipGen: lambda g: {"gen": "flip", "at": list(map(fmt_ext, g.pivot))},
+    **dict.fromkeys((fe.FeatherTranslateGen, ml.TranslateGen),
+                    lambda g: {"gen": "translate", "by": fmt_ext(g.shift)}),
+    ml.ExchangeGen: lambda g: {"gen": "exchange", "at": fmt_ext(g.at),
+                               "levels": list(g.levels)},
+    ml.ReflectGen: lambda g: {"gen": "reflect", "about": fmt_ext(g.about)},
+    **dict.fromkeys((ml.MultiLinePoint, ml.BranchPoint, ml.Wave, ml.BranchInterval,
+                     fe.FeatherInterval, fe.Chart, fe.SkeletonHandle,
+                     IntervalSet, FinSet, CofiniteSet), str),
+}
 
 
 def jsonable(value):
     """Recursively convert engine values into JSON-serializable data."""
-    if isinstance(value, cert.Certificate):
-        return {"kind": value.kind, "payload": jsonable(value.payload)}
-    if isinstance(value, dict):
-        return {_key(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (ml.MultiLinePoint, ml.BranchPoint)):
-        return fmt_point(value)
-    if isinstance(value, (list, tuple)) and not _is_point(value):
-        return [jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted((jsonable(v) for v in value), key=str)
-    if isinstance(value, (ml.Wave, fe.Chart, fe.FeatherInterval,
-                          ml.BranchInterval, CofiniteSet, fe.SkeletonHandle)):
-        return fmt_basic(value)
-    if _is_point(value):
-        return fmt_point(value)
-    if isinstance(value, Fraction):
-        return fmt_ext(value)
-    if isinstance(value, float):
-        return fmt_ext(value)
-    if hasattr(value, "to_jsonable"):
-        return value.to_jsonable()
-    if isinstance(value, IntervalSet):
-        return str(value)
-    if isinstance(value, FinSet):
-        return str(value)
-    return value
-
-
-def _key(k):
-    if isinstance(k, (Fraction, float)):
-        return fmt_ext(k)
-    if isinstance(k, int):
-        return str(k)
-    return k
-
-
-def _is_point(value):
-    return (isinstance(value, tuple) and value
-            and all(isinstance(c, Fraction) for c in value)
-            and not isinstance(value, (ml.MultiLinePoint,)))
+    encode = _ENCODERS.get(type(value))
+    return value if encode is None else encode(value)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from featherline import cli
+from featherline import kernel as ke
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -53,6 +55,28 @@ def test_demo_output_is_byte_stable(golden, args, code):
     assert a == b
 
 
+def _strings(value):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield k
+            yield from _strings(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _strings(v)
+    elif isinstance(value, str):
+        yield value
+
+
+def test_every_feather_point_in_the_goldens_parses_back():
+    seen = 0
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        for text in _strings(json.loads(path.read_text())):
+            if re.fullmatch(r"F\(.*\)", text):
+                ke.FEATHER.parse_point(text)
+                seen += 1
+    assert seen > 50
+
+
 def test_report_schema():
     proc = run_cli(["demo", "feather-twins", "--format", "json"])
     report = json.loads(proc.stdout)
@@ -70,6 +94,25 @@ def test_homotopy_example():
     proc = run_cli(["homotopy", "F", "F(0,2)", "--t", "1"])
     assert proc.returncode == 0
     assert "F(0,0)" in proc.stdout.splitlines()[0]
+
+
+def run_homotopy_trace(args):
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "homotopy_trace.py"
+    return subprocess.run([sys.executable, str(script)] + args, capture_output=True, text=True)
+
+
+def test_homotopy_trace_script():
+    proc = run_homotopy_trace(["F(0,1,3)", "--steps", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["t,point", '0,"F(0,1,3)"', '1/2,"F(0,1,1)"',
+                                        '1,"F(0,0)"', "3/2,F(-1/2)", "2,F(-1)"]
+
+
+@pytest.mark.parametrize("args", [["D(0)"], ["F(1,0)"], ["G(0)"], ["F(0)", "--steps", "0"]])
+def test_homotopy_trace_script_rejects_bad_input(args):
+    proc = run_homotopy_trace(args)
+    assert proc.returncode in (1, 2)
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
 def test_parse_error_exit_code():
@@ -180,6 +223,16 @@ def test_nonpositive_count_is_a_parse_error(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("handle", ["strict-skeleton", "strict-skeleton*flip(0,1)"])
+@pytest.mark.parametrize("point", ["F(1,2,5)", "F(0,0)", "F(-1/2,3)"])
+def test_microcompact_inside_a_handle_is_a_precondition_error(point, handle):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["microcompact", "F", point, handle])
+    assert code == 2
+    assert err.getvalue().startswith("precondition error: ")
+
+
 @pytest.mark.parametrize("space,point", [
     ("D", "D(0)"), ("tripled", "D(1/2 @2)"), ("two-origins", "D(0 @1)"),
 ])
@@ -258,13 +311,23 @@ OPTIONS = st.one_of(
 ).map("=".join) | st.just("--involutive")
 
 
+ARGVS = st.one_of(
+    st.builds(lambda verb, first, rest, options: [verb, first] + rest + options,
+              st.sampled_from(VERBS),
+              st.one_of(st.sampled_from(SPACE_NAMES),
+                        st.sampled_from(list(cli.DEMOS) + ["nope"]), tokens()),
+              st.lists(tokens(), max_size=3), st.lists(OPTIONS, max_size=3)),
+    # microcompact F <point> <handle>: a handle as the enclosing basic
+    st.builds(lambda point, handle, options: ["microcompact", "F", point, handle] + options,
+              st.sampled_from([t for t in TOKENS if t.startswith("F(")]),
+              st.sampled_from([t for t in TOKENS if t.startswith("strict-skeleton")]),
+              st.lists(OPTIONS, max_size=1)),
+)
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(st.sampled_from(VERBS),
-       st.one_of(st.sampled_from(SPACE_NAMES), st.sampled_from(list(cli.DEMOS) + ["nope"]),
-                 tokens()),
-       st.lists(tokens(), max_size=3), st.lists(OPTIONS, max_size=3))
-def test_main_returns_an_exit_code_for_any_argv(verb, first, rest, options):
-    argv = [verb, first] + rest + options
+@given(ARGVS)
+def test_main_returns_an_exit_code_for_any_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

@@ -16,7 +16,8 @@ import featherline
 from featherline import feather as fe
 from featherline import kernel as ke
 from featherline import multiline as ml
-from featherline.intervals import IntervalSet, iset_meet, iset_meets, iset_remove_points
+from featherline import syntax
+from featherline.intervals import CofiniteSet, IntervalSet, iset_meet, iset_meets, iset_remove_points
 from featherline.rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
 
 F = Fraction
@@ -577,3 +578,58 @@ def test_line_chart_is_the_interval_of_its_radius(case):
     lift = ((p.x, p.level),) if p.level > 0 else ()
     expected = ml.Wave(spec, IntervalSet.of((p.x - eps, p.x + eps)), lift)
     assert ke.MultiLineSpace(spec).canonical_neighborhood(p, eps) == expected
+
+
+# ---------------------------------------------------------------------------
+# Every value prints itself in the syntax its space parses back.
+
+
+@st.composite
+def spaces_and_points(draw):
+    name = draw(st.sampled_from(sorted(SPACE_POINTS)))
+    return ke.space_of(name), draw(SPACE_POINTS[name])
+
+
+@given(spaces_and_points() | st.tuples(st.just(ke.FEATHER), feather_points()))
+def test_points_print_in_the_syntax_their_space_parses(case):
+    space, p = case
+    assert space.parse_point(syntax.fmt_point(p)) == p
+
+
+@st.composite
+def branch_intervals(draw):
+    lo, hi = sorted(draw(st.lists(small_rationals, min_size=2, max_size=2, unique=True)))
+    lo = NEG_INF if draw(st.booleans()) else lo
+    hi = POS_INF if draw(st.booleans()) else hi
+    return ml.branch_interval(lo, hi, draw(st.sampled_from("LR")))
+
+
+cofinite_sets = st.just(CofiniteSet.empty()) | st.sets(st.integers(0, 9), max_size=4).map(
+    lambda ns: CofiniteSet.excl(*ns))
+skeleton_handles = st.just(fe.strict_skeleton()) | flip_pivots().map(
+    lambda s: fe.SkeletonHandle(fe.FlipGen(s)))
+
+
+@st.composite
+def spaces_and_basics(draw):
+    name = draw(st.sampled_from(["doubled", "tripled", "branch", "cofinite", "feather"]))
+    space = ke.space_of(name)
+    if name == "branch":
+        return space, draw(branch_intervals())
+    if name == "cofinite":
+        return space, draw(cofinite_sets)
+    if name == "feather":
+        return space, draw(skeleton_handles)
+    return space, draw(waves(space.spec))
+
+
+@given(spaces_and_basics())
+def test_basics_print_in_the_syntax_their_space_parses(case):
+    space, b = case
+    assert space.parse_basic(syntax.fmt_basic(b)) == b
+
+
+@given(feather_points(), st.fractions(min_value=0, max_value=2).filter(lambda e: e > 0))
+def test_a_chart_prints_as_its_interval(p, eps):
+    chart = fe.fp_chart(p, eps)
+    assert ke.FEATHER.parse_basic(str(chart)) == chart.interval
