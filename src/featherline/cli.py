@@ -583,9 +583,12 @@ DEMOS = {
 def cmd_demo(args):
     if args.name not in DEMOS:
         raise ParseError("unknown demo %r" % args.name)
+    space = args.space
     if args.name == "theorem2":
-        body, code = demo_theorem2(args.space or "line")
-        command = "demo theorem2 --space %s" % (args.space or "line")
+        body, code = demo_theorem2(space or "line")
+        command = "demo theorem2 --space %s" % (space or "line")
+    elif space is not None:
+        raise ParseError("demo %s takes no --space (only theorem2 does)" % args.name)
     else:
         body, code = DEMOS[args.name]()
         command = "demo %s" % args.name

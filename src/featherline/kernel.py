@@ -9,15 +9,16 @@ The space protocol.  `FeatherSpace`, `MultiLineSpace` (line, doubled,
 tripled, two-origins), `BranchSpace` and `CofiniteSpace` answer the same
 calls, so no caller asks which space it holds:
 
-    every space          parse_point parse_basic member meet meet_is_empty
-                         canonical_neighborhood non_separable_pair separable
+    every space          parse_point parse_basic is_point member meet
+                         meet_is_empty canonical_neighborhood chart_form
+                         common_point non_separable_pair separable
     all but branch       dense
     feather, multiline   descriptor converges move replay union_twin_pair
                          basic_subset maximal_hausdorff canonical_cover
                          cover_member uncovered_point default_subfamily
                          baire_point chart_sample pipeline_sample
     feather only         homotopy
-    multiline only       chain
+    multiline only       chain cover_probes
 
 The probe contract.  `meet_is_empty(b1, b2)` gives the verdict of
 `not meet(b1, b2)` without building the meet: the refuter makes 16 such
@@ -34,7 +35,24 @@ Parsing is the boundary: `parse_point` and `parse_basic` reject another
 space's objects with a `PreconditionError` quoting the input, so wrong-space
 objects never reach the operations the refuter calls in its inner loop.
 `verify_certificate` holds a certificate built in-process to the same rule:
-a payload point whose type is not the space's point type is rejected.
+a payload point that `is_point` does not accept is rejected.
+
+The verification contract.  A `twin-pair` certificate, and each adjoin
+sample of a `maximal-hausdorff` one, claims a pair that no two canonical
+charts separate, at any scales.  The verifier proves that exactly, without
+the refuter and without the producer's `non_separable_pair`:
+  - each space declares a point's canonical chart as a `ChartForm`, affine
+    in the radius ρ, with the cap at which `canonical_neighborhood` clamps
+    ρ, and names a common point w(δ) of a pair, also affine;
+  - the forms must be nested (lower ends fall, upper ends rise with ρ), so
+    the charts at scales past R = min(1, caps) contain those at R, and the
+    one piece (0, R] stands for every pair of scales;
+  - on (0, R] each membership margin a + b·δ must be positive, that is
+    a >= 0 and a + b·R > 0, decided by comparisons first;
+  - no chart is built, so every payload point is first validated against
+    the space: a point of the right type but not of the space, such as
+    D(1 @1) on the line with two origins, is rejected.
+The producer's cross-check in `separable` keeps the 4-scale refuter.
 """
 
 from __future__ import annotations
@@ -47,10 +65,12 @@ from . import feather as fe
 from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
                         iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
-from .rationals import NEG_INF, PreconditionError
+from .rationals import NEG_INF, POS_INF, PreconditionError
 from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+_RATIONAL = frozenset((Fraction, int))  # exact coordinate types of a point
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -92,6 +112,28 @@ class CoverDescriptor:
         if self.kind == "chart-cover":
             return isinstance(b, fe.Chart)
         return b in self.basics
+
+
+class ChartForm:
+    """A point's canonical chart as an affine form in its radius ρ.
+
+    The chart holds the points (key, r) with lo < r < hi on one of its
+    `arms` (key, lo, hi, lo_closed), less the coordinates in `excluded`,
+    whose points sit upstairs at the center's level; where `shared_below`
+    is set, an arm also holds the points of every other key with r below
+    it.  Each end is a pair (a, b) standing for a + b·ρ.
+    `canonical_neighborhood(p, ε)` is the form at ρ = min(ε, cap); a cap of
+    None never clamps."""
+
+    __slots__ = ("arms", "cap", "excluded", "shared_below")
+
+    def __init__(self, arms, cap=None, excluded=(), shared_below=None):
+        self.arms, self.cap, self.excluded = arms, cap, excluded
+        self.shared_below = shared_below
+
+    def nested(self) -> bool:
+        """Lower ends fall and upper ends rise with ρ, so the charts grow."""
+        return all(lo[1] <= 0 <= hi[1] for _, lo, hi, _ in self.arms)
 
 
 class Space:
@@ -149,6 +191,22 @@ class FeatherSpace(Space):
 
     def canonical_neighborhood(self, p, eps):
         return fe.fp_chart(p, eps)
+
+    def is_point(self, x) -> bool:
+        return type(x) is tuple and set(map(type, x)) <= _RATIONAL and fe.fp_is_valid(x)
+
+    def chart_form(self, p) -> ChartForm:
+        a = p[-1]
+        if fe.fp_is_strict(p):  # one arm (p[:-1], a ± ρ)
+            return ChartForm(((p[:-1], (a, -1), (a, 1), False),),
+                             a - p[-2] if len(p) >= 2 else None)
+        # upper twin: the branch below a glued to the arm above it
+        return ChartForm(((p[:-2], (a, -1), (a, 0), False), (p[:-1], (a, 0), (a, 1), True)),
+                         a - p[-3] if len(p) >= 3 else None)
+
+    def common_point(self, p, q):
+        # (q, a - δ/2): just below the branch point of the twins (q, a), (q, a, a)
+        return (p[:-1] if fe.fp_is_strict(p) else p[:-2]), (p[-1], -_HALF)
 
     def non_separable_pair(self, p, q) -> bool:
         return fe.fp_twin(p) == q
@@ -310,6 +368,19 @@ class MultiLineSpace(Space):
         lift = ((p.x, p.level),) if p.level > 0 else ()
         return ml.Wave(self.spec, IntervalSet(((p.x - eps, p.x + eps),)), lift)
 
+    def is_point(self, x) -> bool:
+        if (type(x) is not ml.MultiLinePoint or type(x.x) not in _RATIONAL
+                or type(x.level) is not int):
+            return False
+        return x.level == 0 or 0 < x.level < self.spec.k and self.spec.is_doubled(x.x)
+
+    def chart_form(self, p) -> ChartForm:
+        # the down points (key 0) of x ± ρ; a lifted center sits upstairs
+        return ChartForm(((0, (p.x, -1), (p.x, 1), False),), None, (p.x,) if p.level else ())
+
+    def common_point(self, p, q):
+        return 0, (p.x, _HALF)  # D(x + δ/2 @0)
+
     def non_separable_pair(self, p, q) -> bool:
         return p.x == q.x and p.level != q.level
 
@@ -327,10 +398,7 @@ class MultiLineSpace(Space):
     def dense(self, u) -> bool:
         if isinstance(u, ml.Wave):
             u = [u]
-        down = IntervalSet.empty()
-        for w in u:
-            down = iset_union(down, w.down_projection())
-        return iset_complement_is_finite(down)
+        return iset_complement_is_finite(_down_union(u))
 
     def move(self, p, q, involutive=False):
         return ml.ml_move(self.spec, p, q, involutive=involutive)
@@ -391,17 +459,32 @@ class MultiLineSpace(Space):
         return self.parse_basic(text)
 
     def uncovered_point(self, chosen):
-        # None when the chosen waves cover
-        if self.spec.k == 1:
-            union = IntervalSet.empty()
-            for w in chosen:
-                union = iset_union(union, w.parts)
-            if iset_covers_line(union):
-                return None
-            return ml.MultiLinePoint(_line_gap_point(union), 0)
-        lifted = {x for w in chosen for x, _ in w.lift}
-        fresh = (max((abs(x) for x in lifted), default=Fraction(0))) + 1
-        return ml.MultiLinePoint(fresh, 1)
+        """A point no chosen wave contains, or None when they cover."""
+        spec = self.spec
+        if spec.k > 1 and spec.doubling == "all":
+            # finitely many lifts miss the upper points at any other abscissa
+            lifted = {x for w in chosen for x, _ in w.lift}
+            fresh = (max((abs(x) for x in lifted), default=Fraction(0))) + 1
+            return ml.MultiLinePoint(fresh, 1)
+        for p in self._upper_points():
+            if not any(w.contains(p) for w in chosen):
+                return p
+        down = _down_union(chosen)
+        if iset_covers_line(down):
+            return None
+        return ml.MultiLinePoint(_line_gap_point(down), 0)
+
+    def _upper_points(self):
+        """The upper points of a line doubled at finitely many abscissae."""
+        spec = self.spec
+        if spec.k == 1:
+            return []
+        return [ml.MultiLinePoint(x, level) for x in spec.doubling for level in range(1, spec.k)]
+
+    def cover_probes(self):
+        """Sample points a covering choice must contain: three down points
+        and every upper point."""
+        return [ml.MultiLinePoint(Fraction(n), 0) for n in (-1, 0, 1)] + self._upper_points()
 
     def default_subfamily(self, sample_points):
         if self.spec.k == 1:
@@ -419,7 +502,8 @@ class MultiLineSpace(Space):
         return ml.MultiLinePoint(Fraction(0), 0), v, v
 
     def pipeline_sample(self):
-        return ([ml.MultiLinePoint(Fraction(n), self.spec.k - 1) for n in (0, 1)],
+        # lift covers admit level 1 only, and only doubled abscissae lift
+        return ([ml.MultiLinePoint(Fraction(n), int(self.spec.is_doubled(n))) for n in (0, 1)],
                 [ml.MultiLinePoint(Fraction(n), 0) for n in (2, 3)])
 
 
@@ -442,6 +526,18 @@ class BranchSpace(Space):
     def canonical_neighborhood(self, p, eps):
         eps = Fraction(eps)
         return ml.BranchInterval(p.x - eps, p.x + eps, p.side)
+
+    def is_point(self, x) -> bool:
+        # a negative point is shared, and named on side L
+        return (type(x) is ml.BranchPoint and type(x.x) in _RATIONAL
+                and (x.side == "L" or x.side == "R" and x.x >= 0))
+
+    def chart_form(self, p) -> ChartForm:
+        # both sides share the negatives
+        return ChartForm(((p.side, (p.x, -1), (p.x, 1), False),), shared_below=(Fraction(0), 0))
+
+    def common_point(self, p, q):
+        return "L", (p.x, -_HALF)  # B(x - δ/2, L)
 
     def non_separable_pair(self, p, q) -> bool:
         return p.x == q.x == 0 and p.side != q.side
@@ -473,6 +569,15 @@ class CofiniteSpace(Space):
     def canonical_neighborhood(self, p, eps):
         del eps  # the topology has no scales; the ground set is canonical
         return CofiniteSet.ground()
+
+    def is_point(self, x) -> bool:
+        return type(x) is int and x >= 0
+
+    def chart_form(self, p) -> ChartForm:
+        return ChartForm(((None, (NEG_INF, 0), (POS_INF, 0), False),))
+
+    def common_point(self, p, q):
+        return None, (max(p, q) + 1, 0)  # N(max(p, q) + 1), with no scale
 
     def non_separable_pair(self, p, q) -> bool:
         return p != q  # any two nonempty opens intersect
@@ -591,14 +696,19 @@ def _line_gap_point(union: IntervalSet) -> Fraction:
     return iv[-1][1] + 1  # right end is finite here
 
 
+def _down_union(waves) -> IntervalSet:
+    """The open set of abscissae whose down point some wave contains."""
+    down = IntervalSet.empty()
+    for w in waves:
+        down = iset_union(down, w.down_projection())
+    return down
+
+
 def _down_gaps(member) -> set:
     """Finite set of abscissae whose down point is missed by a dense wave
     union (the zero-width gaps of its down projection)."""
     waves = member if isinstance(member, (list, tuple)) else [member]
-    down = IntervalSet.empty()
-    for w in waves:
-        down = iset_union(down, w.down_projection())
-    iv = down.intervals
+    iv = _down_union(waves).intervals
     return {iv[k][1] for k in range(len(iv) - 1) if iv[k][1] == iv[k + 1][0]}
 
 
@@ -611,7 +721,7 @@ def verify_certificate(space, c: cert.Certificate) -> bool:
     check = _CHECKS.get(c.kind)
     if check is None:
         return False
-    if not _payload_point_types(c.payload).issubset(space.point_kind[0]):
+    if not all(map(space.is_point, _payload_points(c.payload))):
         return False
     try:
         return check(space, c.payload)
@@ -623,20 +733,70 @@ _POINT_FIELDS = frozenset(("p", "q", "x", "point", "src", "dst", "center"))
 _POINT_COLLECTION_FIELDS = frozenset(("probes", "removed", "extra_points", "candidates"))
 
 
-def _payload_point_types(pl) -> set:
-    """The types of the points a certificate payload names, whatever its kind."""
-    types = {type(pl[k]) for k in pl.keys() & _POINT_FIELDS}
+def _payload_points(pl):
+    """The points a certificate payload names, whatever its kind."""
+    for k in pl.keys() & _POINT_FIELDS:
+        yield pl[k]
     for k in pl.keys() & _POINT_COLLECTION_FIELDS:
-        types.update(map(type, pl[k]))
+        yield from pl[k]
     for pair in pl.get("adjoin_samples", ()):
-        types.update(map(type, pair))
-    return types
+        yield from pair
 
 
 def verified(space, c: cert.Certificate, **fields) -> dict:
     """`fields`, then the certificate and whether `verify_certificate`
     accepts it: the key order of every report entry that ships one."""
     return dict(fields, certificate=c, verified=verify_certificate(space, c))
+
+
+def _non_separable_at_every_scale(space, p, q) -> bool:
+    """No two canonical charts of the distinct points p and q are disjoint,
+    at any scales: the common point the space names lies in both."""
+    return p != q and _in_both_charts(space, p, q, *space.common_point(p, q))
+
+
+def _in_both_charts(space, p, q, key, w) -> bool:
+    """The point (key, w(δ)) lies in the charts of p and q at every scale.
+
+    Decided from the spaces' chart forms, building no chart.  The charts
+    grow with the radius (nestedness), and at radii past R = min(1, caps)
+    they stay what they are at R, so each pair of scales (ε₁, ε₂) is covered
+    by δ = min(ε₁, ε₂, R) in the one piece (0, R].  There membership is
+    finitely many affine margins, each positive on all of (0, R]."""
+    fp, fq = space.chart_form(p), space.chart_form(q)
+    if not (fp.nested() and fq.nested()):
+        return False
+    r = min(c for c in (Fraction(1), fp.cap, fq.cap) if c is not None)
+    return _in_chart_form(fp, key, w, r) and _in_chart_form(fq, key, w, r)
+
+
+def _in_chart_form(form, key, w, r) -> bool:
+    """The point (key, w(δ)) lies in the chart of `form` at every δ in
+    (0, r], on one arm.  A closed lower end is checked as open, which can
+    only reject."""
+    for e in form.excluded:
+        at = (e, 0)
+        if not (_above(w, at, r) or _above(at, w, r)):
+            return False
+    shared = form.shared_below
+    for k, lo, hi, _closed in form.arms:
+        if ((k == key or shared is not None and _above(shared, w, r))
+                and _above(w, lo, r) and _above(hi, w, r)):
+            return True
+    return False
+
+
+def _above(hi, lo, r) -> bool:
+    """hi(δ) > lo(δ) for every δ in (0, r], for affine hi and lo given as
+    pairs (a, b) = a + b·δ: the constants may tie, the values at r may not.
+    Comparisons decide it, except when hi starts above lo and falls towards
+    it."""
+    (ha, hb), (la, lb) = hi, lo
+    if ha < la:
+        return False
+    if hb >= lb:
+        return ha > la or hb > lb
+    return ha > la and ha + hb * r > la + lb * r
 
 
 def _verify_excluded(space, pl) -> bool:
@@ -698,9 +858,7 @@ def _verify_maximal(space, pl) -> bool:
             return False
         if not space.member(partner, handle):
             return False
-        if not space.non_separable_pair(outside, partner):
-            return False
-        if bounded_refuter(space, outside, partner) is not None:
+        if not _non_separable_at_every_scale(space, outside, partner):
             return False
     return True
 
@@ -722,9 +880,7 @@ _CHECKS = {
     "separated-by": lambda space, pl: (space.member(pl["p"], pl["b1"])
                                        and space.member(pl["q"], pl["b2"])
                                        and space.meet_is_empty(pl["b1"], pl["b2"])),
-    "twin-pair": lambda space, pl: (pl["p"] != pl["q"]
-                                    and space.non_separable_pair(pl["p"], pl["q"])
-                                    and bounded_refuter(space, pl["p"], pl["q"]) is None),
+    "twin-pair": lambda space, pl: _non_separable_at_every_scale(space, pl["p"], pl["q"]),
     "uncovered": lambda space, pl: all(not space.member(pl["point"], b) for b in pl["chosen"]),
     "covered": lambda space, pl: all(any(space.member(p, b) for b in pl["chosen"])
                                      for p in pl["probes"]),

@@ -137,6 +137,39 @@ def test_unknown_demo_rejected():
     assert proc.returncode == 1
 
 
+def main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("space", ["line", "doubled", "tripled", "two-origins", "feather"])
+def test_theorem2_runs_on_every_space_with_a_pipeline(space):
+    code, out, err = main_in_process(["demo", "theorem2", "--space", space, "--format", "json"])
+    assert code in (0, 3), err
+    stages = json.loads(out)["certificate"]["stages"]
+    assert all(stage.get("verified", True) for stage in stages)
+    assert all(r["verified"] for stage in stages for r in stage.get("results", ()))
+
+
+def test_demo_space_option_is_for_theorem2_only():
+    code, out, err = main_in_process(["demo", "feather-twins", "--space", "cofinite"])
+    assert (code, out) == (1, "")
+    assert "takes no --space" in err
+
+
+def test_subcover_of_the_line_with_two_origins_covers():
+    cover = ["W[(-inf,inf)-{}]", "W[(-inf,inf)-{0^1}]"]
+    code, out, _ = main_in_process(["subcover", "two-origins"] + cover + ["--format", "json"])
+    report = json.loads(out)
+    assert (code, report["verdict"], report["verified"]) == (0, "covers", True)
+    assert {"D(0 @0)", "D(0 @1)"} <= set(report["certificate"]["payload"]["probes"])
+    for kept in cover:
+        code, out, _ = main_in_process(["subcover", "two-origins", kept])
+        assert code == 3 and out.startswith("verdict: uncovered")
+
+
 def test_invalid_point_in_valid_syntax():
     proc = run_cli(["twin", "F(0,0,0)"])
     assert proc.returncode == 1
