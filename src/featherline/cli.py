@@ -1,6 +1,27 @@
 """Batch command-line front end: every engine operation plus a gallery of
 scripted demos with deterministic JSON output.
 
+Each verb is one row of `VERBS`: help text, arguments and form.  An
+argument is a name, a parse kind and argparse `add_argument` keywords.
+`main` is the one parse boundary: it resolves the space, then parses each
+argument in declared order by its kind: "space" (`kernel.space_of`),
+"point", "basic" or "basics" (a list) of that space, "feather point"
+(whatever the space), "rational" (finite) or "raw" (the argparse value).
+Arguments whose meaning depends on the space at run time stay raw, and
+their handlers parse them, so no argv changes its exit code: `baire`'s
+members and `--probe` (the cofinite branch ignores them), `subcover`'s
+chosen basics (they go through `cover_member`) and `chain --remove` and
+`--window`.  `demo --space` stays raw as well: only theorem2 reads it.
+
+A form is the pair (command-echo template, citations) or, where the echo
+depends on the inputs, a function of the argparse namespace and the space
+that returns the pair and rejects argument combinations the form lacks.
+`str.format` fills the template from the raw arguments, lists joined by
+spaces.  The handler `cmd_<verb>`, looked up when called, takes the parsed
+values in argument order and returns (verdict, fields, positive); the
+report is {"command", "verdict", **fields, "citations"}.  A demo returns
+the same triple, and `_demo` registers it in `DEMOS` with its citations.
+
 Exit status encodes the verdict: 0 for positive verdicts, 1 for parse
 errors, 2 for precondition errors, 3 for expected negative verdicts
 (non-separable pairs, failed subcovers, EMPTY intersections, ...).
@@ -11,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import certificates as cert
@@ -41,273 +63,133 @@ def _render(report, fmt, out):
 
 
 # ---------------------------------------------------------------------------
-# Verb handlers.  Each returns (report dict, exit code).
+# Verb handlers.  Each returns (verdict, fields, positive).
 
 
-def cmd_separate(args):
-    space = ke.space_of(args.space)
-    p = space.parse_point(args.p)
-    q = space.parse_point(args.q)
+def cmd_separate(space, p, q):
     ok, c = space.separable(p, q)
-    report = {
-        "command": "separate %s %s %s" % (args.space, args.p, args.q),
-        "verdict": "separable" if ok else "NOT separable: twin pair",
-        **ke.verified(space, c),
-        "citations": ["separation-of-points"],
-    }
-    return report, EXIT_OK if ok else EXIT_NEGATIVE
+    return "separable" if ok else "NOT separable: twin pair", ke.verified(space, c), ok
 
 
-def cmd_twin(args):
-    p = ke.FEATHER.parse_point(args.p)
+def cmd_twin(p):
     tw = fe.fp_twin(p)
-    report = {
-        "command": "twin %s" % args.p,
-        "verdict": tw,
-        **ke.verified(ke.FEATHER, cert.twin_pair(p, tw)),
-        "citations": ["complete-feather", "twin-pairs"],
-    }
-    return report, EXIT_OK
+    return tw, ke.verified(ke.FEATHER, cert.twin_pair(p, tw)), True
 
 
-def cmd_flip(args):
-    s = ke.FEATHER.parse_point(args.s)
-    r = ke.FEATHER.parse_point(args.r)
+def cmd_flip(s, r):
     out = fe.flip_apply(s, r)
     c = cert.homeo_word((fe.FlipGen(s),), r, out, involutive=True)
-    report = {
-        "command": "flip %s %s" % (args.s, args.r),
-        "verdict": out,
-        **ke.verified(ke.FEATHER, c),
-        "citations": ["complete-feather", "flip-homeomorphisms"],
-    }
-    return report, EXIT_OK
+    return out, ke.verified(ke.FEATHER, c), True
 
 
-def cmd_normalize(args):
-    p = ke.FEATHER.parse_point(args.p)
+def cmd_normalize(p):
     word, out = fe.normalize_to_line(p)
-    report = {
-        "command": "normalize %s" % args.p,
-        "verdict": out,
-        **ke.verified(ke.FEATHER, cert.homeo_word(word, p, out)),
-        "citations": ["complete-feather", "homogeneity"],
-    }
-    return report, EXIT_OK
+    return out, ke.verified(ke.FEATHER, cert.homeo_word(word, p, out)), True
 
 
-def cmd_homotopy(args):
-    space = ke.space_of(args.space)
-    s = space.parse_point(args.p)
-    t = parse_rat(args.t)
+def cmd_homotopy(space, s, t):
     out = space.homotopy(t, s)
-    report = {
-        "command": "homotopy %s %s --t %s" % (args.space, args.p, args.t),
-        "verdict": out,
-        "certificate": {"t": t, "input": s, "output": out},
-        "citations": ["complete-feather", "contraction-homotopy"],
-    }
-    return report, EXIT_OK
+    return out, {"certificate": {"t": t, "input": s, "output": out}}, True
 
 
-def cmd_chart(args):
-    space = ke.space_of(args.space)
-    p = space.parse_point(args.p)
-    eps = parse_rat(args.eps)
+def cmd_chart(space, p, eps):
     b = space.canonical_neighborhood(p, eps)
-    report = {
-        "command": "chart %s %s --eps %s" % (args.space, args.p, args.eps),
-        "verdict": b,
-        "certificate": {"member": space.member(p, b)},
-        "citations": ["canonical-neighborhoods"],
-    }
-    return report, EXIT_OK
+    return b, {"certificate": {"member": space.member(p, b)}}, True
 
 
-def cmd_meet(args):
-    space = ke.space_of(args.space)
-    b1 = space.parse_basic(args.b1)
-    b2 = space.parse_basic(args.b2)
+def cmd_meet(space, b1, b2):
     parts = space.meet(b1, b2)
-    report = {
-        "command": "meet %s %s %s" % (args.space, args.b1, args.b2),
-        "verdict": "nonempty" if parts else "empty",
-        "certificate": {"parts": parts},
-        "citations": ["basis-closed-under-meet"],
-    }
-    return report, EXIT_OK if parts else EXIT_NEGATIVE
+    return "nonempty" if parts else "empty", {"certificate": {"parts": parts}}, bool(parts)
 
 
-def cmd_dense(args):
-    space = ke.space_of(args.space)
-    basics = [space.parse_basic(b) for b in args.basics]
+def cmd_dense(space, basics):
     verdict = space.dense(basics)
     payload = {"basics": basics}
     witness = None if verdict else space.density_witness(basics)
     if witness is not None:
         payload["missed-by"] = witness
-    report = {
-        "command": "dense %s %s" % (args.space, " ".join(args.basics)),
-        "verdict": "dense" if verdict else "not dense",
-        "certificate": payload,
-        "citations": ["density-criteria"],
-    }
-    return report, EXIT_OK if verdict else EXIT_NEGATIVE
+    return "dense" if verdict else "not dense", {"certificate": payload}, verdict
 
 
-def cmd_converges(args):
-    space = ke.space_of(args.space)
-    base = space.parse_point(args.base)
-    target = space.parse_point(args.target)
-    descr = space.descriptor(base, args.index, parse_rat(args.limit), args.direction)
+def cmd_converges(space, base, target, limit, direction, index):
+    descr = space.descriptor(base, index, limit, direction)
     verdict = space.converges(descr, target)
-    report = {
-        "command": "converges %s %s --limit %s --direction %s %s"
-                   % (args.space, args.base, args.limit, args.direction, args.target),
-        "verdict": "converges" if verdict else "does not converge",
-        "certificate": {"base": base, "coord_index": descr.coord_index,
-                        "limit": descr.limit, "direction": descr.direction,
-                        "target": target, "sample_terms": [descr.term(m) for m in (3, 4, 5)]},
-        "citations": ["twin-convergence"],
-    }
-    return report, EXIT_OK if verdict else EXIT_NEGATIVE
+    payload = {"base": base, "coord_index": descr.coord_index, "limit": descr.limit,
+               "direction": descr.direction, "target": target,
+               "sample_terms": [descr.term(m) for m in (3, 4, 5)]}
+    return "converges" if verdict else "does not converge", {"certificate": payload}, verdict
 
 
-def cmd_move(args):
-    space = ke.space_of(args.space)
-    p = space.parse_point(args.p)
-    q = space.parse_point(args.q)
-    word = space.move(p, q, args.involutive)
+def cmd_move(space, p, q, involutive):
+    word = space.move(p, q, involutive)
     out = space.replay(word, p)
-    c = cert.homeo_word(word, p, out, involutive=args.involutive)
-    report = {
-        "command": "move %s %s %s%s" % (args.space, args.p, args.q,
-                                        " --involutive" if args.involutive else ""),
-        "verdict": "moved" if out == q else "move failed",
-        **ke.verified(space, c),
-        "citations": ["homogeneity"],
-    }
-    return report, EXIT_OK if out == q else EXIT_NEGATIVE
+    c = cert.homeo_word(word, p, out, involutive=involutive)
+    return "moved" if out == q else "move failed", ke.verified(space, c), out == q
 
 
-def cmd_chain(args):
-    space = ke.space_of(args.space)
-    src = space.parse_point(args.src)
-    dst = space.parse_point(args.dst)
-    removed = [space.parse_point(t) for t in args.remove.split(";")] if args.remove else []
-    window = args.window.split(",")
-    if len(window) != 2:
-        raise ParseError("--window takes LO,HI, got %r" % args.window)
-    lo, hi = (parse_ext(t) for t in window)
-    links = space.chain(src, dst, removed, (lo, hi))
-    command = "chain %s %s %s --remove %s --window %s" % (
-        args.space, args.src, args.dst, args.remove or "", args.window)
+def cmd_chain(space, src, dst, remove, window):
+    removed = [space.parse_point(t) for t in remove.split(";")] if remove else []
+    ends = window.split(",")
+    if len(ends) != 2:
+        raise ParseError("--window takes LO,HI, got %r" % window)
+    links = space.chain(src, dst, removed, tuple(parse_ext(t) for t in ends))
     if links is None:
-        report = {
-            "command": command,
-            "verdict": "inconclusive",
-            "certificate": None,
-            "citations": ["two-point-removal-connectivity"],
-        }
-        return report, EXIT_NEGATIVE
-    report = {
-        "command": command,
-        "verdict": "connected",
-        **ke.verified(space, cert.chain(links, src, dst, removed)),
-        "citations": ["two-point-removal-connectivity"],
-    }
-    return report, EXIT_OK
+        return "inconclusive", {"certificate": None}, False
+    return "connected", ke.verified(space, cert.chain(links, src, dst, removed)), True
 
 
-def cmd_maximal_hausdorff(args):
-    space = ke.space_of(args.space)
-    p = space.parse_point(args.p)
+def cmd_maximal_hausdorff(space, p):
     handle, c = sp.maximal_hausdorff_at(space, p)
-    report = {
-        "command": "maximal-hausdorff %s %s" % (args.space, args.p),
-        "verdict": handle,
-        **ke.verified(space, c),
-        "citations": ["maximal-hausdorff-dense-opens"],
-    }
-    return report, EXIT_OK
+    return handle, ke.verified(space, c), True
 
 
-def cmd_subcover(args):
-    space = ke.space_of(args.space)
+def cmd_subcover(space, chosen):
     cover = sp.canonical_cover(space)
-    chosen = [space.cover_member(b) for b in args.chosen]
+    chosen = [space.cover_member(b) for b in chosen]
     covered, c = sp.subcover_attempt(space, cover, chosen)
-    report = {
-        "command": "subcover %s %s" % (args.space, " ".join(args.chosen)),
-        "verdict": "covers" if covered else "uncovered",
-        **ke.verified(space, c),
-        "citations": ["lindelof-failure"],
-    }
-    return report, EXIT_OK if covered else EXIT_NEGATIVE
+    return "covers" if covered else "uncovered", ke.verified(space, c), covered
 
 
-def cmd_baire(args):
-    space = ke.space_of(args.space)
+def cmd_baire(space, members, probe, candidates):
     if not space.is_baire:
-        if args.candidates < 1:
-            raise ParseError("--candidates must be at least 1, got %d" % args.candidates)
-        fam = sp.DenseFamily("cofinite-diagonal")
-        verdict, c = sp.baire_intersect(space, fam, CofiniteSet.ground(),
-                                        candidates=range(args.candidates))
-        report = {
-            "command": "baire %s --candidates %d" % (args.space, args.candidates),
-            "verdict": verdict,
-            **ke.verified(space, c),
-            "citations": ["finite-complement-topology", "baire-property"],
-        }
-        return report, EXIT_NEGATIVE
-    if args.probe is None:
-        raise ParseError("baire on %s needs --probe" % args.space)
-    members = [space.parse_basic(b) for b in args.members]
-    probe = space.parse_basic(args.probe)
-    fam = sp.DenseFamily("finite", tuple(members))
-    point, c = sp.baire_intersect(space, fam, probe)
-    report = {
-        "command": "baire %s --probe %s %s" % (args.space, args.probe,
-                                               " ".join(args.members)),
-        "verdict": point,
-        **ke.verified(space, c),
-        "citations": ["baire-property"],
-    }
-    return report, EXIT_OK
+        verdict, c = sp.baire_intersect(space, sp.DenseFamily("cofinite-diagonal"),
+                                        CofiniteSet.ground(), candidates=range(candidates))
+        return verdict, ke.verified(space, c), False
+    fam = sp.DenseFamily("finite", tuple(space.parse_basic(b) for b in members))
+    point, c = sp.baire_intersect(space, fam, space.parse_basic(probe))
+    return point, ke.verified(space, c), True
 
 
-def cmd_microcompact(args):
-    space = ke.space_of(args.space)
-    p = space.parse_point(args.p)
-    v = space.parse_basic(args.v)
-    if args.depth < 1:
-        raise ParseError("--depth must be at least 1, got %d" % args.depth)
-    if args.depth > 1:
-        chain = sp.microcompact_nesting(space, p, v, depth=args.depth)
-        report = {
-            "command": "microcompact %s %s %s --depth %d" % (args.space, args.p,
-                                                             args.v, args.depth),
-            "verdict": "nested x%d" % args.depth,
-            "certificate": {"chain": chain},
-            "verified": all(ke.verify_certificate(space, c) for c in chain),
-            "citations": ["microcompactness"],
-        }
-        return report, EXIT_OK
+def cmd_microcompact(space, p, v, depth):
+    if depth > 1:
+        chain = sp.microcompact_nesting(space, p, v, depth=depth)
+        fields = {"certificate": {"chain": chain},
+                  "verified": all(ke.verify_certificate(space, c) for c in chain)}
+        return "nested x%d" % depth, fields, True
     c, _interior = sp.microcompact_neighborhood(space, p, v)
-    report = {
-        "command": "microcompact %s %s %s" % (args.space, args.p, args.v),
-        "verdict": "compact neighborhood found",
-        **ke.verified(space, c),
-        "citations": ["microcompactness"],
-    }
-    return report, EXIT_OK
+    return "compact neighborhood found", ke.verified(space, c), True
+
+
+def cmd_demo(name, space):
+    run, _citations = DEMOS[name]
+    return run(space or "line") if name == "theorem2" else run()
 
 
 # ---------------------------------------------------------------------------
 # Demo gallery.
 
+DEMOS = {}
 
+
+def _demo(name, *citations):
+    """Register the decorated demo as `demo NAME`, citing `citations`."""
+    def register(run):
+        DEMOS[name] = run, list(citations)
+        return run
+    return register
+
+
+@_demo("two-origins", "line-with-two-origins")
 def demo_two_origins():
     space = ke.space_of("two-origins")
     o0 = ml.MultiLinePoint(Fraction(0), 0)
@@ -321,11 +203,10 @@ def demo_two_origins():
         "away-from-origin": ke.verified(space, c2, separable=ok2),
         "maximal-hausdorff": ke.verified(space, mc, handle=handle),
     }
-    return {"verdict": "origins are the only non-separable pair",
-            "certificate": certificate,
-            "citations": ["line-with-two-origins"]}, EXIT_OK
+    return "origins are the only non-separable pair", {"certificate": certificate}, True
 
 
+@_demo("branching-line", "branching-line", "non-homogeneity")
 def demo_branching_line():
     space = ke.BRANCH
     origin_l = ml.branch_point(Fraction(0), "L")
@@ -342,11 +223,10 @@ def demo_branching_line():
         "note": "the origin has a non-separable partner while (1,L) has none "
                 "among the samples, so no self-homeomorphism exchanges them",
     }
-    return {"verdict": "not homogeneous",
-            "certificate": certificate,
-            "citations": ["branching-line", "non-homogeneity"]}, EXIT_OK
+    return "not homogeneous", {"certificate": certificate}, True
 
 
+@_demo("feather-homogeneity", "complete-feather", "flip-homeomorphisms", "homogeneity")
 def demo_feather_homogeneity():
     space = ke.FEATHER
     p = (Fraction(0), Fraction(1), Fraction(3))
@@ -361,11 +241,10 @@ def demo_feather_homogeneity():
         "move": ke.verified(space, cm),
     }
     verdict = "homogeneous: replay maps p to q" if out == q else "move failed"
-    return {"verdict": verdict, "certificate": certificate,
-            "citations": ["complete-feather", "flip-homeomorphisms",
-                          "homogeneity"]}, EXIT_OK if out == q else EXIT_NEGATIVE
+    return verdict, {"certificate": certificate}, out == q
 
 
+@_demo("feather-contraction", "complete-feather", "contraction-homotopy")
 def demo_feather_contraction():
     space = ke.FEATHER
     s = (Fraction(0), Fraction(1), Fraction(3))
@@ -384,14 +263,12 @@ def demo_feather_contraction():
             entry["converges_to_both"] = (space.converges(descr, left)
                                           and space.converges(descr, right))
         seams[str(t0)] = entry
-    certificate = {"trace": trace, "seams": seams}
     ok = all(e["equal_or_twins"] for e in seams.values())
-    return {"verdict": "contraction continuous across seams" if ok else "seam jump",
-            "certificate": certificate,
-            "citations": ["complete-feather", "contraction-homotopy"]}, \
-        EXIT_OK if ok else EXIT_NEGATIVE
+    return ("contraction continuous across seams" if ok else "seam jump",
+            {"certificate": {"trace": trace, "seams": seams}}, ok)
 
 
+@_demo("feather-twins", "complete-feather", "twin-pairs", "twin-convergence")
 def demo_feather_twins():
     space = ke.FEATHER
     p = (Fraction(0), Fraction(1))
@@ -408,12 +285,11 @@ def demo_feather_twins():
         "from-above": {"to_lower": space.converges(above, p),
                        "to_upper": space.converges(above, q)},
     }
-    return {"verdict": "twins not separable; below-sequence converges to both",
-            "certificate": certificate,
-            "citations": ["complete-feather", "twin-pairs",
-                          "twin-convergence"]}, EXIT_OK
+    return ("twins not separable; below-sequence converges to both",
+            {"certificate": certificate}, True)
 
 
+@_demo("doubled-line", "doubled-line", "waves")
 def demo_doubled_line():
     space = ke.space_of("doubled")
     spec = space.spec
@@ -437,11 +313,10 @@ def demo_doubled_line():
         "rational-down-witness": {"wave": small, "point": witness},
         "up-points-discrete": {"isolating": isolating, "avoiding": avoiding},
     }
-    return {"verdict": "doubled line wave calculus demonstrated",
-            "certificate": certificate,
-            "citations": ["doubled-line", "waves"]}, EXIT_OK
+    return "doubled line wave calculus demonstrated", {"certificate": certificate}, True
 
 
+@_demo("involutorial", "doubled-line", "involutorial-homogeneity")
 def demo_involutorial():
     space = ke.space_of("doubled")
     p = ml.MultiLinePoint(Fraction(0), 0)
@@ -451,12 +326,11 @@ def demo_involutorial():
     swapped = ml.ml_replay(word, q) == p and ml.ml_replay(word, p) == q
     certificate = {"word": c, "verified": ke.verify_certificate(space, c),
                    "swaps_pair": swapped}
-    return {"verdict": "involutive word swaps the pair" if swapped else "not involutive",
-            "certificate": certificate,
-            "citations": ["doubled-line", "involutorial-homogeneity"]}, \
-        EXIT_OK if swapped else EXIT_NEGATIVE
+    return ("involutive word swaps the pair" if swapped else "not involutive",
+            {"certificate": certificate}, swapped)
 
 
+@_demo("fuks-rokhlin", "tripled-line", "two-point-removal-connectivity")
 def demo_fuks_rokhlin():
     tripled = ke.space_of("tripled")
     src = ml.MultiLinePoint(Fraction(-1), 0)
@@ -470,13 +344,11 @@ def demo_fuks_rokhlin():
         "tripled": ke.verified(tripled, c),
         "two-origins-control": {"result": "inconclusive" if control is None else "connected"},
     }
-    ok = links is not None and control is None
-    return {"verdict": "third copy reconnects; two-origins control inconclusive",
-            "certificate": certificate,
-            "citations": ["tripled-line", "two-point-removal-connectivity"]}, \
-        EXIT_OK if ok else EXIT_NEGATIVE
+    return ("third copy reconnects; two-origins control inconclusive",
+            {"certificate": certificate}, links is not None and control is None)
 
 
+@_demo("lemma-zorn", "maximal-hausdorff-dense-opens")
 def demo_lemma_zorn():
     rows = {}
     cases = [("doubled", "D(0 @1)"), ("feather", "F(0,0)"), ("two-origins", "D(0 @0)")]
@@ -488,24 +360,22 @@ def demo_lemma_zorn():
         rows[name] = dict(ke.verified(space, c, point=p, handle=handle),
                           hausdorff=hd, dense=space.dense(handle))
     ok = all(r["verified"] and r["hausdorff"] and r["dense"] for r in rows.values())
-    return {"verdict": "maximal Hausdorff dense opens certified" if ok else "failed",
-            "certificate": rows,
-            "citations": ["maximal-hausdorff-dense-opens"]}, \
-        EXIT_OK if ok else EXIT_NEGATIVE
+    return ("maximal Hausdorff dense opens certified" if ok else "failed",
+            {"certificate": rows}, ok)
 
 
+@_demo("theorem2", "hausdorff-from-homogeneous-lindelof-baire")
 def demo_theorem2(space_name="line"):
     space = ke.space_of(space_name)
     samples, probes = space.pipeline_sample()
     report = sp.theorem_pipeline(space, samples, probes=probes)
-    ok = report["verdict"] == "separated-point-found"
-    return {"verdict": report["verdict"],
-            "certificate": {"stages": report["stages"],
-                            "separated_point": report.get("separated_point")},
-            "citations": ["hausdorff-from-homogeneous-lindelof-baire"]}, \
-        EXIT_OK if ok else EXIT_NEGATIVE
+    certificate = {"stages": report["stages"],
+                   "separated_point": report.get("separated_point")}
+    return (report["verdict"], {"certificate": certificate},
+            report["verdict"] == "separated-point-found")
 
 
+@_demo("lindelof-failure", "lindelof-failure", "uncovered-witness")
 def demo_lindelof_failure():
     doubled = ke.space_of("doubled")
     chosen_d = [ml.full_wave(doubled.spec)] + [
@@ -520,12 +390,11 @@ def demo_lindelof_failure():
         "feather": ke.verified(feather, cf, covered=covered_f),
     }
     failed = not covered_d and not covered_f
-    return {"verdict": "subfamilies leave uncovered points" if failed else "covered",
-            "certificate": certificate,
-            "citations": ["lindelof-failure", "uncovered-witness"]}, \
-        EXIT_NEGATIVE if failed else EXIT_OK
+    return ("subfamilies leave uncovered points" if failed else "covered",
+            {"certificate": certificate}, not failed)
 
 
+@_demo("cofinite-not-baire", "finite-complement-topology", "baire-property")
 def demo_cofinite_not_baire():
     space = ke.COFINITE
     verdict, c = sp.baire_intersect(space, sp.DenseFamily("cofinite-diagonal"),
@@ -536,69 +405,139 @@ def demo_cofinite_not_baire():
         "quasi-compact-contrast": {"cover": [CofiniteSet.excl(1), CofiniteSet.excl(2)],
                                    "subcover": sub},
     }
-    return {"verdict": verdict, "certificate": certificate,
-            "citations": ["finite-complement-topology", "baire-property"]}, \
-        EXIT_NEGATIVE if verdict == "EMPTY" else EXIT_OK
+    return verdict, {"certificate": certificate}, verdict != "EMPTY"
 
 
+@_demo("microcompact", "microcompactness", "local-compactness")
 def demo_microcompact():
-    doubled = ke.space_of("doubled")
-    p_d, v_d, _ = doubled.chart_sample()
-    chain_d = sp.microcompact_nesting(doubled, p_d, v_d, depth=5)
-    feather = ke.FEATHER
-    p_f, v_f, _ = feather.chart_sample()
-    chain_f = sp.microcompact_nesting(feather, p_f, v_f, depth=5)
-    chart = sp.chart_of_implications()
-    certificate = {
-        "doubled-nesting": {"chain": chain_d,
-                            "verified": all(ke.verify_certificate(doubled, c)
-                                            for c in chain_d)},
-        "feather-nesting": {"chain": chain_f,
-                            "verified": all(ke.verify_certificate(feather, c)
-                                            for c in chain_f)},
-        "implication-chart": chart,
-    }
-    return {"verdict": "locally compact spaces are microcompact; cofinite is not Baire",
-            "certificate": certificate,
-            "citations": ["microcompactness", "local-compactness"]}, EXIT_OK
-
-
-DEMOS = {
-    "two-origins": demo_two_origins,
-    "branching-line": demo_branching_line,
-    "feather-homogeneity": demo_feather_homogeneity,
-    "feather-contraction": demo_feather_contraction,
-    "feather-twins": demo_feather_twins,
-    "doubled-line": demo_doubled_line,
-    "involutorial": demo_involutorial,
-    "fuks-rokhlin": demo_fuks_rokhlin,
-    "lemma-zorn": demo_lemma_zorn,
-    "theorem2": demo_theorem2,
-    "lindelof-failure": demo_lindelof_failure,
-    "cofinite-not-baire": demo_cofinite_not_baire,
-    "microcompact": demo_microcompact,
-}
-
-
-def cmd_demo(args):
-    if args.name not in DEMOS:
-        raise ParseError("unknown demo %r" % args.name)
-    space = args.space
-    if args.name == "theorem2":
-        body, code = demo_theorem2(space or "line")
-        command = "demo theorem2 --space %s" % (space or "line")
-    elif space is not None:
-        raise ParseError("demo %s takes no --space (only theorem2 does)" % args.name)
-    else:
-        body, code = DEMOS[args.name]()
-        command = "demo %s" % args.name
-    report = {"command": command}
-    report.update(body)
-    return report, code
+    certificate = {}
+    for name, space in (("doubled", ke.space_of("doubled")), ("feather", ke.FEATHER)):
+        p, v, _ = space.chart_sample()
+        chain = sp.microcompact_nesting(space, p, v, depth=5)
+        certificate[name + "-nesting"] = {
+            "chain": chain, "verified": all(ke.verify_certificate(space, c) for c in chain)}
+    certificate["implication-chart"] = sp.chart_of_implications()
+    return ("locally compact spaces are microcompact; cofinite is not Baire",
+            {"certificate": certificate}, True)
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing.
+# The verb table.  Forms that depend on the inputs come first.
+
+
+def _move_form(args, space):
+    template = "move {space} {p} {q}" + (" --involutive" if args.involutive else "")
+    return template, ["homogeneity"]
+
+
+def _baire_form(args, space):
+    if not space.is_baire:
+        if args.candidates < 1:
+            raise ParseError("--candidates must be at least 1, got %d" % args.candidates)
+        return ("baire {space} --candidates {candidates}",
+                ["finite-complement-topology", "baire-property"])
+    if args.probe is None:
+        raise ParseError("baire on %s needs --probe" % args.space)
+    return "baire {space} --probe {probe} {members}", ["baire-property"]
+
+
+def _microcompact_form(args, space):
+    if args.depth < 1:
+        raise ParseError("--depth must be at least 1, got %d" % args.depth)
+    template = "microcompact {space} {p} {v}" + (" --depth {depth}" if args.depth > 1 else "")
+    return template, ["microcompactness"]
+
+
+def _demo_form(args, space):
+    name, pipeline_space = args.name, args.space  # --space names theorem2's space
+    if name not in DEMOS:
+        raise ParseError("unknown demo %r" % name)
+    if name == "theorem2":
+        return "demo theorem2 --space " + ("{space}" if pipeline_space else "line"), DEMOS[name][1]
+    if pipeline_space is not None:
+        raise ParseError("demo %s takes no --space (only theorem2 does)" % name)
+    return "demo {name}", DEMOS[name][1]
+
+
+_KINDS = {
+    "space": lambda space, text: ke.space_of(text),
+    "point": lambda space, text: space.parse_point(text),
+    "feather point": lambda space, text: ke.FEATHER.parse_point(text),
+    "basic": lambda space, text: space.parse_basic(text),
+    "basics": lambda space, texts: [space.parse_basic(t) for t in texts],
+    "rational": lambda space, text: parse_rat(text),
+    "raw": lambda space, value: value,
+}
+
+Verb = namedtuple("Verb", "help args form")
+
+
+def _arg(name, kind="raw", **argparse_keywords):
+    return name, kind, argparse_keywords
+
+
+_SPACE = _arg("space", "space")
+
+VERBS = {
+    "separate": Verb("decide separability of two points",
+                     (_SPACE, _arg("p", "point"), _arg("q", "point")),
+                     ("separate {space} {p} {q}", ["separation-of-points"])),
+    "twin": Verb("the twin partner of a feather point", (_arg("p", "feather point"),),
+                 ("twin {p}", ["complete-feather", "twin-pairs"])),
+    "flip": Verb("apply the branch flip at s to r",
+                 (_arg("s", "feather point"), _arg("r", "feather point")),
+                 ("flip {s} {r}", ["complete-feather", "flip-homeomorphisms"])),
+    "normalize": Verb("flip word straightening a point onto the line",
+                      (_arg("p", "feather point"),),
+                      ("normalize {p}", ["complete-feather", "homogeneity"])),
+    "homotopy": Verb("evaluate the contraction at time t",
+                     (_SPACE, _arg("p", "point"), _arg("--t", "rational", required=True)),
+                     ("homotopy {space} {p} --t {t}",
+                      ["complete-feather", "contraction-homotopy"])),
+    "chart": Verb("canonical basic neighborhood",
+                  (_SPACE, _arg("p", "point"), _arg("--eps", "rational", default="1")),
+                  ("chart {space} {p} --eps {eps}", ["canonical-neighborhoods"])),
+    "meet": Verb("intersection of two basic opens",
+                 (_SPACE, _arg("b1", "basic"), _arg("b2", "basic")),
+                 ("meet {space} {b1} {b2}", ["basis-closed-under-meet"])),
+    "dense": Verb("density of a finite union / handle",
+                  (_SPACE, _arg("basics", "basics", nargs="+")),
+                  ("dense {space} {basics}", ["density-criteria"])),
+    "converges": Verb("symbolic sequence convergence",
+                      (_SPACE, _arg("base", "point"), _arg("target", "point"),
+                       _arg("--limit", "rational", required=True),
+                       _arg("--direction", choices=("below", "above"), required=True),
+                       _arg("--index", type=int, default=None)),
+                      ("converges {space} {base} --limit {limit} --direction {direction}"
+                       " {target}", ["twin-convergence"])),
+    "move": Verb("homogeneity word taking p to q",
+                 (_SPACE, _arg("p", "point"), _arg("q", "point"),
+                  _arg("--involutive", action="store_true")),
+                 _move_form),
+    "chain": Verb("wave chain avoiding removed points",
+                  (_SPACE, _arg("src", "point"), _arg("dst", "point"),
+                   _arg("--remove", default=""), _arg("--window", default="-10,10")),
+                  ("chain {space} {src} {dst} --remove {remove} --window {window}",
+                   ["two-point-removal-connectivity"])),
+    "maximal-hausdorff": Verb("maximal Hausdorff dense open at a point",
+                              (_SPACE, _arg("p", "point")),
+                              ("maximal-hausdorff {space} {p}",
+                               ["maximal-hausdorff-dense-opens"])),
+    "subcover": Verb("check a subfamily of the canonical cover",
+                     (_SPACE, _arg("chosen", nargs="+")),
+                     ("subcover {space} {chosen}", ["lindelof-failure"])),
+    "baire": Verb("intersection of dense opens",
+                  (_SPACE, _arg("members", nargs="*"), _arg("--probe", default=None),
+                   _arg("--candidates", type=int, default=10)),
+                  _baire_form),
+    "microcompact": Verb("compact neighborhood inside a given one",
+                         (_SPACE, _arg("p", "point"), _arg("v", "basic"),
+                          _arg("--depth", type=int, default=1)),
+                         _microcompact_form),
+    "demo": Verb("scripted scenario with certificates",
+                 (_arg("name"), _arg("--space", default=None)),
+                 _demo_form),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -612,121 +551,40 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True,
                                 parser_class=lambda **kw: argparse.ArgumentParser(
                                     parents=[common], **kw))
-
-    p = sub.add_parser("separate", help="decide separability of two points")
-    p.add_argument("space")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(func=cmd_separate)
-
-    p = sub.add_parser("twin", help="the twin partner of a feather point")
-    p.add_argument("p")
-    p.set_defaults(func=cmd_twin)
-
-    p = sub.add_parser("flip", help="apply the branch flip at s to r")
-    p.add_argument("s")
-    p.add_argument("r")
-    p.set_defaults(func=cmd_flip)
-
-    p = sub.add_parser("normalize", help="flip word straightening a point onto the line")
-    p.add_argument("p")
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("homotopy", help="evaluate the contraction at time t")
-    p.add_argument("space")
-    p.add_argument("p")
-    p.add_argument("--t", required=True)
-    p.set_defaults(func=cmd_homotopy)
-
-    p = sub.add_parser("chart", help="canonical basic neighborhood")
-    p.add_argument("space")
-    p.add_argument("p")
-    p.add_argument("--eps", default="1")
-    p.set_defaults(func=cmd_chart)
-
-    p = sub.add_parser("meet", help="intersection of two basic opens")
-    p.add_argument("space")
-    p.add_argument("b1")
-    p.add_argument("b2")
-    p.set_defaults(func=cmd_meet)
-
-    p = sub.add_parser("dense", help="density of a finite union / handle")
-    p.add_argument("space")
-    p.add_argument("basics", nargs="+")
-    p.set_defaults(func=cmd_dense)
-
-    p = sub.add_parser("converges", help="symbolic sequence convergence")
-    p.add_argument("space")
-    p.add_argument("base")
-    p.add_argument("target")
-    p.add_argument("--limit", required=True)
-    p.add_argument("--direction", choices=("below", "above"), required=True)
-    p.add_argument("--index", type=int, default=None)
-    p.set_defaults(func=cmd_converges)
-
-    p = sub.add_parser("move", help="homogeneity word taking p to q")
-    p.add_argument("space")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument("--involutive", action="store_true")
-    p.set_defaults(func=cmd_move)
-
-    p = sub.add_parser("chain", help="wave chain avoiding removed points")
-    p.add_argument("space")
-    p.add_argument("src")
-    p.add_argument("dst")
-    p.add_argument("--remove", default="")
-    p.add_argument("--window", default="-10,10")
-    p.set_defaults(func=cmd_chain)
-
-    p = sub.add_parser("maximal-hausdorff", help="maximal Hausdorff dense open at a point")
-    p.add_argument("space")
-    p.add_argument("p")
-    p.set_defaults(func=cmd_maximal_hausdorff)
-
-    p = sub.add_parser("subcover", help="check a subfamily of the canonical cover")
-    p.add_argument("space")
-    p.add_argument("chosen", nargs="+")
-    p.set_defaults(func=cmd_subcover)
-
-    p = sub.add_parser("baire", help="intersection of dense opens")
-    p.add_argument("space")
-    p.add_argument("members", nargs="*")
-    p.add_argument("--probe", default=None)
-    p.add_argument("--candidates", type=int, default=10)
-    p.set_defaults(func=cmd_baire)
-
-    p = sub.add_parser("microcompact", help="compact neighborhood inside a given one")
-    p.add_argument("space")
-    p.add_argument("p")
-    p.add_argument("v")
-    p.add_argument("--depth", type=int, default=1)
-    p.set_defaults(func=cmd_microcompact)
-
-    p = sub.add_parser("demo", help="scripted scenario with certificates")
-    p.add_argument("name")
-    p.add_argument("--space", default=None)
-    p.set_defaults(func=cmd_demo)
-
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for arg, _kind, keywords in verb.args:
+            p.add_argument(arg, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
+    verb = VERBS[args.verb]
+    space, values = None, []
     try:
-        report, code = args.func(args)
+        for name, kind, _ in verb.args:
+            value = _KINDS[kind](space, getattr(args, name.lstrip("-")))
+            if kind == "space":
+                space = value
+            values.append(value)
+        template, citations = verb.form(args, space) if callable(verb.form) else verb.form
+        handler = globals()["cmd_" + args.verb.replace("-", "_")]
+        verdict, fields, positive = handler(*values)
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return EXIT_PARSE
     except PreconditionError as exc:
         sys.stderr.write("precondition error: %s\n" % exc)
         return EXIT_PRECONDITION
+    raw = {k: " ".join(v) if isinstance(v, list) else v for k, v in vars(args).items()}
+    report = {"command": template.format(**raw), "verdict": verdict, **fields,
+              "citations": citations}
     _render(report, args.format, sys.stdout)
-    return code
+    return EXIT_OK if positive else EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

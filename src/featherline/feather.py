@@ -247,11 +247,6 @@ def arms_to_intervals(arms) -> list:
     return out
 
 
-def fi_meet(i1: FeatherInterval, i2: FeatherInterval) -> list:
-    """Meet of two order intervals: a finite union of order intervals."""
-    return arms_to_intervals(meet_arms(i1.arms(), i2.arms()))
-
-
 def arms_twin_pair(arms):
     """Search an arm union for a twin pair {(q,r), (q,r,r)}.  Returns the
     pair or None.  The longer twin can only sit at the closed lower end of

@@ -108,7 +108,7 @@ class CoverDescriptor:
         if self.kind == "lift-cover":
             if not isinstance(b, ml.Wave) or b.parts != IntervalSet.full_line():
                 return False
-            return len(b.lift) == 0 or (len(b.lift) == 1 and b.lift[0][1] == 1)
+            return len(b.lift) <= 1  # `Wave` bounds each lift level to 1 <= j < k
         if self.kind == "chart-cover":
             return isinstance(b, fe.Chart)
         return b in self.basics
@@ -166,6 +166,12 @@ class Space:
 
     def density_witness(self, basics):
         return None
+
+    def covered_by(self, chosen) -> bool:
+        """Whether the basics `chosen` cover the space, where the space
+        decides it from the basics alone; elsewhere a covered certificate
+        rests on its probes."""
+        return True
 
 
 class FeatherSpace(Space):
@@ -481,6 +487,18 @@ class MultiLineSpace(Space):
             return []
         return [ml.MultiLinePoint(x, level) for x in spec.doubling for level in range(1, spec.k)]
 
+    def covered_by(self, chosen) -> bool:
+        """The waves' down projections cover the line, and every upper
+        point lies in one of them.  No finite family covers a line doubled
+        everywhere, so there a covered certificate claims only its probes
+        (the waves that contain them)."""
+        if not all(isinstance(w, ml.Wave) for w in chosen):
+            raise PreconditionError("a line cover consists of waves")
+        if self.spec.k > 1 and self.spec.doubling == "all":
+            return True
+        return iset_covers_line(_down_union(chosen)) and all(
+            any(w.contains(p) for w in chosen) for p in self._upper_points())
+
     def cover_probes(self):
         """Sample points a covering choice must contain: three down points
         and every upper point."""
@@ -502,7 +520,7 @@ class MultiLineSpace(Space):
         return ml.MultiLinePoint(Fraction(0), 0), v, v
 
     def pipeline_sample(self):
-        # lift covers admit level 1 only, and only doubled abscissae lift
+        # only doubled abscissae lift
         return ([ml.MultiLinePoint(Fraction(n), int(self.spec.is_doubled(n))) for n in (0, 1)],
                 [ml.MultiLinePoint(Fraction(n), 0) for n in (2, 3)])
 
@@ -882,8 +900,9 @@ _CHECKS = {
                                        and space.meet_is_empty(pl["b1"], pl["b2"])),
     "twin-pair": lambda space, pl: _non_separable_at_every_scale(space, pl["p"], pl["q"]),
     "uncovered": lambda space, pl: all(not space.member(pl["point"], b) for b in pl["chosen"]),
-    "covered": lambda space, pl: all(any(space.member(p, b) for b in pl["chosen"])
-                                     for p in pl["probes"]),
+    "covered": lambda space, pl: (all(any(space.member(p, b) for b in pl["chosen"])
+                                      for p in pl["probes"])
+                                  and space.covered_by(pl["chosen"])),
     "excluded-by": _verify_excluded,
     "chain": _verify_chain,
     "homeo-word": _verify_word,

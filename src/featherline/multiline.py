@@ -459,12 +459,8 @@ def branch_meet(b1: BranchInterval, b2: BranchInterval) -> list:
 
 def branch_separating(p: BranchPoint, q: BranchPoint):
     """Disjoint basic opens around two separable branch points."""
-    if p.x == q.x:
-        if p.x == 0:
-            raise PreconditionError("the two origins are not separable")
-        d = abs(p.x) / 2
-        return (BranchInterval(p.x - d, p.x + d, p.side),
-                BranchInterval(q.x - d, q.x + d, q.side))
-    d = abs(p.x - q.x) / 2
+    if p.x == q.x == 0:
+        raise PreconditionError("the two origins are not separable")
+    d = abs(p.x if p.x == q.x else p.x - q.x) / 2
     return (BranchInterval(p.x - d, p.x + d, p.side),
             BranchInterval(q.x - d, q.x + d, q.side))

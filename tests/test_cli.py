@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -168,6 +169,85 @@ def test_subcover_of_the_line_with_two_origins_covers():
     for kept in cover:
         code, out, _ = main_in_process(["subcover", "two-origins", kept])
         assert code == 3 and out.startswith("verdict: uncovered")
+
+
+def test_subcover_of_the_tripled_line_admits_a_level_two_lift():
+    code, out, err = main_in_process(["subcover", "tripled", "W[(-inf,inf)-{0^2}]",
+                                      "--format", "json"])
+    report = json.loads(out)
+    assert (code, report["verdict"], report["verified"]) == (3, "uncovered", True), err
+
+
+# One argv per verb form, and the command its report echoes.
+COMMAND_CASES = [
+    (["separate", "F", "F(0)", "F(0,0)"], "separate F F(0) F(0,0)"),
+    (["twin", "F(0,1)"], "twin F(0,1)"),
+    (["flip", "F(0,1)", "F(0,5)"], "flip F(0,1) F(0,5)"),
+    (["normalize", "F(0,1,3)"], "normalize F(0,1,3)"),
+    (["homotopy", "F", "F(0,2)", "--t", "1"], "homotopy F F(0,2) --t 1"),
+    (["chart", "D", "D(0 @1)"], "chart D D(0 @1) --eps 1"),
+    (["chart", "feather", "F(0,1)", "--eps=1/2"], "chart feather F(0,1) --eps 1/2"),
+    (["meet", "doubled", "W[(-1,1)-{0^1}]", "W[(0,2)-{}]"],
+     "meet doubled W[(-1,1)-{0^1}] W[(0,2)-{}]"),
+    (["dense", "doubled", "W[(-inf,inf)-{0^1}]", "W[(0,1)-{}]"],
+     "dense doubled W[(-inf,inf)-{0^1}] W[(0,1)-{}]"),
+    (["converges", "F", "F(0,1)", "F(0,1,1)", "--direction", "below", "--limit", "1"],
+     "converges F F(0,1) --limit 1 --direction below F(0,1,1)"),
+    (["move", "doubled", "D(0 @0)", "D(1 @1)"], "move doubled D(0 @0) D(1 @1)"),
+    (["move", "doubled", "D(0 @0)", "D(1 @1)", "--involutive"],
+     "move doubled D(0 @0) D(1 @1) --involutive"),
+    (["chain", "tripled", "D(-1 @0)", "D(1 @0)", "--remove", "D(0 @0);D(0 @1)",
+      "--window=-5,5"],
+     "chain tripled D(-1 @0) D(1 @0) --remove D(0 @0);D(0 @1) --window -5,5"),
+    (["chain", "doubled", "D(-1)", "D(1)"], "chain doubled D(-1) D(1) --remove  --window -10,10"),
+    (["maximal-hausdorff", "feather", "F(0,0)"], "maximal-hausdorff feather F(0,0)"),
+    (["subcover", "doubled", "W[(-inf,inf)-{}]", "W[(-inf,inf)-{1^1}]"],
+     "subcover doubled W[(-inf,inf)-{}] W[(-inf,inf)-{1^1}]"),
+    (["baire", "cofinite", "--candidates", "5"], "baire cofinite --candidates 5"),
+    (["baire", "doubled", "W[(-inf,inf)-{0^1}]", "W[(-inf,inf)-{}]", "--probe", "W[(-1,1)-{}]"],
+     "baire doubled --probe W[(-1,1)-{}] W[(-inf,inf)-{0^1}] W[(-inf,inf)-{}]"),
+    (["microcompact", "doubled", "D(0 @0)", "W[(-1,1)-{}]"],
+     "microcompact doubled D(0 @0) W[(-1,1)-{}]"),
+    (["microcompact", "doubled", "D(0 @0)", "W[(-1,1)-{}]", "--depth", "3"],
+     "microcompact doubled D(0 @0) W[(-1,1)-{}] --depth 3"),
+    (["demo", "two-origins"], "demo two-origins"),
+    (["demo", "theorem2"], "demo theorem2 --space line"),
+    (["demo", "theorem2", "--space", "doubled"], "demo theorem2 --space doubled"),
+]
+
+
+@pytest.mark.parametrize("argv,command", COMMAND_CASES, ids=[c[1] for c in COMMAND_CASES])
+def test_report_echoes_the_command(argv, command):
+    code, out, err = main_in_process(argv + ["--format", "json"])
+    assert code in (0, 3), err
+    assert json.loads(out)["command"] == command
+
+
+def readme_examples():
+    """(argv, verdict or None, exit code) for each line of README's example
+    queries; a comment gives the verdict and, if not 0, the exit code."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("Example queries:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.replace("\\\n", " ").splitlines():
+        query, _, comment = line.partition(" #")
+        verdict, _, code = comment.strip().partition(" (exit ")
+        yield shlex.split(query)[1:], verdict or None, int(code.rstrip(")") or 0)
+
+
+README_EXAMPLES = list(readme_examples())
+
+
+def test_readme_lists_nine_example_queries():
+    assert len(README_EXAMPLES) == 9
+
+
+@pytest.mark.parametrize("argv,verdict,code", README_EXAMPLES,
+                         ids=[a[0] for a, _, _ in README_EXAMPLES])
+def test_readme_example_query(argv, verdict, code):
+    got, out, err = main_in_process(argv)
+    assert got == code, err
+    if verdict is not None:
+        assert out.splitlines()[0] == "verdict: " + verdict
 
 
 def test_invalid_point_in_valid_syntax():

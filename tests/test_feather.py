@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from featherline import feather as fe
+from featherline import kernel as ke
 from featherline.rationals import PreconditionError
 
 F = Fraction
@@ -94,7 +95,7 @@ def test_interval_membership():
 def test_meet_example_line_level():
     i1 = fe.FeatherInterval((F(-1),), (F(1),))
     i2 = fe.FeatherInterval((F(0),), (F(2),))
-    [m] = fe.fi_meet(i1, i2)
+    [m] = ke.FEATHER.meet(i1, i2)
     assert m.lower == (F(0),) and m.upper == (F(1),)
 
 
@@ -105,7 +106,7 @@ def test_interval_endpoint_validation():
     i1 = fe.FeatherInterval((F(-1),), (F(0), F(5), F(7)))
     assert i1.contains((F(0), F(3)))
     i2 = fe.FeatherInterval((F(0), F(1)), (F(0), F(2)))
-    assert not fe.fi_meet(i2, fe.FeatherInterval((F(5),), (F(6),)))
+    assert not ke.FEATHER.meet(i2, fe.FeatherInterval((F(5),), (F(6),)))
 
 
 @given(feather_points(), feather_points(), feather_points())
@@ -123,7 +124,7 @@ def test_meet_pointwise(u1, v1, u2, v2, w):
     if not (fe.fp_less(u1, v1) and fe.fp_less(u2, v2)):
         return
     i1, i2 = fe.FeatherInterval(u1, v1), fe.FeatherInterval(u2, v2)
-    parts = fe.fi_meet(i1, i2)
+    parts = ke.FEATHER.meet(i1, i2)
     member = any(m.contains(w) for m in parts)
     assert member == (i1.contains(w) and i2.contains(w))
 
@@ -278,6 +279,6 @@ def test_disjoint_branch_family():
     i0 = fe.disjoint_branch_family(F(0), F(1), F(2))
     i1 = fe.disjoint_branch_family(F(1), F(2), F(3))
     assert i0.contains((F(0), F(3, 2)))
-    assert not fe.fi_meet(i0, i1)
+    assert not ke.FEATHER.meet(i0, i1)
     with pytest.raises(PreconditionError):
         fe.disjoint_branch_family(F(0), F(1), F(1))

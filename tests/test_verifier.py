@@ -272,3 +272,20 @@ def test_an_uncovered_point_off_the_space_is_rejected():
     chosen = [space.cover_member(w) for w in ("W[(-inf,inf)-{}]", "W[(-inf,inf)-{0^1}]")]
     assert sp.subcover_attempt(space, space.canonical_cover(), chosen)[0]
     assert not ke.verify_certificate(space, cert.uncovered(ml.MultiLinePoint(F(1), 1), chosen))
+
+
+def test_a_covered_certificate_must_cover_beyond_its_probes():
+    # the probes lie in the chosen wave, but D(5) lies in none
+    line = ke.space_of("line")
+    probes = [ml.MultiLinePoint(F(n), 0) for n in (-1, 0, 1)]
+    c = cert.covered(probes, [line.parse_basic("W[(-inf,5)u(5,inf)-{}]")])
+    assert not ke.verify_certificate(line, c)
+    full = line.parse_basic("W[(-inf,inf)-{}]")
+    assert ke.verify_certificate(line, cert.covered(probes, [full]))
+
+
+def test_a_covered_certificate_must_hold_every_upper_point():
+    space = ke.space_of("two-origins")
+    probes = [ml.MultiLinePoint(F(n), 0) for n in (-1, 0, 1)]
+    c = cert.covered(probes, [space.parse_basic("W[(-inf,inf)-{}]")])
+    assert not ke.verify_certificate(space, c)
