@@ -4,15 +4,19 @@ Every boolean verdict in the engine ships one; `kernel.verify_certificate`
 re-derives the attested fact from scratch without trusting the producer.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from .rationals import Value
 
 
-@dataclass
-class Certificate:
-    kind: str
-    payload: dict = field(default_factory=dict)
+class Certificate(Value):
+    """A kind and its payload dict; mutable, so unhashable."""
+
+    __slots__ = _fields = ("kind", "payload")
+    __hash__ = None
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, kind, payload=None):
+        self.kind = kind
+        self.payload = {} if payload is None else payload
 
 
 def separated_by(p, q, b1, b2) -> Certificate:

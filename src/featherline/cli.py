@@ -27,8 +27,6 @@ errors, 2 for precondition errors, 3 for expected negative verdicts
 (non-separable pairs, failed subcovers, EMPTY intersections, ...).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

@@ -23,12 +23,9 @@ Internal transforms trust tuples that are already valid: a generator's
 the point and checks only that seam, and a translation preserves the order.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rationals import PreconditionError, fmt_ext
+from .rationals import PreconditionError, Value, fmt_ext
 
 # A feather point is a plain tuple of Fractions, validated by fp_validate and
 # printed by fp_str.
@@ -99,15 +96,14 @@ def fp_translate(t, p: tuple) -> tuple:
 # Order intervals and their arm decomposition.
 
 
-@dataclass(frozen=True)
-class Arm:
+class Arm(Value):
     """{prefix + (r,) : r in (lo, hi)}, with the lower end closed when
     lo equals prefix[-1] (the branch point sits on the arm)."""
 
-    prefix: tuple
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool = False
+    __slots__ = _fields = ("prefix", "lo", "hi", "lo_closed")
+
+    def __init__(self, prefix, lo, hi, lo_closed=False):
+        Value.__init__(self, prefix, lo, hi, lo_closed)
 
     def contains_coord(self, r) -> bool:
         if self.lo_closed:
@@ -121,13 +117,17 @@ class Arm:
         return not self.lo < self.hi
 
 
-@dataclass(frozen=True)
-class FeatherInterval:
-    """Basic open {w : lower < w < upper}."""
+class FeatherInterval(Value):
+    """Basic open {w : lower < w < upper}; `_arms` keeps its arms."""
 
-    lower: tuple
-    upper: tuple
-    _arms: tuple = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("lower", "upper", "_arms")
+    _fields = ("lower", "upper")
+
+    def __init__(self, lower, upper):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "_arms", None)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "lower", fp_validate(self.lower))
@@ -269,14 +269,14 @@ def arms_twin_pair(arms):
 # Charts.
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Value):
     """Canonical basic neighborhood of a point, homeomorphic to (-eps, eps)
     via r |-> r - (last coordinate of the center)."""
 
-    center: tuple
-    radius: Fraction
-    interval: FeatherInterval
+    __slots__ = _fields = ("center", "radius", "interval")
+
+    def __init__(self, center, radius, interval):
+        Value.__init__(self, center, radius, interval)
 
     def __str__(self):
         return str(self.interval)
@@ -341,12 +341,11 @@ def _glue(head: tuple, tail: tuple) -> tuple:
     return head + tail
 
 
-@dataclass(frozen=True)
-class FlipGen:
-    pivot: tuple
+class FlipGen(Value):
+    __slots__ = _fields = ("pivot",)
 
-    def __post_init__(self):
-        pivot = fp_validate(self.pivot)
+    def __init__(self, pivot):
+        pivot = fp_validate(pivot)
         if len(pivot) < 2:
             raise PreconditionError("flip needs a point of length >= 2")
         object.__setattr__(self, "pivot", pivot)
@@ -363,9 +362,11 @@ class FlipGen:
         return p
 
 
-@dataclass(frozen=True)
-class FeatherTranslateGen:
-    shift: Fraction
+class FeatherTranslateGen(Value):
+    __slots__ = _fields = ("shift",)
+
+    def __init__(self, shift):
+        object.__setattr__(self, "shift", shift)
 
     def apply(self, p: tuple) -> tuple:
         return fp_translate(self.shift, p)
@@ -465,12 +466,14 @@ def homotopy_seam_limits(t0, s: tuple):
 # adjoining any missing point creates a twin pair.
 
 
-@dataclass(frozen=True)
-class SkeletonHandle:
+class SkeletonHandle(Value):
     """All points that are not upper twins, optionally conjugated by a flip
     so that a prescribed upper twin lands inside."""
 
-    flip: FlipGen = None
+    __slots__ = _fields = ("flip",)
+
+    def __init__(self, flip=None):
+        object.__setattr__(self, "flip", flip)
 
     def __str__(self):
         if self.flip is None:

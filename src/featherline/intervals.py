@@ -5,23 +5,22 @@ All sets are finite presentations with rational or infinite endpoints, so
 every operation here is exact.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .rationals import NEG_INF, POS_INF, PreconditionError, as_ext, fmt_ext
+from .rationals import NEG_INF, POS_INF, PreconditionError, Value, as_ext, fmt_ext
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(Value):
     """Canonical finite union of open intervals (a, b), sorted and
     non-overlapping.  Touching intervals like (0,1) and (1,2) stay distinct
     because the shared endpoint is absent from both."""
 
-    intervals: tuple  # tuple of (lo, hi) pairs
+    __slots__ = _fields = ("intervals",)  # tuple of (lo, hi) pairs
+
+    def __init__(self, intervals):
+        object.__setattr__(self, "intervals", intervals)
 
     @staticmethod
     def of(*pairs) -> "IntervalSet":
@@ -176,11 +175,13 @@ def iset_pick_point(a: IntervalSet, avoid=()) -> Fraction:
     raise PreconditionError("empty set has no points")
 
 
-@dataclass(frozen=True)
-class FinSet:
+class FinSet(Value):
     """Finite sorted duplicate-free set of finite rationals."""
 
-    elements: tuple
+    __slots__ = _fields = ("elements",)
+
+    def __init__(self, elements):
+        object.__setattr__(self, "elements", elements)
 
     @staticmethod
     def of(*xs) -> "FinSet":
@@ -206,13 +207,15 @@ class FinSet:
         return "{%s}" % ",".join(fmt_ext(x) for x in self.elements)
 
 
-@dataclass(frozen=True)
-class CofiniteSet:
+class CofiniteSet(Value):
     """Subset of the naturals that is either empty or has finite complement.
-    A non-empty member denotes N minus `excluded`."""
+    A non-empty member denotes N minus `excluded` (a sorted tuple of ints,
+    ignored when `empty_set` is True)."""
 
-    excluded: tuple  # sorted tuple of ints; ignored when empty_set is True
-    empty_set: bool = False
+    __slots__ = _fields = ("excluded", "empty_set")
+
+    def __init__(self, excluded, empty_set=False):
+        Value.__init__(self, excluded, empty_set)
 
     @staticmethod
     def excl(*ns) -> "CofiniteSet":

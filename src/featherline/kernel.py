@@ -55,9 +55,6 @@ the refuter and without the producer's `non_separable_pair`:
 The producer's cross-check in `separable` keeps the 4-scale refuter.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import certificates as cert
@@ -65,7 +62,7 @@ from . import feather as fe
 from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
                         iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
-from .rationals import NEG_INF, POS_INF, PreconditionError
+from .rationals import NEG_INF, POS_INF, PreconditionError, Value
 from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
@@ -73,20 +70,17 @@ _RATIONAL = frozenset((Fraction, int))  # exact coordinate types of a point
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class SeqDescriptor:
-    """Parametric sequence: coordinates of `base` up to `coord_index` stay
-    fixed, the moving coordinate runs m |-> limit -+ 1/m."""
+class SeqDescriptor(Value):
+    """Parametric sequence on the space "feather" or "multiline":
+    coordinates of `base` up to `coord_index` stay fixed, the moving
+    coordinate runs m |-> limit -+ 1/m ("below" | "above")."""
 
-    space: str  # "feather" or "multiline"
-    base: object
-    coord_index: int
-    limit: Fraction
-    direction: str  # "below" | "above"
+    __slots__ = _fields = ("space", "base", "coord_index", "limit", "direction")
 
-    def __post_init__(self):
-        if self.direction not in ("below", "above"):
+    def __init__(self, space, base, coord_index, limit, direction):
+        if direction not in ("below", "above"):
             raise PreconditionError("direction must be 'below' or 'above'")
+        Value.__init__(self, space, base, coord_index, limit, direction)
 
     def term(self, m: int):
         step = Fraction(1, m)
@@ -96,17 +90,18 @@ class SeqDescriptor:
         return ml.MultiLinePoint(x, self.base.level)
 
 
-@dataclass(frozen=True)
-class CoverDescriptor:
+class CoverDescriptor(Value):
     """Either a parametric family with decidable membership or an explicit
     finite list of basics."""
 
-    kind: str  # "lift-cover" | "chart-cover" | "explicit"
-    basics: tuple = ()
+    __slots__ = _fields = ("kind", "basics")
+
+    def __init__(self, kind, basics=()):  # "lift-cover" | "chart-cover" | "explicit"
+        Value.__init__(self, kind, basics)
 
     def admits(self, b) -> bool:
         if self.kind == "lift-cover":
-            if not isinstance(b, ml.Wave) or b.parts != IntervalSet.full_line():
+            if not isinstance(b, ml.Wave) or not iset_covers_line(b.parts):
                 return False
             return len(b.lift) <= 1  # `Wave` bounds each lift level to 1 <= j < k
         if self.kind == "chart-cover":

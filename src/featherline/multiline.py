@@ -16,27 +16,23 @@ when their open sets do.  The overlap test `iset_meets` stops at the first
 overlap, so neither a meet wave nor a meet of the open sets is built.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .intervals import (FinSet, IntervalSet, iset_meet, iset_meets, iset_pick_point,
                         iset_remove_points)
-from .rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
+from .rationals import NEG_INF, POS_INF, PreconditionError, Value, fmt_ext
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(Value):
     """Fiber count and which abscissae possess upper levels."""
 
-    k: int
-    doubling: object = "all"  # "all" or a FinSet of doubled abscissae
+    __slots__ = _fields = ("k", "doubling")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k, doubling="all"):  # "all" or a FinSet of doubled abscissae
+        if k < 1:
             raise PreconditionError("fiber count must be >= 1")
+        Value.__init__(self, k, doubling)
 
     def is_doubled(self, x) -> bool:
         if self.k == 1:
@@ -60,9 +56,8 @@ TRIPLED = SpaceSpec(3)
 TWO_ORIGINS = SpaceSpec(2, FinSet.of(0))
 
 
-class MultiLinePoint(NamedTuple):
-    x: Fraction
-    level: int
+class MultiLinePoint(namedtuple("MultiLinePoint", "x level")):
+    __slots__ = ()
 
     def __str__(self):
         return "D(%s @%d)" % (fmt_ext(self.x), self.level)
@@ -78,20 +73,28 @@ def ml_point(spec: SpaceSpec, x, level: int) -> MultiLinePoint:
     return MultiLinePoint(x, level)
 
 
-@dataclass(frozen=True)
-class Wave:
+class Wave(Value):
     """Basic open: (O minus lifted abscissae) downstairs, lifted points
-    upstairs at their assigned levels."""
+    upstairs at their assigned levels.  `lift` is a sorted tuple of
+    (abscissa, level) with level >= 1, and `_levels` maps abscissa -> level."""
 
-    spec: SpaceSpec
-    parts: IntervalSet
-    lift: tuple = ()  # sorted tuple of (abscissa, level) with level >= 1
-    _levels: dict = field(init=False, compare=False, repr=False)  # abscissa -> level
+    __slots__ = ("spec", "parts", "lift", "_levels")
+    _fields = ("spec", "parts", "lift")
+
+    def __init__(self, spec, parts, lift=()):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "lift", lift)
+        self.__post_init__()
 
     def __post_init__(self):
         levels = {}
         for x, j in self.lift:
             levels[x if type(x) is Fraction else Fraction(x)] = int(j)
+        if len(levels) < len(self.lift):  # a repeated abscissa must repeat its level
+            for x, j in self.lift:
+                if levels[Fraction(x)] != int(j):
+                    raise PreconditionError("abscissa %s lifted to two levels" % fmt_ext(x))
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "lift", tuple(sorted(levels.items())))
         for x, j in self.lift:
@@ -172,9 +175,11 @@ def wave_member_levels(w: Wave, x) -> set:
 # Homeomorphism generators.
 
 
-@dataclass(frozen=True)
-class TranslateGen:
-    shift: Fraction
+class TranslateGen(Value):
+    __slots__ = _fields = ("shift",)
+
+    def __init__(self, shift):
+        object.__setattr__(self, "shift", shift)
 
     def apply(self, p: MultiLinePoint) -> MultiLinePoint:
         return MultiLinePoint(p.x + self.shift, p.level)
@@ -184,10 +189,11 @@ class TranslateGen:
         return Wave(w.spec, parts, tuple((x + self.shift, j) for x, j in w.lift))
 
 
-@dataclass(frozen=True)
-class ExchangeGen:
-    at: Fraction
-    levels: tuple  # (i, j)
+class ExchangeGen(Value):
+    __slots__ = _fields = ("at", "levels")
+
+    def __init__(self, at, levels):  # levels: (i, j)
+        Value.__init__(self, at, levels)
 
     def _swap(self, level: int) -> int:
         i, j = self.levels
@@ -217,9 +223,11 @@ class ExchangeGen:
         return Wave(w.spec, w.parts, tuple(lift.items()))
 
 
-@dataclass(frozen=True)
-class ReflectGen:
-    about: Fraction
+class ReflectGen(Value):
+    __slots__ = _fields = ("about",)
+
+    def __init__(self, about):
+        object.__setattr__(self, "about", about)
 
     def apply(self, p: MultiLinePoint) -> MultiLinePoint:
         return MultiLinePoint(2 * self.about - p.x, p.level)
@@ -400,9 +408,8 @@ def up_points_discrete_witnesses(spec: SpaceSpec, sample: FinSet, down_point=Non
 # The branching line: two copies of R glued along the negatives.
 
 
-class BranchPoint(NamedTuple):
-    x: Fraction
-    side: str  # "L" or "R"; x < 0 is side-agnostic and canonicalized to "L"
+class BranchPoint(namedtuple("BranchPoint", "x side")):
+    __slots__ = ()  # side "L" or "R"; x < 0 is side-agnostic, canonicalized to "L"
 
     def __str__(self):
         return "B(%s,%s)" % (fmt_ext(self.x), self.side)
@@ -417,20 +424,18 @@ def branch_point(x, side="L") -> BranchPoint:
     return BranchPoint(x, side)
 
 
-@dataclass(frozen=True)
-class BranchInterval:
+class BranchInterval(Value):
     """Open interval (lo, hi) read on one side: its x >= 0 part carries the
     side tag, its negative part is shared."""
 
-    lo: Fraction
-    hi: Fraction
-    side: str
+    __slots__ = _fields = ("lo", "hi", "side")
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
+    def __init__(self, lo, hi, side):
+        if not lo < hi:
             raise PreconditionError("empty branch interval")
-        if self.side not in ("L", "R"):
+        if side not in ("L", "R"):
             raise PreconditionError("side must be L or R")
+        Value.__init__(self, lo, hi, side)
 
     def __str__(self):
         return "BI[(%s,%s)@%s]" % (fmt_ext(self.lo), fmt_ext(self.hi), self.side)

@@ -5,8 +5,6 @@ denominator); the two infinities are the float sentinels, which compare
 correctly against Fraction.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 NEG_INF = float("-inf")
@@ -67,3 +65,38 @@ class ParseError(ValueError):
 
 class PreconditionError(ValueError):
     """Operation precondition violated (CLI exit status 2)."""
+
+
+class Value:
+    """A slotted value type.  `_fields` names the fields that equality (same
+    class only), hash and the dataclass-style repr read; hidden caches are
+    slots left out of it.  `__init__` sets each field once, through
+    `Value.__init__` or `object.__setattr__`; assignment raises AttributeError."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)

@@ -8,15 +8,12 @@ wave, the strict skeleton, the complement of one origin), each shipping a
 maximality certificate.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import certificates as cert
 from . import kernel as ke
 from .intervals import CofiniteSet
-from .rationals import PreconditionError
+from .rationals import PreconditionError, Value
 
 # ---------------------------------------------------------------------------
 # Lemma-style maximal Hausdorff dense opens.
@@ -72,13 +69,14 @@ def subcover_attempt(space, cover: ke.CoverDescriptor, chosen):
 # Baire intersections.
 
 
-@dataclass(frozen=True)
-class DenseFamily:
+class DenseFamily(Value):
     """A finite list of dense open members, or the parametric cofinite
     family D_n = ground-minus-{n} indexed by all naturals."""
 
-    kind: str  # "finite" | "cofinite-diagonal"
-    members: tuple = ()
+    __slots__ = _fields = ("kind", "members")
+
+    def __init__(self, kind, members=()):  # "finite" | "cofinite-diagonal"
+        Value.__init__(self, kind, members)
 
 
 def baire_intersect(space, fam: DenseFamily, probe, candidates=range(100)):

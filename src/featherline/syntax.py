@@ -20,8 +20,6 @@ A bare tuple of Fractions is a feather point; any other sequence of
 rationals in a report must be a list, and renders as a list of rationals.
 """
 
-from __future__ import annotations
-
 import re
 from fractions import Fraction
 
@@ -159,7 +157,7 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
         body = m.group(2).strip()
         if body:
             for item in body.split(","):
-                if "^" not in item:
+                if item.count("^") != 1:
                     raise ParseError("lift entries look like x^level: %r" % item)
                 xs, js = item.split("^")
                 lift.append((parse_rat(xs), parse_int(js)))

@@ -154,6 +154,24 @@ def test_theorem2_runs_on_every_space_with_a_pipeline(space):
     assert all(r["verified"] for stage in stages for r in stage.get("results", ()))
 
 
+@pytest.mark.parametrize("wave", ["W[(0,1)-{0^2^1}]", "W[(0,1)-{1/2^1^}]", "W[(0,1)-{^^}]"])
+def test_lift_entry_with_two_carets_is_a_parse_error(wave):
+    code, out, err = main_in_process(["meet", "D", wave, "W[(0,1)-{}]"])
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: lift entries look like x^level")
+
+
+@pytest.mark.parametrize("space", ["doubled", "tripled"])
+def test_wave_lifting_one_abscissa_to_two_levels_is_rejected(space):
+    code, out, err = main_in_process(["meet", space, "W[(0,1)-{1/2^2,1/2^1}]", "W[(0,1)-{}]"])
+    assert (code, out) == (2, "")
+    assert err == "precondition error: abscissa 1/2 lifted to two levels\n"
+    # an identical repeat names one lift
+    code, out, err = main_in_process(["meet", space, "W[(0,1)-{1/2^1,1/2^1}]", "W[(0,1)-{}]"])
+    assert code == 0, err
+    assert out == main_in_process(["meet", space, "W[(0,1)-{1/2^1}]", "W[(0,1)-{}]"])[1]
+
+
 def test_demo_space_option_is_for_theorem2_only():
     code, out, err = main_in_process(["demo", "feather-twins", "--space", "cofinite"])
     assert (code, out) == (1, "")
@@ -435,6 +453,11 @@ ARGVS = st.one_of(
               st.sampled_from([t for t in TOKENS if t.startswith("F(")]),
               st.sampled_from([t for t in TOKENS if t.startswith("strict-skeleton")]),
               st.lists(OPTIONS, max_size=1)),
+    # meet <space> <wave with a lift entry of several carets> <wave>
+    st.builds(lambda space, x, js, second: ["meet", space, "W[(0,1)-{%s^%s}]" % (x, "^".join(js)),
+                                            second],
+              st.sampled_from(SPACE_NAMES), st.sampled_from(["0", "1/2", ""]),
+              st.lists(small, min_size=2, max_size=3), tokens()),
 )
 
 

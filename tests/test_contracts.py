@@ -2,22 +2,29 @@
 validated once at the boundary, the refuter's strength is fixed, formatting
 matches its reference, the wave algebra is near-linear with the answers of
 its per-point references, each refuter probe is an overlap test with the
-verdict of the meet it replaces, no check lives in an `assert` statement, and
-only the space classes ask which space they are."""
+verdict of the meet it replaces, no check lives in an `assert` statement,
+only the space classes ask which space they are, the slotted value types keep
+the semantics of the frozen dataclasses they replaced, and importing the CLI
+loads no dataclass or typing machinery."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import featherline
+from featherline import certificates as cert
 from featherline import feather as fe
 from featherline import kernel as ke
 from featherline import multiline as ml
+from featherline import separation as sp
 from featherline import syntax
-from featherline.intervals import CofiniteSet, IntervalSet, iset_meet, iset_meets, iset_remove_points
+from featherline.intervals import (CofiniteSet, FinSet, IntervalSet, iset_meet, iset_meets,
+                                   iset_remove_points)
 from featherline.rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
 
 F = Fraction
@@ -365,7 +372,7 @@ def test_remove_points_matches_folded_single_point_reference(case):
 @st.composite
 def waves(draw, spec):
     parts, _ = draw(cut_sets())
-    xs = draw(st.lists(small_rationals, max_size=6))
+    xs = draw(st.lists(small_rationals, max_size=6, unique=True))
     lift = tuple((x, draw(st.integers(1, spec.k - 1))) for x in xs if parts.contains(x))
     return ml.Wave(spec, parts, lift)
 
@@ -633,3 +640,130 @@ def test_basics_print_in_the_syntax_their_space_parses(case):
 def test_a_chart_prints_as_its_interval(p, eps):
     chart = fe.fp_chart(p, eps)
     assert ke.FEATHER.parse_basic(str(chart)) == chart.interval
+
+
+# ---------------------------------------------------------------------------
+# Value types: slotted classes with the semantics of the frozen dataclasses
+# (and typing.NamedTuple points) they replaced.
+
+# (factory, repr printed by the dataclass version)
+VALUE_SAMPLES = {
+    "IntervalSet": (
+        lambda: IntervalSet.of((0, 1), (2, POS_INF)),
+        "IntervalSet(intervals=((Fraction(0, 1), Fraction(1, 1)), (Fraction(2, 1), inf)))"),
+    "FinSet": (
+        lambda: FinSet.of(0, F(1, 2)),
+        "FinSet(elements=(Fraction(0, 1), Fraction(1, 2)))"),
+    "CofiniteSet": (
+        lambda: CofiniteSet.excl(1, 2),
+        "CofiniteSet(excluded=(1, 2), empty_set=False)"),
+    "SpaceSpec": (
+        lambda: ml.SpaceSpec(2, FinSet.of(0)),
+        "SpaceSpec(k=2, doubling=FinSet(elements=(Fraction(0, 1),)))"),
+    "Wave": (
+        lambda: ml.Wave(ml.TRIPLED, IntervalSet.of((-1, 1)), ((F(0), 2),)),
+        "Wave(spec=SpaceSpec(k=3, doubling='all'), parts=IntervalSet(intervals="
+        "((Fraction(-1, 1), Fraction(1, 1)),)), lift=((Fraction(0, 1), 2),))"),
+    "TranslateGen": (
+        lambda: ml.TranslateGen(F(1, 2)),
+        "TranslateGen(shift=Fraction(1, 2))"),
+    "ExchangeGen": (
+        lambda: ml.ExchangeGen(F(0), (0, 1)),
+        "ExchangeGen(at=Fraction(0, 1), levels=(0, 1))"),
+    "ReflectGen": (
+        lambda: ml.ReflectGen(F(-1)),
+        "ReflectGen(about=Fraction(-1, 1))"),
+    "BranchInterval": (
+        lambda: ml.BranchInterval(F(-1), F(2), "R"),
+        "BranchInterval(lo=Fraction(-1, 1), hi=Fraction(2, 1), side='R')"),
+    "Arm": (
+        lambda: fe.Arm((F(0),), F(0), F(1), True),
+        "Arm(prefix=(Fraction(0, 1),), lo=Fraction(0, 1), hi=Fraction(1, 1), lo_closed=True)"),
+    "FeatherInterval": (
+        lambda: fe.FeatherInterval((F(0), F(1, 2)), (F(0), F(1), F(3))),
+        "FeatherInterval(lower=(Fraction(0, 1), Fraction(1, 2)), "
+        "upper=(Fraction(0, 1), Fraction(1, 1), Fraction(3, 1)))"),
+    "Chart": (
+        lambda: fe.fp_chart((F(0), F(1), F(1)), F(1, 2)),
+        "Chart(center=(Fraction(0, 1), Fraction(1, 1), Fraction(1, 1)), radius=Fraction(1, 2), "
+        "interval=FeatherInterval(lower=(Fraction(0, 1), Fraction(1, 2)), "
+        "upper=(Fraction(0, 1), Fraction(1, 1), Fraction(3, 2))))"),
+    "FlipGen": (
+        lambda: fe.FlipGen((F(0), F(1))),
+        "FlipGen(pivot=(Fraction(0, 1), Fraction(1, 1)))"),
+    "FeatherTranslateGen": (
+        lambda: fe.FeatherTranslateGen(F(2)),
+        "FeatherTranslateGen(shift=Fraction(2, 1))"),
+    "SkeletonHandle": (
+        lambda: fe.SkeletonHandle(fe.FlipGen((F(0), F(1)))),
+        "SkeletonHandle(flip=FlipGen(pivot=(Fraction(0, 1), Fraction(1, 1))))"),
+    "SeqDescriptor": (
+        lambda: ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below"),
+        "SeqDescriptor(space='feather', base=(Fraction(0, 1), Fraction(1, 1)), coord_index=1, "
+        "limit=Fraction(1, 1), direction='below')"),
+    "CoverDescriptor": (
+        lambda: ke.CoverDescriptor("explicit", (ml.full_wave(ml.LINE),)),
+        "CoverDescriptor(kind='explicit', basics=(Wave(spec=SpaceSpec(k=1, doubling='all'), "
+        "parts=IntervalSet(intervals=((-inf, inf),)), lift=()),))"),
+    "DenseFamily": (
+        lambda: sp.DenseFamily("finite", (fe.strict_skeleton(),)),
+        "DenseFamily(kind='finite', members=(SkeletonHandle(flip=None),))"),
+    "Certificate": (
+        lambda: cert.twin_pair(ml.MultiLinePoint(F(0), 0), ml.MultiLinePoint(F(0), 1)),
+        "Certificate(kind='twin-pair', payload={'p': MultiLinePoint(x=Fraction(0, 1), level=0), "
+        "'q': MultiLinePoint(x=Fraction(0, 1), level=1)})"),
+    "MultiLinePoint": (
+        lambda: ml.MultiLinePoint(F(1, 2), 1),
+        "MultiLinePoint(x=Fraction(1, 2), level=1)"),
+    "BranchPoint": (
+        lambda: ml.BranchPoint(F(0), "R"),
+        "BranchPoint(x=Fraction(0, 1), side='R')"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_SAMPLES))
+def test_value_type_semantics(name):
+    make, expected_repr = VALUE_SAMPLES[name]
+    x, y = make(), make()
+    assert type(x).__name__ == name and x is not y
+    assert x == y and not x != y
+    assert repr(x) == repr(y) == expected_repr
+    if name == "Certificate":  # mutable, so unhashable
+        with pytest.raises(TypeError):
+            hash(x)
+        x.kind = "other"
+        assert x != y
+        return
+    assert hash(x) == hash(y) and len({x: "a", y: "b"}) == 1
+    field = expected_repr.split("(", 1)[1].split("=", 1)[0]
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(y, field))
+    assert x == y
+
+
+@pytest.mark.parametrize("a,b", [
+    (ml.TranslateGen(F(1)), fe.FeatherTranslateGen(F(1))),
+    (ml.TranslateGen(F(1)), ml.ReflectGen(F(1))),
+    (ke.CoverDescriptor("finite", ()), sp.DenseFamily("finite", ())),
+    (FinSet(()), IntervalSet(())),
+    (cert.Certificate("k", {}), ke.CoverDescriptor("k", {})),
+], ids=["translate", "reflect", "cover-dense", "finset-iset", "certificate"])
+def test_values_of_different_classes_with_the_same_fields_differ(a, b):
+    assert a != b and b != a and not a == b
+
+
+def test_points_stay_tuples():
+    assert ml.MultiLinePoint(0, 1) == (0, 1) and isinstance(ml.MultiLinePoint(0, 1), tuple)
+    assert ml.BranchPoint(F(1), "L") == (1, "L") and isinstance(ml.BranchPoint(1, "L"), tuple)
+    assert hash(ml.MultiLinePoint(F(0), 1)) == hash((F(0), 1))
+
+
+def test_importing_the_cli_loads_no_dataclass_or_typing_machinery():
+    """`python -S` keeps this independent of what a machine's `site`
+    preloads."""
+    code = ("import sys; sys.path.insert(0, %r); import featherline.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis'} & set(sys.modules)))"
+            % str(PACKAGE_DIR.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
