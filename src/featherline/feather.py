@@ -15,12 +15,17 @@ decided by `arms_meet`, which stops at the first overlapping pair and builds
 no meet.
 
 Validation contract.  A point is checked by `fp_validate` once, where it
-enters: `parse_point`, the `FeatherInterval` and `FlipGen` constructors, and
-the public operations `flip_apply`, `replay`, `normalize_to_line`,
-`fp_move`, `fp_chart`, `homotopy_eval` and `SkeletonHandle.contains`.
-Internal transforms trust tuples that are already valid: a generator's
-`apply` takes a valid point, a flip glues a prefix of its pivot to a tail of
-the point and checks only that seam, and a translation preserves the order.
+enters: `parse_point`, the `FeatherInterval`, `FlipGen` and `StraightenGen`
+constructors, and the public operations `flip_apply`, `replay`,
+`normalize_to_line`, `fp_move`, `fp_chart`, `homotopy_eval` and
+`SkeletonHandle.contains`.  Internal transforms trust tuples that are already
+valid: a generator's `apply` takes a valid point, a flip glues a prefix of its
+pivot to a tail of the point and checks only that seam, and a translation
+preserves the order.  A `StraightenGen` validates its point once and flips at
+its truncations without checking them again, since a truncation of a valid
+point is valid.  `fp_chart` builds its
+interval with `FeatherInterval.trusted`, since both endpoints come from the
+checked centre and the clamped radius keeps them valid and ordered.
 """
 
 from fractions import Fraction
@@ -128,6 +133,16 @@ class FeatherInterval(Value):
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_arms", None)
         self.__post_init__()
+
+    @classmethod
+    def trusted(cls, lower, upper):
+        """The interval between two valid points with lower < upper, which the
+        caller guarantees; nothing is checked."""
+        itv = object.__new__(cls)
+        object.__setattr__(itv, "lower", lower)
+        object.__setattr__(itv, "upper", upper)
+        object.__setattr__(itv, "_arms", None)
+        return itv
 
     def __post_init__(self):
         object.__setattr__(self, "lower", fp_validate(self.lower))
@@ -314,12 +329,12 @@ def fp_chart(p: tuple, eps) -> Chart:
     if fp_is_strict(p):
         if len(p) >= 2:
             eps = min(eps, p[-1] - p[-2])
-        itv = FeatherInterval(p[:-1] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
+        itv = FeatherInterval.trusted(p[:-1] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
     else:
         # upper twin (q, a, a): glue the branch below a to the arm above it
         if len(p) >= 3:
             eps = min(eps, p[-1] - p[-3])
-        itv = FeatherInterval(p[:-2] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
+        itv = FeatherInterval.trusted(p[:-2] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
     return Chart(p, eps, itv)
 
 
@@ -341,6 +356,16 @@ def _glue(head: tuple, tail: tuple) -> tuple:
     return head + tail
 
 
+def _flip(s: tuple, n: int, p: tuple) -> tuple:
+    """The flip pinned at s[:n+1] (n >= 1) applied to a valid point p; the
+    first case takes precedence when both patterns match."""
+    if len(p) >= n + 1 and p[:n] == s[:n]:
+        return _glue(s[:n - 1], p[n:])
+    if len(p) >= n and p[:n - 1] == s[:n - 1] and p[n - 1] >= s[n - 1]:
+        return _glue(s[:n], p[n - 1:])
+    return p
+
+
 class FlipGen(Value):
     __slots__ = _fields = ("pivot",)
 
@@ -351,14 +376,25 @@ class FlipGen(Value):
         object.__setattr__(self, "pivot", pivot)
 
     def apply(self, p: tuple) -> tuple:
-        """Image of a valid point; the first case takes precedence when both
-        patterns match."""
-        s = self.pivot
-        n = len(s) - 1
-        if len(p) >= n + 1 and p[:n] == s[:n]:
-            return _glue(s[:n - 1], p[n:])
-        if len(p) >= n and p[:n - 1] == s[:n - 1] and p[n - 1] >= s[n - 1]:
-            return _glue(s[:n], p[n - 1:])
+        """Image of a valid point."""
+        return _flip(self.pivot, len(self.pivot) - 1, p)
+
+
+class StraightenGen(Value):
+    """The flips at the truncations s, s[:-1], ..., s[:2] of a point s,
+    longest first, which carry s to the length-1 point (s[-1],).  With
+    `inverse` set the same flips run shortest first, which undoes them (each
+    flip is an involution).  The word stores s once, not n pivots."""
+
+    __slots__ = _fields = ("point", "inverse")
+
+    def __init__(self, point, inverse=False):
+        Value.__init__(self, fp_validate(point), inverse)
+
+    def apply(self, p: tuple) -> tuple:
+        s = self.point
+        for n in (range(1, len(s)) if self.inverse else range(len(s) - 1, 0, -1)):
+            p = _flip(s, n, p)
         return p
 
 
@@ -373,30 +409,26 @@ class FeatherTranslateGen(Value):
 
 
 def normalize_to_line(s: tuple):
-    """Word of flips taking s to the length-1 point (s_n): flip at each
-    truncation of s, longest first.  Returns (word, resulting point)."""
-    s = fp_validate(s)
-    word = []
-    cur = s
-    for length in range(len(s), 1, -1):
-        gen = FlipGen(s[:length])
-        word.append(gen)
-        cur = gen.apply(cur)
+    """Word taking s to the length-1 point (s_n): one straighten generator,
+    or none when s already has length 1.  Returns (word, resulting point)."""
+    gen = StraightenGen(s)
+    s = gen.point
+    cur = gen.apply(s)
     if cur != (s[-1],):
         raise AssertionError("flip word does not reach the line: %s" % (cur,))
-    return tuple(word), cur
+    return ((gen,) if len(s) > 1 else ()), cur
 
 
 def fp_move(p: tuple, q: tuple):
     """Homogeneity word taking p to q: straighten p to the line, translate,
-    un-straighten along q's word."""
+    un-straighten along q's word.  At most three generators."""
     wp, line_p = normalize_to_line(p)
     wq, line_q = normalize_to_line(q)
     word = list(wp)
     shift = line_q[0] - line_p[0]
     if shift != 0:
         word.append(FeatherTranslateGen(shift))
-    word.extend(reversed(wq))  # flips are involutions, so reversal inverts
+    word.extend(StraightenGen(gen.point, inverse=True) for gen in wq)
     return tuple(word)
 
 

@@ -63,6 +63,8 @@ _ENCODERS = {
     float: fmt_ext,
     cert.Certificate: lambda c: {"kind": c.kind, "payload": jsonable(c.payload)},
     fe.FlipGen: lambda g: {"gen": "flip", "at": list(map(fmt_ext, g.pivot))},
+    fe.StraightenGen: lambda g: {"gen": "unstraighten" if g.inverse else "straighten",
+                                 "at": list(map(fmt_ext, g.point))},
     **dict.fromkeys((fe.FeatherTranslateGen, ml.TranslateGen),
                     lambda g: {"gen": "translate", "by": fmt_ext(g.shift)}),
     ml.ExchangeGen: lambda g: {"gen": "exchange", "at": fmt_ext(g.at),
@@ -88,6 +90,7 @@ _WAVE_RE = re.compile(r"^W\[(.*)-\{(.*)\}\]$")
 _FI_RE = re.compile(r"^FI\[\((.*)\);\((.*)\)\]$")
 _BI_RE = re.compile(r"^BI\[\((.*),(.*)\)@([LR])\]$")
 _ISET_RE = re.compile(r"\(([^()]*),([^()]*)\)")
+_HANDLE_RE = re.compile(r"^strict-skeleton\*flip\((.*)\)$")
 
 
 def parse_point(text: str, spec: ml.SpaceSpec = None):
@@ -177,8 +180,7 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
         return parse_cofinite(text)
     if text == "strict-skeleton":
         return fe.strict_skeleton()
-    if text.startswith("strict-skeleton*flip"):
-        pivot = tuple(parse_rat(c)
-                      for c in text[len("strict-skeleton*flip("):-1].split(","))
-        return fe.SkeletonHandle(fe.FlipGen(pivot))
+    m = _HANDLE_RE.match(text)
+    if m:
+        return fe.SkeletonHandle(fe.FlipGen(tuple(parse_rat(c) for c in m.group(1).split(","))))
     raise ParseError("cannot parse basic open %r" % text)

@@ -161,6 +161,14 @@ def test_lift_entry_with_two_carets_is_a_parse_error(wave):
     assert err.startswith("parse error: lift entries look like x^level")
 
 
+@pytest.mark.parametrize("handle", ["strict-skeleton*flip(0,1x", "strict-skeleton*flip(0,1]",
+                                    "strict-skeleton*flip[0,1)"])
+def test_skeleton_handle_without_its_closing_parenthesis_is_a_parse_error(handle):
+    code, out, err = main_in_process(["microcompact", "F", "F(0,1,1)", handle])
+    assert (code, out) == (1, "")
+    assert err.startswith("parse error: cannot parse basic open")
+
+
 @pytest.mark.parametrize("space", ["doubled", "tripled"])
 def test_wave_lifting_one_abscissa_to_two_levels_is_rejected(space):
     code, out, err = main_in_process(["meet", space, "W[(0,1)-{1/2^2,1/2^1}]", "W[(0,1)-{}]"])
@@ -414,7 +422,8 @@ TOKENS = ["F(0)", "F(0,0)", "F(0,1)", "F(0,1,1)", "F(1,2,5)", "F(-1/2,3)",
           "W[(-1,1)-{0^1}]", "W[(-inf,inf)-{}]", "W[(0,1)u(2,3)-{1/2^1}]", "W[empty-{}]",
           "FI[(0,0);(0,1)]", "FI[(0);(1)]", "BI[(0,2)@L]", "BI[(-1,1)@R]",
           "cofinite-excl{1,2}", "cofinite-excl{}", "cofinite-empty",
-          "strict-skeleton", "strict-skeleton*flip(0,1)", "0", "1/2", "inf"]
+          "strict-skeleton", "strict-skeleton*flip(0,1)", "strict-skeleton*flip(0,1x",
+          "strict-skeleton*flip(0,1]", "strict-skeleton*flip[0,1)", "0", "1/2", "inf"]
 MUTATION_CHARS = "()[]{},;@^-/.u0123456789FDBNWLR "
 small = st.integers(-3, 50).map(str)
 

@@ -1,8 +1,9 @@
 """Contracts that keep the engine's checks cheap and always on: points are
-validated once at the boundary, the refuter's strength is fixed, formatting
-matches its reference, the wave algebra is near-linear with the answers of
-its per-point references, each refuter probe is an overlap test with the
-verdict of the meet it replaces, no check lives in an `assert` statement,
+validated once at the boundary, a homeomorphism word stores each straightened
+point once and replays exactly its flips, the refuter's strength is fixed,
+formatting matches its reference, the wave algebra is near-linear with the
+answers of its per-point references, each refuter probe is an overlap test
+with the verdict of the meet it replaces, no check lives in an `assert` statement,
 only the space classes ask which space they are, the slotted value types keep
 the semantics of the frozen dataclasses they replaced, and importing the CLI
 loads no dataclass or typing machinery."""
@@ -137,6 +138,8 @@ PUBLIC_ENTRIES = {
     "FlipGen-short": lambda: fe.FlipGen((F(0),)),
     "replay-empty-word": lambda: fe.replay((), BAD),
     "replay": lambda: fe.replay((fe.FlipGen(PIVOT),), BAD),
+    "StraightenGen": lambda: fe.StraightenGen(BAD),
+    "StraightenGen-inverse": lambda: fe.StraightenGen(BAD, inverse=True),
     "normalize_to_line": lambda: fe.normalize_to_line(BAD),
     "fp_move-src": lambda: fe.fp_move(BAD, GOOD),
     "fp_move-dst": lambda: fe.fp_move(GOOD, BAD),
@@ -192,12 +195,22 @@ def test_every_flip_output_is_valid(s, r):
     assert fe.fp_validate(out) == out
 
 
+def _explicit(gen) -> list:
+    """A word generator as the single flips it stands for: a straighten
+    generator expands to its flips, any other generator is itself."""
+    if type(gen) is not fe.StraightenGen:
+        return [gen]
+    flips = [fe.FlipGen(gen.point[:k]) for k in range(len(gen.point), 1, -1)]
+    return flips[::-1] if gen.inverse else flips
+
+
 @given(feather_points(), feather_points())
 def test_every_point_along_a_move_is_valid(p, q):
     cur = p
     for gen in fe.fp_move(p, q):
-        cur = gen.apply(cur)
-        assert fe.fp_validate(cur) == cur
+        for step in _explicit(gen):
+            cur = step.apply(cur)
+            assert fe.fp_validate(cur) == cur
     assert cur == q
 
 
@@ -220,9 +233,116 @@ def test_move_and_replay_validate_linearly(monkeypatch, n):
     calls = _count_validations(monkeypatch)
     word = fe.fp_move(p, q)
     assert fe.replay(word, p) == q
-    # one check per input point, one per flip pivot (len - 1 for each
-    # point) and one for replay's input: linear, not one per flip step
-    assert len(calls) == len(p) + len(q) + 1
+    # one check per straighten generator (p's, q's and q's inverse) and one
+    # for replay's input; the flips check nothing
+    assert calls == [len(p), len(q), len(q), len(p)]
+
+
+@st.composite
+def straighten_cases(draw):
+    """A point s and a valid point r: anywhere, a twin of a truncation of s,
+    or on a branch through a truncation of s (shorter or longer than s)."""
+    s = draw(feather_points(max_len=6))
+    kind = draw(st.sampled_from(["any", "twin", "branch"]))
+    if kind == "any":
+        return s, draw(feather_points())
+    if kind == "twin":
+        return s, fe.fp_twin(s[:draw(st.integers(1, len(s)))])
+    head = s[:draw(st.integers(0, len(s) - 1))]
+    lo = head[-1] if head else F(-10)
+    tail = sorted(draw(st.lists(st.fractions(min_value=lo, max_value=lo + 10).filter(
+        lambda x: x > lo), min_size=1, max_size=3, unique=True)))
+    if draw(st.booleans()):
+        tail.append(tail[-1])
+    return s, fe.fp_validate(head + tuple(tail))
+
+
+@given(straighten_cases())
+def test_straighten_matches_its_explicit_flips(case):
+    s, r = case
+    forward, backward = fe.StraightenGen(s), fe.StraightenGen(s, inverse=True)
+    flips = _explicit(forward)
+    assert _explicit(backward) == flips[::-1]
+    assert forward.apply(r) == fe.replay(flips, r)
+    assert backward.apply(r) == fe.replay(flips[::-1], r)
+    assert backward.apply(forward.apply(r)) == r
+
+
+def _shift(gen, i):
+    """gen with coordinate i of its point (not the last) moved down, staying
+    valid: a different homeomorphism, since only the last coordinate of a
+    flip's pivot does not matter."""
+    s = gen.point
+    x = s[0] - 1 if i == 0 else (s[i - 1] + s[i]) / 2
+    return fe.StraightenGen(s[:i] + (x,) + s[i + 1:], gen.inverse)
+
+
+def _invert(gen):
+    return fe.StraightenGen(gen.point, not gen.inverse)
+
+
+# points of length >= 3: on a length-2 point straighten and unstraighten are
+# the same single flip, so flipping the inverse flag would change nothing
+MOVE_PAIRS = [((F(0), F(1), F(3)), (F(2), F(5), F(6))),
+              ((F(0), F(1), F(2), F(3)), (F(1, 2), F(2), F(2)))]
+TAMPERS = {
+    "shift-first-of-straighten": lambda w: [_shift(w[0], 0)] + w[1:],
+    "shift-inner-of-straighten": lambda w: [_shift(w[0], len(w[0].point) - 2)] + w[1:],
+    "shift-first-of-unstraighten": lambda w: w[:-1] + [_shift(w[-1], 0)],
+    "shift-inner-of-unstraighten": lambda w: w[:-1] + [_shift(w[-1], len(w[-1].point) - 2)],
+    "invert-straighten": lambda w: [_invert(w[0])] + w[1:],
+    "invert-unstraighten": lambda w: w[:-1] + [_invert(w[-1])],
+    "swap-first-two": lambda w: [w[1], w[0]] + w[2:],
+    "swap-last-two": lambda w: w[:-2] + [w[-1], w[-2]],
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+@pytest.mark.parametrize("p,q", MOVE_PAIRS)
+def test_verifier_rejects_a_tampered_move(p, q, tamper):
+    word = list(fe.fp_move(p, q))
+    assert ke.verify_certificate(ke.FEATHER, cert.homeo_word(word, p, q))
+    tampered = TAMPERS[tamper](word)
+    assert tampered != word
+    assert not ke.verify_certificate(ke.FEATHER, cert.homeo_word(tampered, p, q))
+
+
+@given(feather_points(max_len=8), feather_points(max_len=8))
+def test_a_move_renders_linearly_many_rationals(p, q):
+    rendered = syntax.jsonable(fe.fp_move(p, q))
+    count = sum(len(g["at"]) if "at" in g else 1 for g in rendered)
+    assert count <= len(p) + len(q) + 1
+
+
+@st.composite
+def chart_cases(draw):
+    """A strict or upper-twin centre and a radius below, at or above the
+    gap that `fp_chart` clamps the radius to."""
+    p = draw(feather_points())
+    if fe.fp_is_strict(p):
+        gap = p[-1] - p[-2] if len(p) >= 2 else F(1)
+    else:
+        gap = p[-1] - p[-3] if len(p) >= 3 else F(1)
+    factor = draw(st.sampled_from([F(1, 3), F(1), F(3, 2)])
+                  | st.fractions(min_value=0, max_value=3).filter(lambda x: x > 0))
+    return p, gap * factor
+
+
+@given(chart_cases())
+def test_a_chart_interval_is_the_one_the_checking_constructor_builds(case):
+    p, eps = case
+    chart = fe.fp_chart(p, eps)
+    itv = fe.FeatherInterval(chart.interval.lower, chart.interval.upper)
+    assert chart.interval == itv and chart.arms() == itv.arms()
+    assert 0 < chart.radius <= eps and chart.contains(p)
+
+
+@pytest.mark.parametrize("p", [(F(0),), (F(0), F(0)), (F(0), F(1)), (F(0), F(1), F(1)),
+                               (F(0), F(1), F(3, 2))])
+def test_a_chart_validates_its_centre_once(monkeypatch, p):
+    calls = _count_validations(monkeypatch)
+    fe.fp_chart(p, F(5))
+    assert calls == [len(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +811,9 @@ VALUE_SAMPLES = {
     "FlipGen": (
         lambda: fe.FlipGen((F(0), F(1))),
         "FlipGen(pivot=(Fraction(0, 1), Fraction(1, 1)))"),
+    "StraightenGen": (
+        lambda: fe.StraightenGen((F(0), F(1)), inverse=True),
+        "StraightenGen(point=(Fraction(0, 1), Fraction(1, 1)), inverse=True)"),
     "FeatherTranslateGen": (
         lambda: fe.FeatherTranslateGen(F(2)),
         "FeatherTranslateGen(shift=Fraction(2, 1))"),

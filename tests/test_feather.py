@@ -193,9 +193,12 @@ def test_flip_involution(s, r):
 
 
 def test_normalize_examples():
-    word, out = fe.normalize_to_line((F(0), F(1), F(3)))
+    s = (F(0), F(1), F(3))
+    word, out = fe.normalize_to_line(s)
     assert out == (F(3),)
-    assert [g.pivot for g in word] == [(F(0), F(1), F(3)), (F(0), F(1))]
+    assert word == (fe.StraightenGen(s),)
+    # the one generator stands for the flips at s and s[:2], longest first
+    assert fe.replay(word, s) == fe.replay((fe.FlipGen(s), fe.FlipGen(s[:2])), s) == out
     word, out = fe.normalize_to_line((F(7),))
     assert word == () and out == (F(7),)
 
