@@ -39,7 +39,7 @@ from . import kernel as ke
 from . import multiline as ml
 from . import separation as sp
 from .intervals import CofiniteSet, FinSet, IntervalSet
-from .rationals import ParseError, PreconditionError, parse_ext, parse_rat
+from .rationals import ParseError, PreconditionError, parse_rat
 from .syntax import jsonable
 
 EXIT_OK = 0
@@ -130,7 +130,7 @@ def cmd_chain(space, src, dst, remove, window):
     ends = window.split(",")
     if len(ends) != 2:
         raise ParseError("--window takes LO,HI, got %r" % window)
-    links = space.chain(src, dst, removed, tuple(parse_ext(t) for t in ends))
+    links = space.chain(src, dst, removed, tuple(parse_rat(t) for t in ends))
     if links is None:
         return "inconclusive", {"certificate": None}, False
     return "connected", ke.verified(space, cert.chain(links, src, dst, removed)), True

@@ -30,7 +30,7 @@ checked centre and the clamped radius keeps them valid and ordered.
 
 from fractions import Fraction
 
-from .rationals import PreconditionError, Value, fmt_ext
+from .rationals import PreconditionError, Value, fmt_ext, lt
 
 # A feather point is a plain tuple of Fractions, validated by fp_validate and
 # printed by fp_str.
@@ -53,10 +53,7 @@ def fp_validate(seq) -> tuple:
         seq = tuple(Fraction(x) for x in seq)
     if not seq:
         raise PreconditionError("feather point must be nonempty")
-    # the exact test a < b on lowest-terms Fractions (positive denominators),
-    # without the numbers-ABC dispatch of Fraction.__lt__
-    if not all(a.numerator * b.denominator < b.numerator * a.denominator
-               for a, b in zip(seq[:-2], seq[1:-1])):
+    if not all(map(lt, seq[:-2], seq[1:-1])):
         raise PreconditionError("coordinates must be strictly increasing before the last step: %s"
                                 % fp_str(seq))
     if len(seq) >= 2 and not seq[-2] <= seq[-1]:
@@ -226,10 +223,11 @@ def meet_arms(arms1, arms2) -> tuple:
 
 def arms_meet(arms1, arms2) -> bool:
     """Same verdict as `bool(meet_arms(arms1, arms2))`: true at the first
-    same-prefix pair whose coordinate ranges overlap, building no arm."""
+    same-prefix pair whose coordinate ranges overlap, building no arm.
+    Arms are nonempty: ranges overlap when each starts below the other's end."""
     for a in arms1:
         for b in arms2:
-            if a.prefix == b.prefix and max(a.lo, b.lo) < min(a.hi, b.hi):
+            if a.prefix == b.prefix and lt(a.lo, b.hi) and lt(b.lo, a.hi):
                 return True
     return False
 

@@ -9,7 +9,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
 
-from .rationals import NEG_INF, POS_INF, PreconditionError, Value, as_ext, fmt_ext
+from .rationals import NEG_INF, POS_INF, PreconditionError, Value, as_ext, fmt_ext, lt
 
 
 class IntervalSet(Value):
@@ -38,10 +38,14 @@ class IntervalSet(Value):
         return not self.intervals
 
     def contains(self, x) -> bool:
-        """Bisect for the last interval opening strictly below x.  A left
-        bisection keeps the endpoint shared by touching intervals out."""
-        k = bisect_left(self.intervals, x, key=_LO) - 1
-        return k >= 0 and x < self.intervals[k][1]
+        """One interval is two comparisons.  Otherwise bisect for the last
+        interval opening strictly below x: a left bisection keeps the
+        endpoint shared by touching intervals out."""
+        iv = self.intervals
+        if len(iv) == 1:
+            return lt(iv[0][0], x) and lt(x, iv[0][1])
+        k = bisect_left(iv, x, key=_LO) - 1
+        return k >= 0 and lt(x, iv[k][1])
 
     def __str__(self):
         if not self.intervals:
@@ -53,12 +57,13 @@ _LO = itemgetter(0)
 
 
 def canon_intervals(pairs) -> IntervalSet:
-    """Sort, drop empty intervals, merge genuinely overlapping ones."""
-    pairs = sorted((p for p in pairs if p[0] < p[1]))
+    """Sort by lower end, drop empty intervals, merge genuinely overlapping
+    ones (in whatever order ties on the lower end come)."""
     merged = []
-    for lo, hi in pairs:
-        if merged and lo < merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
+    for lo, hi in sorted((p for p in pairs if lt(p[0], p[1])), key=_LO):
+        if merged and lt(lo, merged[-1][1]):
+            if lt(merged[-1][1], hi):
+                merged[-1][1] = hi
         else:
             merged.append([lo, hi])
     return IntervalSet(tuple((lo, hi) for lo, hi in merged))
@@ -70,11 +75,12 @@ def iset_meet(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     i = j = 0
     ai, bi = a.intervals, b.intervals
     while i < len(ai) and j < len(bi):
-        lo = max(ai[i][0], bi[j][0])
-        hi = min(ai[i][1], bi[j][1])
-        if lo < hi:
+        (alo, ahi), (blo, bhi) = ai[i], bi[j]
+        lo = blo if lt(alo, blo) else alo
+        hi = bhi if lt(bhi, ahi) else ahi
+        if lt(lo, hi):
             out.append((lo, hi))
-        if ai[i][1] <= bi[j][1]:
+        if not lt(bhi, ahi):
             i += 1
         else:
             j += 1
@@ -88,9 +94,9 @@ def iset_meets(a: IntervalSet, b: IntervalSet) -> bool:
     i = j = 0
     ai, bi = a.intervals, b.intervals
     while i < len(ai) and j < len(bi):
-        if ai[i][1] <= bi[j][0]:
+        if not lt(bi[j][0], ai[i][1]):
             i += 1
-        elif bi[j][1] <= ai[i][0]:
+        elif not lt(ai[i][0], bi[j][1]):
             j += 1
         else:
             return True
@@ -109,8 +115,8 @@ def iset_remove_points(a: IntervalSet, xs) -> IntervalSet:
     out = []
     k = 0
     for lo, hi in a.intervals:
-        while k < len(pts) and pts[k] < hi:
-            if lo < pts[k]:
+        while k < len(pts) and lt(pts[k], hi):
+            if lt(lo, pts[k]):
                 out.append((lo, pts[k]))
                 lo = pts[k]
             k += 1

@@ -48,7 +48,8 @@ the refuter and without the producer's `non_separable_pair`:
     the charts at scales past R = min(1, caps) contain those at R, and the
     one piece (0, R] stands for every pair of scales;
   - on (0, R] each membership margin a + b·δ must be positive, that is
-    a >= 0 and a + b·R > 0, decided by comparisons first;
+    a >= 0 and a + b·R > 0, decided by comparisons first, each one on
+    integers by `rationals.lt`, so no float enters a verdict;
   - no chart is built, so every payload point is first validated against
     the space: a point of the right type but not of the space, such as
     D(1 @1) on the line with two origins, is rejected.
@@ -62,12 +63,13 @@ from . import feather as fe
 from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
                         iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
-from .rationals import NEG_INF, POS_INF, PreconditionError, Value
+from .rationals import NEG_INF, POS_INF, PreconditionError, Value, lt
 from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
 _RATIONAL = frozenset((Fraction, int))  # exact coordinate types of a point
 _HALF = Fraction(1, 2)
+_ONE = Fraction(1)
 
 
 class SeqDescriptor(Value):
@@ -129,6 +131,14 @@ class ChartForm:
     def nested(self) -> bool:
         """Lower ends fall and upper ends rise with ρ, so the charts grow."""
         return all(lo[1] <= 0 <= hi[1] for _, lo, hi, _ in self.arms)
+
+
+def _chart_radius(eps) -> Fraction:
+    """A chart radius as a Fraction; every space rejects one <= 0 alike."""
+    eps = eps if type(eps) is Fraction else Fraction(eps)
+    if eps <= 0:
+        raise PreconditionError("chart radius must be positive")
+    return eps
 
 
 class Space:
@@ -362,10 +372,7 @@ class MultiLineSpace(Space):
         return ml.waves_disjoint(b1, b2)
 
     def canonical_neighborhood(self, p, eps):
-        if type(eps) is not Fraction:
-            eps = Fraction(eps)
-        if eps <= 0:
-            raise PreconditionError("chart radius must be positive")
+        eps = _chart_radius(eps)
         lift = ((p.x, p.level),) if p.level > 0 else ()
         return ml.Wave(self.spec, IntervalSet(((p.x - eps, p.x + eps),)), lift)
 
@@ -537,7 +544,7 @@ class BranchSpace(Space):
         return not ml.branch_meet(b1, b2)
 
     def canonical_neighborhood(self, p, eps):
-        eps = Fraction(eps)
+        eps = _chart_radius(eps)
         return ml.BranchInterval(p.x - eps, p.x + eps, p.side)
 
     def is_point(self, x) -> bool:
@@ -580,7 +587,7 @@ class CofiniteSpace(Space):
         return cofinite_meet(b1, b2).empty_set
 
     def canonical_neighborhood(self, p, eps):
-        del eps  # the topology has no scales; the ground set is canonical
+        _chart_radius(eps)  # the topology has no scales; the ground set is canonical
         return CofiniteSet.ground()
 
     def is_point(self, x) -> bool:
@@ -779,7 +786,10 @@ def _in_both_charts(space, p, q, key, w) -> bool:
     fp, fq = space.chart_form(p), space.chart_form(q)
     if not (fp.nested() and fq.nested()):
         return False
-    r = min(c for c in (Fraction(1), fp.cap, fq.cap) if c is not None)
+    r = _ONE
+    for cap in (fp.cap, fq.cap):
+        if cap is not None and lt(cap, r):
+            r = cap
     return _in_chart_form(fp, key, w, r) and _in_chart_form(fq, key, w, r)
 
 
@@ -803,13 +813,13 @@ def _above(hi, lo, r) -> bool:
     """hi(δ) > lo(δ) for every δ in (0, r], for affine hi and lo given as
     pairs (a, b) = a + b·δ: the constants may tie, the values at r may not.
     Comparisons decide it, except when hi starts above lo and falls towards
-    it."""
+    it.  Each comparison is `rationals.lt`, decided on integers."""
     (ha, hb), (la, lb) = hi, lo
-    if ha < la:
+    if lt(ha, la):
         return False
-    if hb >= lb:
-        return ha > la or hb > lb
-    return ha > la and ha + hb * r > la + lb * r
+    if not lt(hb, lb):
+        return lt(la, ha) or lt(lb, hb)
+    return lt(la, ha) and lt(la + lb * r, ha + hb * r)
 
 
 def _verify_excluded(space, pl) -> bool:

@@ -18,10 +18,13 @@ overlap, so neither a meet wave nor a meet of the open sets is built.
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 
 from .intervals import (FinSet, IntervalSet, iset_meet, iset_meets, iset_pick_point,
                         iset_remove_points)
-from .rationals import NEG_INF, POS_INF, PreconditionError, Value, fmt_ext
+from .rationals import NEG_INF, POS_INF, PreconditionError, Value, fmt_ext, lt
+
+_ABSCISSA = itemgetter(0)  # lift abscissae are unique: sort by them alone
 
 
 class SpaceSpec(Value):
@@ -96,7 +99,7 @@ class Wave(Value):
                 if levels[Fraction(x)] != int(j):
                     raise PreconditionError("abscissa %s lifted to two levels" % fmt_ext(x))
         object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "lift", tuple(sorted(levels.items())))
+        object.__setattr__(self, "lift", tuple(sorted(levels.items(), key=_ABSCISSA)))
         for x, j in self.lift:
             if not 1 <= j < self.spec.k:
                 raise PreconditionError("lift level %d out of range" % j)
@@ -109,10 +112,11 @@ class Wave(Value):
         return dict(self._levels)
 
     def contains(self, p: MultiLinePoint) -> bool:
-        j = self._levels.get(p.x)
+        # a Fraction hashes slowly: look x up last, and only if something is lifted
+        levels = self._levels
         if p.level == 0:
-            return j is None and self.parts.contains(p.x)
-        return j == p.level
+            return self.parts.contains(p.x) and not (levels and p.x in levels)
+        return bool(levels) and levels.get(p.x) == p.level
 
     def is_empty(self) -> bool:
         return self.parts.is_empty()
@@ -334,9 +338,9 @@ def chain_connect(spec: SpaceSpec, src: MultiLinePoint, dst: MultiLinePoint,
     # pad the span, stopping short of removed abscissae strictly outside it
     pad = min(Fraction(1), (lo - wlo) / 2, (whi - hi) / 2)
     for r in removed:
-        if r.x < lo:
+        if lt(r.x, lo):
             pad = min(pad, (lo - r.x) / 2)
-        elif r.x > hi:
+        elif lt(hi, r.x):
             pad = min(pad, (r.x - hi) / 2)
     parts = IntervalSet.of((lo - pad, hi + pad))
 

@@ -3,6 +3,12 @@
 Finite values are `fractions.Fraction` (always in lowest terms with positive
 denominator); the two infinities are the float sentinels, which compare
 correctly against Fraction.
+
+`lt(a, b)` is `a < b` for the inner loops.  A Fraction is in lowest terms
+with a positive denominator, so a Fraction or int pair is compared by one
+integer cross-multiplication, without the operator's generic dispatch and
+without a float; a sentinel or any other type falls back to the operator.
+Nothing patches `Fraction`: every other caller keeps the stdlib operators.
 """
 
 from fractions import Fraction
@@ -20,16 +26,27 @@ def as_ext(x):
     return Fraction(x)
 
 
+def lt(a, b) -> bool:
+    """Exactly `a < b`.  Reads the `_numerator`/`_denominator` slots of
+    `Fraction` (present on Python 3.10-3.13), which cost far less than the
+    public properties; the rationals tests pin this against the operator."""
+    if a.__class__ is Fraction:
+        if b.__class__ is Fraction:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        if b.__class__ is int:
+            return a._numerator < b * a._denominator
+    elif a.__class__ is int and b.__class__ is Fraction:
+        return a * b._denominator < b._numerator
+    return a < b
+
+
 def fmt_ext(x) -> str:
-    if isinstance(x, float):
-        if x == POS_INF:
-            return "inf"
-        if x == NEG_INF:
-            return "-inf"
-    f = x if isinstance(x, Fraction) else Fraction(x)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    if x.__class__ is not Fraction:
+        if x == POS_INF or x == NEG_INF:
+            return "inf" if x > 0 else "-inf"
+        x = Fraction(x)
+    n, d = x._numerator, x._denominator
+    return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
 def parse_ext(s: str):

@@ -384,6 +384,25 @@ def test_nonpositive_chart_radius_on_the_line_family(space, point, eps):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("space,point", [
+    ("feather", "F(0,1)"), ("branch", "B(0,R)"), ("branch", "B(-1,L)"), ("N", "N(3)"),
+])
+@pytest.mark.parametrize("eps", ["0", "-1"])
+def test_nonpositive_chart_radius_in_every_other_space(space, point, eps):
+    code, out, err = main_in_process(["chart", space, point, "--eps=" + eps])
+    assert code == 2, err
+    assert err == "precondition error: chart radius must be positive\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("window", ["-1,inf", "-inf,5", "-inf,inf"])
+def test_infinite_chain_window_is_a_parse_error(window):
+    code, out, err = main_in_process(["chain", "D", "D(0)", "D(3)", "--window=" + window])
+    assert code == 1, err
+    assert err.startswith("parse error: expected a finite rational, got ")
+    assert out == ""
+
+
 def test_chain_inconclusive_exit_code():
     proc = run_cli(["chain", "two-origins", "D(-1 @0)", "D(1 @0)",
                     "--remove", "D(0 @0);D(0 @1)", "--window=-5,5"])
@@ -426,6 +445,7 @@ TOKENS = ["F(0)", "F(0,0)", "F(0,1)", "F(0,1,1)", "F(1,2,5)", "F(-1/2,3)",
           "strict-skeleton*flip(0,1]", "strict-skeleton*flip[0,1)", "0", "1/2", "inf"]
 MUTATION_CHARS = "()[]{},;@^-/.u0123456789FDBNWLR "
 small = st.integers(-3, 50).map(str)
+window_end = small | st.sampled_from(["inf", "-inf"])
 
 
 @st.composite
@@ -444,7 +464,7 @@ OPTIONS = st.one_of(
                                "--index"]), small),
     st.tuples(st.just("--direction"), st.sampled_from(["below", "above", "sideways"])),
     st.tuples(st.sampled_from(["--probe", "--eps", "--limit"]), tokens()),
-    st.tuples(st.just("--window"), st.tuples(small, small).map(",".join)),
+    st.tuples(st.just("--window"), st.tuples(window_end, window_end).map(",".join)),
     st.tuples(st.just("--remove"), st.lists(tokens(), min_size=1, max_size=2).map(";".join)),
     st.tuples(st.just("--space"), st.sampled_from(SPACE_NAMES)),
     st.tuples(st.just("--format"), st.sampled_from(["text", "json"])),
