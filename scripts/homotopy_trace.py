@@ -4,8 +4,8 @@
 
     python3 scripts/homotopy_trace.py 'F(0,1,3)' --steps 24 > trace.csv
 
-Exit status: 0 on success, 1 for a malformed point, 2 for a point that is
-not in the feather.
+Exit status: 0 on success (and for --help), 1 for a malformed point or
+malformed arguments, 2 for a point that is not in the feather.
 """
 
 import argparse
@@ -24,7 +24,10 @@ def main(argv=None):
     parser.add_argument("point", help="feather point, e.g. F(0,1,3)")
     parser.add_argument("--steps", type=int, default=16,
                         help="grid points per unit of homotopy time")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its message
+        return 1 if exc.code not in (0, None) else 0
 
     if args.steps < 1:
         sys.stderr.write("parse error: --steps must be at least 1, got %d\n" % args.steps)

@@ -5,17 +5,21 @@ self time went.
 Run from the repository root:
 
     python3 scripts/profile_pass.py --workload wave-wide --seed 7 --top 25
+    python3 scripts/profile_pass.py --workload wave-wide --seed 7 --callers 'fractions.py:.*__hash__'
 
 It builds the workload's op pool with `bench/gen.py` and `bench/ops.py`,
 runs one untimed pass to warm caches, then one pass under cProfile.  It
 prints the top K functions by self time and the share of all self time
-spent in the standard library's `fractions.py`.
+spent in the standard library's `fractions.py`.  With `--callers PATTERN` it
+then prints, for every function whose `file:line(name)` matches the regular
+expression PATTERN, the functions that called it and how often.
 """
 
 import argparse
 import cProfile
 import os
 import pstats
+import re
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,9 +41,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(gen.POOL_ROUNDS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--top", type=int, default=20, help="functions to list (default 20)")
+    parser.add_argument("--callers", metavar="PATTERN",
+                        help="also list the callers of functions matching this regex")
     args = parser.parse_args(argv)
     if args.top < 1:
         parser.error("--top must be at least 1")
+    try:
+        callers_re = re.compile(args.callers) if args.callers is not None else None
+    except re.error as exc:
+        parser.error("--callers: %s" % exc)
 
     built = [[ops.build(spec) for spec in rnd] for rnd in gen.pool(args.workload, args.seed)]
     one_pass(built)
@@ -53,12 +63,35 @@ def main(argv=None) -> int:
     rows = sorted(stats.items(), key=lambda item: item[1][2], reverse=True)[:args.top]
     print("%s seed %d: one pass, %.3f s of self time" % (args.workload, args.seed, total))
     print("%8s %6s %9s  %s" % ("self_s", "share", "calls", "function"))
-    for (path, line, name), (_, calls, tt, _, _) in rows:
-        where = "%s:%d" % (os.path.relpath(path, ROOT) if path.startswith(ROOT)
-                           else os.path.basename(path), line)
-        print("%8.3f %5.1f%% %9d  %s(%s)" % (tt, 100 * tt / total, calls, name, where))
+    for func, (_, calls, tt, _, _) in rows:
+        print("%8.3f %5.1f%% %9d  %s" % (tt, 100 * tt / total, calls, label(func)))
     print("fractions.py share of self time: %.1f%%" % (100 * in_fractions / total))
+    if callers_re is not None:
+        print_callers(stats, callers_re)
     return 0
+
+
+def label(func) -> str:
+    """`name(file:line)`, with the file relative to the repository root."""
+    path, line, name = func
+    where = os.path.relpath(path, ROOT) if path.startswith(ROOT) else os.path.basename(path)
+    return "%s(%s:%d)" % (name, where, line)
+
+
+def print_callers(stats, pattern):
+    """For each function whose `file:line(name)` matches, its callers by call
+    count, most frequent first."""
+    matched = [func for func in stats
+               if pattern.search("%s:%d(%s)" % (os.path.basename(func[0]), func[1], func[2]))]
+    matched.sort(key=lambda func: stats[func][1], reverse=True)
+    if not matched:
+        print("no function matches %r" % pattern.pattern)
+    for func in matched:
+        _, calls, tt, _, callers = stats[func]
+        print()
+        print("callers of %s: %d calls, %.3f s self" % (label(func), calls, tt))
+        for caller, row in sorted(callers.items(), key=lambda item: item[1][1], reverse=True):
+            print("%9d  %s" % (row[1], label(caller)))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ checked centre and the clamped radius keeps them valid and ordered.
 
 from fractions import Fraction
 
-from .rationals import PreconditionError, Value, fmt_ext, lt
+from .rationals import PreconditionError, Value, eq, fmt_ext, lt, same
 
 # A feather point is a plain tuple of Fractions, validated by fp_validate and
 # printed by fp_str.
@@ -56,7 +56,7 @@ def fp_validate(seq) -> tuple:
     if not all(map(lt, seq[:-2], seq[1:-1])):
         raise PreconditionError("coordinates must be strictly increasing before the last step: %s"
                                 % fp_str(seq))
-    if len(seq) >= 2 and not seq[-2] <= seq[-1]:
+    if len(seq) >= 2 and lt(seq[-1], seq[-2]):
         raise PreconditionError("last step must be non-decreasing: %s" % fp_str(seq))
     return seq
 
@@ -73,12 +73,12 @@ def fp_less(p: tuple, q: tuple) -> bool:
     n = len(p) - 1
     if n > len(q) - 1:
         return False
-    return p[:n] == q[:n] and p[n] < q[n]
+    return same(p[:n], q[:n]) and lt(p[n], q[n])
 
 
 def fp_is_strict(p: tuple) -> bool:
     """True for points whose last step is strict (they are lower twins)."""
-    return len(p) == 1 or p[-2] < p[-1]
+    return len(p) == 1 or lt(p[-2], p[-1])
 
 
 def fp_twin(p: tuple) -> tuple:
@@ -113,7 +113,7 @@ class Arm(Value):
         return self.lo < r < self.hi
 
     def contains(self, p: tuple) -> bool:
-        return p[:-1] == self.prefix and self.contains_coord(p[-1])
+        return same(p[:-1], self.prefix) and self.contains_coord(p[-1])
 
     def is_empty(self) -> bool:
         return not self.lo < self.hi
@@ -173,11 +173,11 @@ def interval_arms(u: tuple, v: tuple) -> tuple:
     for m in range(n, len(v)):
         prefix = v[:m]
         if m == n:
-            if u[:n] != v[:n]:
+            if not same(u[:n], v[:n]):
                 continue
             arm = Arm(prefix, u[n], v[n], lo_closed=False)
         else:
-            if u[:n] != v[:n] or not u[n] < v[n]:
+            if not same(u[:n], v[:n]) or not lt(u[n], v[n]):
                 break
             arm = Arm(prefix, v[m - 1], v[m], lo_closed=True)
         if not arm.is_empty():
@@ -192,7 +192,7 @@ def normalize_arms(arms) -> tuple:
                    key=lambda a: (len(a.prefix), a.prefix, a.lo, not a.lo_closed))
     out = []
     for arm in keyed:
-        if out and out[-1].prefix == arm.prefix:
+        if out and same(out[-1].prefix, arm.prefix):
             prev = out[-1]
             if arm.lo < prev.hi or (arm.lo == prev.hi and arm.lo_closed) or (
                     arm.lo == prev.lo):
@@ -206,7 +206,7 @@ def meet_arms(arms1, arms2) -> tuple:
     out = []
     for a in arms1:
         for b in arms2:
-            if a.prefix != b.prefix:
+            if not same(a.prefix, b.prefix):
                 continue
             if a.lo > b.lo:
                 lo, closed = a.lo, a.lo_closed
@@ -227,7 +227,7 @@ def arms_meet(arms1, arms2) -> bool:
     Arms are nonempty: ranges overlap when each starts below the other's end."""
     for a in arms1:
         for b in arms2:
-            if a.prefix == b.prefix and lt(a.lo, b.hi) and lt(b.lo, a.hi):
+            if same(a.prefix, b.prefix) and lt(a.lo, b.hi) and lt(b.lo, a.hi):
                 return True
     return False
 
@@ -269,11 +269,11 @@ def arms_twin_pair(arms):
         if not a2.lo_closed:
             continue
         r = a2.lo
-        if a2.prefix and a2.prefix[-1] != r:
+        if a2.prefix and not eq(a2.prefix[-1], r):
             continue
         q = a2.prefix[:-1]
         for a1 in arms:
-            if a1.prefix == q and a1.contains_coord(r):
+            if same(a1.prefix, q) and a1.contains_coord(r):
                 return (q + (r,), q + (r, r))
     return None
 
@@ -349,7 +349,7 @@ def flip_apply(s: tuple, r: tuple) -> tuple:
 def _glue(head: tuple, tail: tuple) -> tuple:
     """head + tail for a proper prefix and a suffix of valid points; only
     the seam between them needs checking."""
-    if head and tail and not (head[-1] < tail[0] or (len(tail) == 1 and head[-1] == tail[0])):
+    if head and tail and not (lt(head[-1], tail[0]) or (len(tail) == 1 and eq(head[-1], tail[0]))):
         raise PreconditionError("flip seam breaks the order: %s + %s" % (head, tail))
     return head + tail
 
@@ -357,9 +357,9 @@ def _glue(head: tuple, tail: tuple) -> tuple:
 def _flip(s: tuple, n: int, p: tuple) -> tuple:
     """The flip pinned at s[:n+1] (n >= 1) applied to a valid point p; the
     first case takes precedence when both patterns match."""
-    if len(p) >= n + 1 and p[:n] == s[:n]:
+    if len(p) >= n + 1 and same(p[:n], s[:n]):
         return _glue(s[:n - 1], p[n:])
-    if len(p) >= n and p[:n - 1] == s[:n - 1] and p[n - 1] >= s[n - 1]:
+    if len(p) >= n and same(p[:n - 1], s[:n - 1]) and not lt(p[n - 1], s[n - 1]):
         return _glue(s[:n], p[n - 1:])
     return p
 

@@ -9,7 +9,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
 
-from .rationals import NEG_INF, POS_INF, PreconditionError, Value, as_ext, fmt_ext, lt
+from .rationals import NEG_INF, POS_INF, PreconditionError, Value, as_ext, fmt_ext, lt, sorted_by
 
 
 class IntervalSet(Value):
@@ -60,7 +60,7 @@ def canon_intervals(pairs) -> IntervalSet:
     """Sort by lower end, drop empty intervals, merge genuinely overlapping
     ones (in whatever order ties on the lower end come)."""
     merged = []
-    for lo, hi in sorted((p for p in pairs if lt(p[0], p[1])), key=_LO):
+    for lo, hi in sorted_by((p for p in pairs if lt(p[0], p[1])), _LO):
         if merged and lt(lo, merged[-1][1]):
             if lt(merged[-1][1], hi):
                 merged[-1][1] = hi
@@ -111,7 +111,7 @@ def iset_remove_points(a: IntervalSet, xs) -> IntervalSet:
     """Punch finitely many points out of the set (each splits its interval)
     in one merge sweep over the sorted intervals and the sorted points.
     Order and duplicates in `xs` do not matter."""
-    pts = sorted(xs)
+    pts = sorted_by(xs)
     out = []
     k = 0
     for lo, hi in a.intervals:

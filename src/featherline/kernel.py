@@ -63,7 +63,7 @@ from . import feather as fe
 from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
                         iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
-from .rationals import NEG_INF, POS_INF, PreconditionError, Value, lt
+from .rationals import NEG_INF, POS_INF, PreconditionError, Value, eq, key, lt, same, sorted_by
 from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
@@ -220,7 +220,7 @@ class FeatherSpace(Space):
         return (p[:-1] if fe.fp_is_strict(p) else p[:-2]), (p[-1], -_HALF)
 
     def non_separable_pair(self, p, q) -> bool:
-        return fe.fp_twin(p) == q
+        return same(fe.fp_twin(p), q)
 
     def separable(self, p, q):
         return _separate(self, p, q, self._separating_charts)
@@ -419,14 +419,15 @@ class MultiLineSpace(Space):
 
     def union_twin_pair(self, basics, extra_points=()):
         waves = list(basics)
-        lifted = {x for w in waves for x, _ in w.lift}
-        lifted |= {p.x for p in extra_points}
-        for x in sorted(lifted):
+        lifted = {key(x): x for w in waves for x, _ in w.lift}
+        for p in extra_points:
+            lifted.setdefault(key(p.x), p.x)
+        for x in sorted_by(lifted.values()):
             levels = set()
             for w in waves:
                 levels |= ml.wave_member_levels(w, x)
             for p in extra_points:
-                if p.x == x:
+                if eq(p.x, x):
                     levels.add(p.level)
             if len(levels) > 1:
                 js = sorted(levels)
@@ -695,7 +696,7 @@ def _arm_twin_inside_handle(handle, arm):
 
 
 def _arm_subset(a, b) -> bool:
-    if a.prefix != b.prefix or a.hi > b.hi:
+    if not same(a.prefix, b.prefix) or lt(b.hi, a.hi):
         return False
     if a.lo > b.lo:
         return True

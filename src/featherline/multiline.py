@@ -7,7 +7,11 @@ removed and lifted to an upper level.
 
 The wave algebra is near-linear in the number of lifts.  A `Wave` builds its
 abscissa -> level map once, when it is constructed, and membership, member
-levels and meets read that stored map; `lift_map()` hands out a copy.
+levels and meets read that stored map.  The map `_levels` is keyed by the
+integer pair `rationals.key(x)`, not by the Fraction, since hashing a
+Fraction computes a modular inverse every time; `lift_map()` still hands out
+a Fraction-keyed dict, built from the sorted `lift`.  `chain_connect` keys
+its constraints the same way.
 Lifted abscissae are punched out of the open set in one merge sweep
 (`iset_remove_points`), by `wave_meet` and `down_projection` alike.
 Disjointness is decided downstairs (`waves_disjoint`): removing finitely many
@@ -22,7 +26,8 @@ from operator import itemgetter
 
 from .intervals import (FinSet, IntervalSet, iset_meet, iset_meets, iset_pick_point,
                         iset_remove_points)
-from .rationals import NEG_INF, POS_INF, PreconditionError, Value, fmt_ext, lt
+from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, eq, fmt_ext, key, lt,
+                        sorted_by)
 
 _ABSCISSA = itemgetter(0)  # lift abscissae are unique: sort by them alone
 
@@ -79,7 +84,8 @@ def ml_point(spec: SpaceSpec, x, level: int) -> MultiLinePoint:
 class Wave(Value):
     """Basic open: (O minus lifted abscissae) downstairs, lifted points
     upstairs at their assigned levels.  `lift` is a sorted tuple of
-    (abscissa, level) with level >= 1, and `_levels` maps abscissa -> level."""
+    (abscissa, level) with level >= 1, and `_levels` maps `key(abscissa)` ->
+    level."""
 
     __slots__ = ("spec", "parts", "lift", "_levels")
     _fields = ("spec", "parts", "lift")
@@ -91,15 +97,20 @@ class Wave(Value):
         self.__post_init__()
 
     def __post_init__(self):
-        levels = {}
+        levels, lift = {}, []
         for x, j in self.lift:
-            levels[x if type(x) is Fraction else Fraction(x)] = int(j)
-        if len(levels) < len(self.lift):  # a repeated abscissa must repeat its level
+            if x.__class__ is not Fraction:
+                x = Fraction(x)
+            k = key(x)
+            if k not in levels:
+                lift.append((x, int(j)))
+            levels[k] = int(j)
+        if len(lift) < len(self.lift):  # a repeated abscissa must repeat its level
             for x, j in self.lift:
-                if levels[Fraction(x)] != int(j):
+                if levels[key(x)] != int(j):
                     raise PreconditionError("abscissa %s lifted to two levels" % fmt_ext(x))
         object.__setattr__(self, "_levels", levels)
-        object.__setattr__(self, "lift", tuple(sorted(levels.items(), key=_ABSCISSA)))
+        object.__setattr__(self, "lift", tuple(sorted_by(lift, _ABSCISSA)))
         for x, j in self.lift:
             if not 1 <= j < self.spec.k:
                 raise PreconditionError("lift level %d out of range" % j)
@@ -109,14 +120,14 @@ class Wave(Value):
                 raise PreconditionError("lifted abscissa %s is not doubled" % fmt_ext(x))
 
     def lift_map(self) -> dict:
-        return dict(self._levels)
+        return dict(self.lift)
 
     def contains(self, p: MultiLinePoint) -> bool:
-        # a Fraction hashes slowly: look x up last, and only if something is lifted
+        # look x up last, and only if something is lifted
         levels = self._levels
         if p.level == 0:
-            return self.parts.contains(p.x) and not (levels and p.x in levels)
-        return bool(levels) and levels.get(p.x) == p.level
+            return self.parts.contains(p.x) and not (levels and key(p.x) in levels)
+        return bool(levels) and levels.get(key(p.x)) == p.level
 
     def is_empty(self) -> bool:
         return self.parts.is_empty()
@@ -146,13 +157,13 @@ def wave_meet(w1: Wave, w2: Wave) -> Wave:
     parts = iset_meet(w1.parts, w2.parts)
     m1, m2 = w1._levels, w2._levels
     lift, punched = [], []
-    for x, j1 in m1.items():
+    for x, j1 in w1.lift:
         if parts.contains(x):
-            if m2.get(x) == j1:
+            if m2.get(key(x)) == j1:
                 lift.append((x, j1))
             else:
                 punched.append(x)
-    punched.extend(x for x in m2 if x not in m1 and parts.contains(x))
+    punched.extend(x for x, _ in w2.lift if key(x) not in m1 and parts.contains(x))
     return Wave(w1.spec, iset_remove_points(parts, punched), tuple(lift))
 
 
@@ -167,7 +178,7 @@ def waves_disjoint(w1: Wave, w2: Wave) -> bool:
 
 def wave_member_levels(w: Wave, x) -> set:
     """Levels the wave occupies at abscissa x (empty, {0}, or one lift)."""
-    j = w._levels.get(x)
+    j = w._levels.get(key(x))
     if j is not None:
         return {j}
     if w.parts.contains(x):
@@ -327,8 +338,9 @@ def chain_connect(spec: SpaceSpec, src: MultiLinePoint, dst: MultiLinePoint,
     removed points.  Returns a list of waves, or None when the bounded
     construction finds no chain (reported as inconclusive, never as
     'disconnected')."""
-    removed = frozenset(removed)
-    if src in removed or dst in removed:
+    removed = tuple(removed)
+    gone = {(key(r.x), r.level) for r in removed}
+    if (key(src.x), src.level) in gone or (key(dst.x), dst.level) in gone:
         raise PreconditionError("endpoints must not be removed")
     wlo, whi = Fraction(window[0]), Fraction(window[1])
     lo, hi = min(src.x, dst.x), max(src.x, dst.x)
@@ -346,20 +358,28 @@ def chain_connect(spec: SpaceSpec, src: MultiLinePoint, dst: MultiLinePoint,
 
     # endpoints at the same abscissa but different levels need two waves
     # overlapping away from that abscissa
-    split = src.x == dst.x and src.level != dst.level
+    split = eq(src.x, dst.x) and src.level != dst.level
 
-    required = {} if split else {src.x: src.level, dst.x: dst.level}
-    lift = {}
-    forbidden_at = {}
+    # every map below is keyed by key(abscissa); `constrained` maps each
+    # abscissa that needs a chosen level to the abscissa itself
+    ends = () if split else (src, dst)
+    required = {key(p.x): p.level for p in ends}
+    forbidden_at, constrained = {}, {}
     for r in removed:
-        forbidden_at.setdefault(r.x, set()).add(r.level)
-    constrained = set(required) | {x for x in forbidden_at if parts.contains(x)}
+        k = key(r.x)
+        if k not in forbidden_at:
+            forbidden_at[k] = set()
+            if parts.contains(r.x):
+                constrained[k] = r.x
+        forbidden_at[k].add(r.level)
     if split:
-        constrained.discard(src.x)
-    for x in constrained:
-        forbidden = forbidden_at.get(x, ())
-        if x in required:
-            choice = required[x]
+        constrained.pop(key(src.x), None)
+    constrained.update((key(p.x), p.x) for p in ends)
+    lift = []
+    for k, x in constrained.items():
+        forbidden = forbidden_at.get(k, ())
+        if k in required:
+            choice = required[k]
             if choice in forbidden:
                 return None
         else:
@@ -369,20 +389,17 @@ def chain_connect(spec: SpaceSpec, src: MultiLinePoint, dst: MultiLinePoint,
                 return None
             choice = allowed[0]
         if choice > 0:
-            lift[x] = choice
+            lift.append((x, choice))
     if split:
-        links = []
-        for endpoint in (src, dst):
-            ext = dict(lift)
-            if endpoint.level > 0:
-                ext[endpoint.x] = endpoint.level
-            links.append(Wave(spec, parts, tuple(ext.items())))
+        # the endpoints' abscissa is not constrained, so it is not in `lift`
+        links = [Wave(spec, parts, tuple(lift + [(p.x, p.level)] if p.level > 0 else lift))
+                 for p in (src, dst)]
         if not (links[0].contains(src) and links[1].contains(dst)):
             raise AssertionError("chain links miss their endpoints")
         if waves_disjoint(links[0], links[1]):
             raise AssertionError("chain links do not meet")
         return links
-    wave = Wave(spec, parts, tuple(lift.items()))
+    wave = Wave(spec, parts, tuple(lift))
     if not (wave.contains(src) and wave.contains(dst)):
         raise AssertionError("chain wave misses its endpoints")
     return [wave]

@@ -109,11 +109,22 @@ def test_homotopy_trace_script():
                                         '1,"F(0,0)"', "3/2,F(-1/2)", "2,F(-1)"]
 
 
-@pytest.mark.parametrize("args", [["D(0)"], ["F(1,0)"], ["G(0)"], ["F(0)", "--steps", "0"]])
+# exit 2 for a point outside the feather, 1 for anything malformed
+HOMOTOPY_TRACE_EXIT = {("D(0)",): 2, ("F(1,0)",): 1, ("G(0)",): 1, ("F(0)", "--steps", "0"): 1,
+                       ("F(0)", "--steps", "x"): 1, (): 1, ("F(0)", "--frobnicate"): 1}
+
+
+@pytest.mark.parametrize("args", [list(args) for args in HOMOTOPY_TRACE_EXIT])
 def test_homotopy_trace_script_rejects_bad_input(args):
     proc = run_homotopy_trace(args)
-    assert proc.returncode in (1, 2)
+    assert proc.returncode == HOMOTOPY_TRACE_EXIT[tuple(args)]
     assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr
+
+
+def test_homotopy_trace_script_help_exits_0():
+    proc = run_homotopy_trace(["--help"])
+    assert proc.returncode == 0 and "usage" in proc.stdout
 
 
 def test_parse_error_exit_code():

@@ -1,14 +1,24 @@
-"""The exact comparison primitive `rationals.lt` and the sites that use it:
-each agrees with the plain `Fraction` operators, and nothing patches them."""
+"""The exact primitives `rationals.lt`, `eq`, `same`, `sorted_by` and `key`
+and the sites that use them: each agrees with the plain `Fraction`
+operators, the hot paths call no `Fraction` dunder, and nothing patches
+them."""
 
+import cProfile
 import fractions
+import os
+import pstats
 from fractions import Fraction
+from operator import itemgetter
 
+import pytest
 from hypothesis import given, strategies as st
 
+from featherline import feather as fe
 from featherline import kernel as ke
+from featherline import multiline as ml
 from featherline.intervals import IntervalSet, canon_intervals, iset_meet, iset_meets
-from featherline.rationals import NEG_INF, POS_INF, fmt_ext, lt
+from featherline.rationals import (NEG_INF, POS_INF, PreconditionError, _floor_key, eq, fmt_ext,
+                                   key, lt, same, sorted_by)
 
 big = st.integers(-10**30, 10**30)
 fracs = st.builds(Fraction, big, st.integers(1, 10**30))
@@ -19,7 +29,10 @@ exact = fracs | small_fracs | ints
 scalars = exact | sentinels
 
 
-@given(scalars, scalars)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(scalars | finite_floats, scalars | finite_floats)
 def test_lt_agrees_with_the_operator(a, b):
     assert lt(a, b) is (a < b)
     assert (not lt(b, a)) is (a <= b)
@@ -103,3 +116,186 @@ def test_nothing_patches_the_fraction_operators():
     for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
         method = vars(Fraction)[name]
         assert (method.__module__, method.__qualname__) == ("fractions", "Fraction." + name)
+
+
+# ---------------------------------------------------------------------------
+# Equality, sorting and dict keys.
+
+
+@given(scalars | finite_floats, scalars | finite_floats)
+def test_eq_agrees_with_the_operator(a, b):
+    assert eq(a, b) is (a == b)
+    assert eq(b, a) is (a == b)
+
+
+@given(exact)
+def test_eq_across_types(a):
+    assert eq(a, Fraction(a)) and eq(Fraction(a), a)
+    assert eq(a, Fraction(a) + Fraction(1, 3)) is False
+
+
+def _copy(x):
+    """An equal coordinate that is a different object, of either type."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else Fraction(x.numerator, x.denominator)
+    return Fraction(x)
+
+
+coordinate_lists = st.lists(exact, max_size=12)
+
+
+@st.composite
+def tuple_pairs(draw):
+    """Two tuples of scalars that share coordinates, copy them, or differ in
+    one coordinate or in length."""
+    p = tuple(draw(coordinate_lists))
+    how = draw(st.sampled_from(["shared", "sliced", "copied", "changed", "longer", "other"]))
+    if how == "shared":
+        q = p
+    elif how == "sliced":
+        k = draw(st.integers(0, len(p)))
+        p, q = p[:k], (p + (Fraction(0),))[:k]
+    elif how == "copied":
+        q = tuple(map(_copy, p))
+    elif how == "changed" and p:
+        i = draw(st.integers(0, len(p) - 1))
+        q = p[:i] + (draw(exact),) + p[i + 1:]
+    elif how == "longer":
+        q = p + (draw(exact),)
+    else:
+        q = tuple(draw(coordinate_lists))
+    return (p, q) if draw(st.booleans()) else (q, p)
+
+
+@given(tuple_pairs())
+def test_same_agrees_with_tuple_equality(pair):
+    p, q = pair
+    assert same(p, q) is (p == q)
+
+
+near = st.builds(lambda base, k: base + Fraction(k, 2**40), small_fracs, st.integers(-3, 3))
+sortable = small_fracs | ints | fracs | near | sentinels | finite_floats | st.just(Fraction(1, 3))
+
+
+@given(st.lists(sortable, max_size=30))
+def test_sorted_by_is_sorted_and_stable(values):
+    pairs = [(v, i) for i, v in enumerate(values)]  # the index shows the order of ties
+    assert sorted_by(pairs, itemgetter(0)) == sorted(pairs, key=itemgetter(0))
+    assert [(type(v), v) for v in sorted_by(values)] == [(type(v), v) for v in sorted(values)]
+
+
+@given(st.lists(near, min_size=2, max_size=30))
+def test_sorted_by_orders_values_closer_than_its_key(values):
+    assert sorted_by(values) == sorted(values)
+
+
+@given(sortable)
+def test_the_sort_key_is_an_integer_or_a_sentinel(v):
+    k = _floor_key(v)
+    assert type(k) is int or k in (NEG_INF, POS_INF)
+
+
+def test_sorted_by_returns_short_input_as_a_list():
+    assert sorted_by(()) == [] and sorted_by(iter([Fraction(1)])) == [Fraction(1)]
+
+
+@given(exact | finite_floats, exact | finite_floats)
+def test_key_agrees_with_equality(a, b):
+    assert (key(a) == key(b)) is (a == b)
+
+
+@given(exact)
+def test_key_of_an_int_and_of_a_fraction_alike(a):
+    assert key(a) == key(Fraction(a))
+    assert all(type(part) is int for part in key(a))
+
+
+# ---------------------------------------------------------------------------
+# The wave algebra keyed on integers.
+
+abscissae = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
+
+
+def _spelled(x, as_int):
+    """x as an int when it is integral and `as_int` is set."""
+    return x.numerator if as_int and x.denominator == 1 else x
+
+
+@given(st.dictionaries(abscissae, st.integers(1, 2), max_size=8), st.data())
+def test_waves_from_unsorted_duplicated_lifts_agree(levels, data):
+    parts = IntervalSet.of((-4, 4))
+    canonical = ml.Wave(ml.TRIPLED, parts, tuple(sorted(levels.items())))
+    entries = list(levels.items()) * 2
+    entries = data.draw(st.permutations(entries))
+    spelled = tuple((_spelled(x, data.draw(st.booleans())), j) for x, j in entries)
+    w = ml.Wave(ml.TRIPLED, parts, spelled)
+    assert w == canonical
+    assert all(type(x) is Fraction for x, _ in w.lift)
+    assert w.lift_map() == {Fraction(x): j for x, j in levels.items()}
+    for x in [Fraction(n, 2) for n in range(-9, 10)]:
+        for level in range(3):
+            expected = (levels.get(x) == level if x in levels
+                        else level == 0 and parts.contains(x))
+            for spelling in (x, _spelled(x, True)):
+                assert w.contains(ml.MultiLinePoint(spelling, level)) is expected
+        assert ml.wave_member_levels(w, _spelled(x, True)) == ml.wave_member_levels(w, x)
+
+
+def test_a_wave_rejects_an_abscissa_lifted_to_two_levels_of_either_type():
+    with pytest.raises(PreconditionError, match="abscissa 1 lifted to two levels"):
+        ml.Wave(ml.TRIPLED, IntervalSet.of((0, 3)), ((Fraction(1), 1), (1, 2)))
+
+
+removed_points = st.lists(st.tuples(abscissae, st.integers(0, 2)), max_size=6)
+
+
+@given(st.tuples(abscissae, st.integers(0, 2)), st.tuples(abscissae, st.integers(0, 2)),
+       removed_points)
+def test_chain_connect_reads_int_and_fraction_removed_points_alike(src, dst, removed):
+    src, dst = ml.MultiLinePoint(*src), ml.MultiLinePoint(*dst)
+
+    def outcome(as_int):
+        points = [ml.MultiLinePoint(_spelled(x, as_int), j) for x, j in removed]
+        try:
+            return ml.chain_connect(ml.TRIPLED, src, dst, points, (-5, 5))
+        except PreconditionError as exc:
+            return str(exc)
+
+    assert outcome(True) == outcome(False)
+
+
+# ---------------------------------------------------------------------------
+# Count guards: the hot paths call no `Fraction` hash or equality.
+
+
+def _fraction_calls(fn, name) -> int:
+    prof = cProfile.Profile()
+    prof.runcall(fn)
+    return sum(row[1] for (path, _, func), row in pstats.Stats(prof).stats.items()
+               if os.path.basename(path) == "fractions.py" and func == name)
+
+
+def _lifted_wave(start, levels):
+    lift = tuple((Fraction(start + 2 * i, 7), levels[i % len(levels)]) for i in range(200))
+    return ml.full_wave(ml.TRIPLED, lift)
+
+
+def test_wave_meet_and_chain_connect_hash_no_fraction():
+    w1, w2 = _lifted_wave(0, (1, 2)), _lifted_wave(100, (1,))
+    assert _fraction_calls(lambda: ml.wave_meet(w1, w2), "__hash__") == 0
+    removed = [ml.MultiLinePoint(Fraction(2 * i + 1, 3), i % 3) for i in range(200)]
+    src, dst = ml.MultiLinePoint(Fraction(0), 0), ml.MultiLinePoint(Fraction(50), 2)
+    links = []
+    assert _fraction_calls(lambda: links.append(
+        ml.chain_connect(ml.TRIPLED, src, dst, removed, (-5, 100))), "__hash__") == 0
+    assert links[0] is not None
+
+
+def test_arms_meet_on_separately_parsed_points_calls_no_fraction_equality():
+    text = "F(%s)" % ",".join(str(n) for n in range(100))
+    p, q = ke.FEATHER.parse_point(text), ke.FEATHER.parse_point(text)
+    assert p == q and p[0] is not q[0]
+    a1, a2 = fe.fp_chart(p, 1).arms(), fe.fp_chart(q, Fraction(1, 2)).arms()
+    met = []
+    assert _fraction_calls(lambda: met.append(fe.arms_meet(a1, a2)), "__eq__") == 0
+    assert met == [True]
