@@ -206,9 +206,6 @@ class FinSet(Value):
     def __len__(self):
         return len(self.elements)
 
-    def union(self, other: "FinSet") -> "FinSet":
-        return FinSet(tuple(sorted(set(self.elements) | set(other.elements))))
-
     def __str__(self):
         return "{%s}" % ",".join(fmt_ext(x) for x in self.elements)
 

@@ -7,29 +7,32 @@ neighborhoods, which is what makes separation and convergence decidable.
 
 The space protocol.  `FeatherSpace`, `MultiLineSpace` (line, doubled,
 tripled, two-origins), `BranchSpace` and `CofiniteSpace` answer the same
-calls, so no caller asks which space it holds:
+calls, so no caller asks which space it holds.  Each class defines:
 
-    every space          parse_point parse_basic is_point member meet
-                         meet_is_empty canonical_neighborhood chart_form
-                         common_point non_separable_pair separable
+    every space          is_point meet meet_is_empty canonical_neighborhood
+                         chart_form common_point non_separable_pair separable
     all but branch       dense
     feather, multiline   descriptor converges move replay union_twin_pair
-                         basic_subset maximal_hausdorff canonical_cover
+                         basic_subset maximal_hausdorff cover_admits
                          cover_member uncovered_point default_subfamily
                          baire_point chart_sample pipeline_sample
-    feather only         homotopy
-    multiline only       chain cover_probes
+    feather only         homotopy density_witness
+    multiline only       chain cover_probes covered_by
+
+`Space` answers the rest.  `member` tests a basic of the types the space
+declares in `basic_kind`, and rejects any other with "not a <noun>".
+By default `density_witness` (a basic missing a non-dense union) is None,
+`covered_by` is True (a covered certificate rests on its probes) and
+`is_baire` is True; the cofinite space is not Baire, as its diagonal family
+of dense opens has empty intersection.  An operation a space lacks raises
+`PreconditionError("<op> is not implemented for <tag>")`.  The bench tracer
+times only the methods a space class defines itself, so the table's methods
+stay on each class.
 
 The probe contract.  `meet_is_empty(b1, b2)` gives the verdict of
 `not meet(b1, b2)` without building the meet: the refuter makes 16 such
 probes per call, so each is one early-exit overlap test (`arms_meet` on the
 feather, `waves_disjoint` on the line family).
-
-An operation a space lacks raises the one error `Space` defines,
-`PreconditionError("<op> is not implemented for <tag>")`.  Every space also
-answers `density_witness` (a basic missing a non-dense union; None except on
-the feather) and `is_baire` (False only for the cofinite space, whose
-diagonal family of dense opens has empty intersection).
 
 Parsing is the boundary: `parse_point` and `parse_basic` reject another
 space's objects with a `PreconditionError` quoting the input, so wrong-space
@@ -92,25 +95,6 @@ class SeqDescriptor(Value):
         return ml.MultiLinePoint(x, self.base.level)
 
 
-class CoverDescriptor(Value):
-    """Either a parametric family with decidable membership or an explicit
-    finite list of basics."""
-
-    __slots__ = _fields = ("kind", "basics")
-
-    def __init__(self, kind, basics=()):  # "lift-cover" | "chart-cover" | "explicit"
-        Value.__init__(self, kind, basics)
-
-    def admits(self, b) -> bool:
-        if self.kind == "lift-cover":
-            if not isinstance(b, ml.Wave) or not iset_covers_line(b.parts):
-                return False
-            return len(b.lift) <= 1  # `Wave` bounds each lift level to 1 <= j < k
-        if self.kind == "chart-cover":
-            return isinstance(b, fe.Chart)
-        return b in self.basics
-
-
 class ChartForm:
     """A point's canonical chart as an affine form in its radius ρ.
 
@@ -169,6 +153,12 @@ class Space:
     def parse_basic(self, text):
         return self._parse(parse_basic, self.basic_kind, text)
 
+    def member(self, p, b) -> bool:
+        types, noun = self.basic_kind
+        if type(b) not in types:
+            raise PreconditionError("not a %s: %s" % (noun, b))
+        return b.contains(p)
+
     def density_witness(self, basics):
         return None
 
@@ -182,23 +172,18 @@ class Space:
 class FeatherSpace(Space):
     tag = "feather"
     point_kind = ((tuple,), "feather point")
-    basic_kind = ((fe.FeatherInterval, fe.SkeletonHandle), "feather basic")
+    basic_kind = ((fe.Chart, fe.FeatherInterval, fe.SkeletonHandle), "feather basic")
 
-    def member(self, p, b) -> bool:
-        if isinstance(b, (fe.FeatherInterval, fe.Chart, fe.SkeletonHandle)):
-            return b.contains(p)
-        raise PreconditionError("not a feather basic: %s" % (b,))
-
-    def basic_arms(self, b):
+    def _basic_arms(self, b):
         if isinstance(b, fe.SkeletonHandle):
             raise PreconditionError("predicate-backed handle has no finite arm presentation")
         return b.arms()
 
     def meet(self, b1, b2) -> list:
-        return fe.arms_to_intervals(fe.meet_arms(self.basic_arms(b1), self.basic_arms(b2)))
+        return fe.arms_to_intervals(fe.meet_arms(self._basic_arms(b1), self._basic_arms(b2)))
 
     def meet_is_empty(self, b1, b2) -> bool:
-        return not fe.arms_meet(self.basic_arms(b1), self.basic_arms(b2))
+        return not fe.arms_meet(self._basic_arms(b1), self._basic_arms(b2))
 
     def canonical_neighborhood(self, p, eps):
         return fe.fp_chart(p, eps)
@@ -301,8 +286,8 @@ class FeatherSpace(Space):
 
     def basic_subset(self, small, big) -> bool:
         """small subset-of big, decided symbolically."""
-        small_arms = fe.normalize_arms(self.basic_arms(small))
-        big_arms = fe.normalize_arms(self.basic_arms(big))
+        small_arms = fe.normalize_arms(self._basic_arms(small))
+        big_arms = fe.normalize_arms(self._basic_arms(big))
         for a in small_arms:
             if not any(_arm_subset(a, b) for b in big_arms):
                 return False
@@ -317,8 +302,9 @@ class FeatherSpace(Space):
             candidates.append(handle.flip.apply(tw) if handle.flip else tw)
         return handle, [handle.adjoin_witness(w) for w in candidates if not handle.contains(w)]
 
-    def canonical_cover(self) -> CoverDescriptor:
-        return CoverDescriptor("chart-cover")
+    def cover_admits(self, b) -> bool:
+        """Whether `b` is in the canonical cover: the charts."""
+        return type(b) is fe.Chart
 
     def cover_member(self, text):
         # the canonical feather cover consists of charts; name them by center
@@ -331,7 +317,7 @@ class FeatherSpace(Space):
         return tuple(fe.fp_chart(p, Fraction(1)) for p in sample_points)
 
     def baire_point(self, members, probe):
-        arm = fe.normalize_arms(self.basic_arms(probe))[0]
+        arm = fe.normalize_arms(self._basic_arms(probe))[0]
         q = arm.prefix
         avoid = set(q[-1:])  # skip the branch point: keep the pick strict
         for _ in range(64):
@@ -358,11 +344,6 @@ class MultiLineSpace(Space):
 
     def __init__(self, spec: ml.SpaceSpec):
         self.spec = spec
-
-    def member(self, p, b) -> bool:
-        if isinstance(b, ml.Wave):
-            return b.contains(p)
-        raise PreconditionError("not a wave: %s" % (b,))
 
     def meet(self, b1, b2) -> list:
         w = ml.wave_meet(b1, b2)
@@ -459,10 +440,12 @@ class MultiLineSpace(Space):
             samples.append((ml.MultiLinePoint(y, 1), ml.MultiLinePoint(y, 0)))
         return handle, samples
 
-    def canonical_cover(self) -> CoverDescriptor:
-        if self.spec.k == 1:
-            return CoverDescriptor("explicit", (ml.full_wave(self.spec),))
-        return CoverDescriptor("lift-cover")
+    def cover_admits(self, b) -> bool:
+        """Whether `b` is in the canonical cover: the waves of this spec over
+        the whole line that lift at most one abscissa (on the line, the one
+        full wave)."""
+        return (type(b) is ml.Wave and (b.spec is self.spec or b.spec == self.spec)
+                and iset_covers_line(b.parts) and len(b.lift) <= 1)
 
     def cover_member(self, text):
         return self.parse_basic(text)
@@ -533,11 +516,6 @@ class BranchSpace(Space):
     point_kind = ((ml.BranchPoint,), "branch point")
     basic_kind = ((ml.BranchInterval,), "branch interval")
 
-    def member(self, p, b) -> bool:
-        if isinstance(b, ml.BranchInterval):
-            return b.contains(p)
-        raise PreconditionError("not a branch interval: %s" % (b,))
-
     def meet(self, b1, b2) -> list:
         return ml.branch_meet(b1, b2)
 
@@ -574,11 +552,6 @@ class CofiniteSpace(Space):
     is_baire = False
     point_kind = ((int,), "natural number")
     basic_kind = ((CofiniteSet,), "cofinite set")
-
-    def member(self, p, b) -> bool:
-        if isinstance(b, CofiniteSet):
-            return b.contains(p)
-        raise PreconditionError("not a cofinite set: %s" % (b,))
 
     def meet(self, b1, b2) -> list:
         w = cofinite_meet(b1, b2)
@@ -617,19 +590,22 @@ BRANCH = BranchSpace()
 COFINITE = CofiniteSpace()
 
 
+_DOUBLED = MultiLineSpace(ml.DOUBLED)
+_SPACES = {
+    "feather": FEATHER, "F": FEATHER,
+    "line": MultiLineSpace(ml.LINE),
+    "doubled": _DOUBLED, "D": _DOUBLED,
+    "tripled": MultiLineSpace(ml.TRIPLED),
+    "two-origins": MultiLineSpace(ml.TWO_ORIGINS),
+    "branch": BRANCH, "branching-line": BRANCH,
+    "cofinite": COFINITE, "N": COFINITE,
+}
+
+
 def space_of(name: str):
-    table = {
-        "feather": FEATHER, "F": FEATHER,
-        "line": MultiLineSpace(ml.LINE),
-        "doubled": MultiLineSpace(ml.DOUBLED), "D": MultiLineSpace(ml.DOUBLED),
-        "tripled": MultiLineSpace(ml.TRIPLED),
-        "two-origins": MultiLineSpace(ml.TWO_ORIGINS),
-        "branch": BRANCH, "branching-line": BRANCH,
-        "cofinite": COFINITE, "N": COFINITE,
-    }
-    if name not in table:
+    if name not in _SPACES:
         raise PreconditionError("unknown space %r" % name)
-    return table[name]
+    return _SPACES[name]
 
 
 def _feather_descr_check(descr: SeqDescriptor):
@@ -746,7 +722,7 @@ def verify_certificate(space, c: cert.Certificate) -> bool:
         return False
     try:
         return check(space, c.payload)
-    except (PreconditionError, AssertionError):
+    except (PreconditionError, AssertionError, KeyError):  # KeyError: a missing field
         return False
 
 

@@ -49,14 +49,6 @@ class SpaceSpec(Value):
             return True
         return x in self.doubling
 
-    @property
-    def name(self) -> str:
-        if self.k == 1:
-            return "line"
-        if self.doubling == "all":
-            return "doubled" if self.k == 2 else "multiline-k%d" % self.k
-        return "two-origins" if self.k == 2 and tuple(self.doubling) == (Fraction(0),) else "restricted"
-
 
 LINE = SpaceSpec(1)
 DOUBLED = SpaceSpec(2)

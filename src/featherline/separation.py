@@ -42,17 +42,19 @@ def hausdorff_open(space, u, extra_points=()):
 # Covers and the Lindelof failure.
 
 
-def canonical_cover(space) -> ke.CoverDescriptor:
-    return space.canonical_cover()
+def canonical_cover(space):
+    """The space's canonical cover, as its membership test."""
+    return space.cover_admits
 
 
-def subcover_attempt(space, cover: ke.CoverDescriptor, chosen):
-    """Check whether the presented subfamily still covers.  Returns
-    (True, covered-certificate) or (False, uncovered-certificate with an
-    explicit point missed by every chosen basic)."""
+def subcover_attempt(space, cover, chosen):
+    """Check whether the presented subfamily of `cover` (a membership test)
+    still covers.  Returns (True, covered-certificate) or (False,
+    uncovered-certificate with an explicit point missed by every chosen
+    basic)."""
     chosen = tuple(chosen)
     for b in chosen:
-        if not cover.admits(b):
+        if not cover(b):
             raise PreconditionError("chosen basic %s is not in the cover" % (b,))
     point = space.uncovered_point(chosen)
     if point is None:

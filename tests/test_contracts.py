@@ -122,6 +122,45 @@ def test_space_branch_guard_sees_both_forms():
     assert _space_branches(tree, SPACE_CLASSES) == [2, 3]
 
 
+# The rows of the protocol table in `kernel`'s docstring, by the classes
+# each row names.
+PROTOCOL_ROWS = {
+    "every space": SPACE_CLASSES,
+    "all but branch": SPACE_CLASSES - {"BranchSpace"},
+    "feather, multiline": {"FeatherSpace", "MultiLineSpace"},
+    "feather only": {"FeatherSpace"},
+    "multiline only": {"MultiLineSpace"},
+}
+
+
+def _protocol_table():
+    """Row label -> method names, read from the indented table that follows
+    "The space protocol." in `kernel`'s docstring."""
+    doc = ke.__doc__.split("The space protocol.", 1)[1]
+    lines = doc.split("\n\n", 2)[1].splitlines()
+    rows, label = {}, None
+    for line in lines:
+        head, names = line[:25].strip(), line[25:].split()
+        label = head or label
+        rows.setdefault(label, []).extend(names)
+    return rows
+
+
+def test_protocol_table_names_the_methods_each_space_class_defines():
+    rows = _protocol_table()
+    assert set(rows) == set(PROTOCOL_ROWS)
+    for cls_name in SPACE_CLASSES:
+        cls = getattr(ke, cls_name)
+        defined = {name for name, value in vars(cls).items()
+                   if not name.startswith("_") and callable(value)}
+        listed = [name for label, names in rows.items()
+                  if cls_name in PROTOCOL_ROWS[label] for name in names]
+        assert sorted(listed) == sorted(defined), cls_name
+    # the base class answers the rest, and the prose says so
+    for name in ("member", "covered_by", "density_witness", "is_baire"):
+        assert hasattr(ke.Space, name) and "`%s`" % name in ke.__doc__
+
+
 # ---------------------------------------------------------------------------
 # Every public feather entry rejects an invalid point.
 
@@ -824,10 +863,6 @@ VALUE_SAMPLES = {
         lambda: ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below"),
         "SeqDescriptor(space='feather', base=(Fraction(0, 1), Fraction(1, 1)), coord_index=1, "
         "limit=Fraction(1, 1), direction='below')"),
-    "CoverDescriptor": (
-        lambda: ke.CoverDescriptor("explicit", (ml.full_wave(ml.LINE),)),
-        "CoverDescriptor(kind='explicit', basics=(Wave(spec=SpaceSpec(k=1, doubling='all'), "
-        "parts=IntervalSet(intervals=((-inf, inf),)), lift=()),))"),
     "DenseFamily": (
         lambda: sp.DenseFamily("finite", (fe.strict_skeleton(),)),
         "DenseFamily(kind='finite', members=(SkeletonHandle(flip=None),))"),
@@ -867,10 +902,10 @@ def test_value_type_semantics(name):
 @pytest.mark.parametrize("a,b", [
     (ml.TranslateGen(F(1)), fe.FeatherTranslateGen(F(1))),
     (ml.TranslateGen(F(1)), ml.ReflectGen(F(1))),
-    (ke.CoverDescriptor("finite", ()), sp.DenseFamily("finite", ())),
+    (CofiniteSet("finite", ()), sp.DenseFamily("finite", ())),
     (FinSet(()), IntervalSet(())),
-    (cert.Certificate("k", {}), ke.CoverDescriptor("k", {})),
-], ids=["translate", "reflect", "cover-dense", "finset-iset", "certificate"])
+    (cert.Certificate("k", {}), sp.DenseFamily("k", {})),
+], ids=["translate", "reflect", "cofinite-dense", "finset-iset", "certificate"])
 def test_values_of_different_classes_with_the_same_fields_differ(a, b):
     assert a != b and b != a and not a == b
 

@@ -49,6 +49,13 @@ def test_space_of_rejects_unknown():
         ke.space_of("klein-bottle")
 
 
+@pytest.mark.parametrize("name,alias", [
+    ("feather", "F"), ("doubled", "D"), ("branch", "branching-line"), ("cofinite", "N"),
+    ("line", "line"), ("tripled", "tripled"), ("two-origins", "two-origins")])
+def test_space_of_returns_one_object_per_space(name, alias):
+    assert ke.space_of(name) is ke.space_of(alias) is ke.space_of(name)
+
+
 # ---------------------------------------------------------------------------
 # Separation.
 

@@ -139,6 +139,61 @@ def test_subcover_rejects_foreign_basic():
         sp.subcover_attempt(d, cover, [alien])
 
 
+def _cover_offers(spec, other):
+    """One basic of each shape a subcover may be offered.  Waves take the
+    space's own spec, or the doubled line's where it has no upper level."""
+    lifted = spec if spec is not None and spec.k > 1 else ml.DOUBLED
+    return {
+        "full wave": ml.full_wave(spec or ml.DOUBLED),
+        "one lift": ml.full_wave(lifted, ((F(0), 1),)),
+        "two lifts": ml.full_wave(lifted, ((F(0), 1), (F(1), 1))),
+        "partial wave": ml.Wave(spec or ml.DOUBLED, IntervalSet.of((0, 1))),
+        "chart": fe.fp_chart((F(0), F(1)), F(1)),
+        "feather interval": fe.FeatherInterval((F(0), F(1, 2)), (F(0), F(1), F(3))),
+        "other spec": ml.full_wave(other),
+    }
+
+
+# (space, spec of the "other spec" offer, verdicts in the order of the offers)
+COVER_TABLE = {
+    "line": (ml.DOUBLED, ("covers", "rejected", "rejected", "rejected", "rejected",
+                          "rejected", "rejected")),
+    "doubled": (ml.TRIPLED, ("uncovered", "uncovered", "rejected", "rejected", "rejected",
+                             "rejected", "uncovered")),
+    "tripled": (ml.DOUBLED, ("uncovered", "uncovered", "rejected", "rejected", "rejected",
+                             "rejected", "uncovered")),
+    "feather": (ml.TRIPLED, ("rejected", "rejected", "rejected", "rejected", "uncovered",
+                             "rejected", "rejected")),
+}
+
+# A full-line wave of another spec is not in a line's cover.  The verdicts
+# above admit it on the doubled and tripled lines, as a cover that read no
+# spec did; only an in-process caller can offer one, since the CLI parses
+# with the space's own spec.
+SPEC_CHECKED = {("doubled", "other spec"), ("tripled", "other spec")}
+
+
+@pytest.mark.parametrize("name", sorted(COVER_TABLE))
+def test_cover_membership_table(name):
+    space = ke.space_of(name)
+    other, verdicts = COVER_TABLE[name]
+    cover = sp.canonical_cover(space)
+    offers = _cover_offers(space.spec, other)
+    got = []
+    for b in offers.values():
+        try:
+            covered, c = sp.subcover_attempt(space, cover, [b])
+        except PreconditionError as exc:
+            assert str(exc) == "chosen basic %s is not in the cover" % (b,)
+            got.append("rejected")
+            continue
+        assert ke.verify_certificate(space, c)
+        got.append("covers" if covered else "uncovered")
+    expected = {offer: "rejected" if (name, offer) in SPEC_CHECKED else verdict
+                for offer, verdict in zip(offers, verdicts)}
+    assert dict(zip(offers, got)) == expected
+
+
 @given(st.sets(st.integers(-20, 20), max_size=6))
 def test_subcover_uncovered_for_any_subfamily(lifts):
     d = ke.space_of("doubled")

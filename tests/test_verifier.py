@@ -262,6 +262,20 @@ def test_the_verifier_makes_no_refuter_call(monkeypatch):
     assert [ke.verify_certificate(s, c) for s, c, _ in seen] == [a for _, _, a in seen]
 
 
+def test_a_certificate_missing_a_field_is_rejected(monkeypatch):
+    d = ke.space_of("doubled")
+    accepted = {"hausdorff-open": (d, sp.hausdorff_open(d, ml.full_wave(d.spec))[1])}
+    for space, c, answer in _produced_certificates(monkeypatch):
+        if answer:
+            accepted.setdefault(c.kind, (space, c))
+    assert set(accepted) == set(ke._CHECKS)
+    for space, c in accepted.values():
+        for field in set(c.payload) - {"involutive"}:  # an optional flag
+            payload = {k: v for k, v in c.payload.items() if k != field}
+            assert ke.verify_certificate(space, cert.Certificate(c.kind, payload)) is False, \
+                (c.kind, field)
+
+
 # ---------------------------------------------------------------------------
 # Covers of the line with two origins.
 
@@ -270,7 +284,7 @@ def test_an_uncovered_point_off_the_space_is_rejected():
     # the certificate `subcover two-origins` once issued for a covering choice
     space = ke.space_of("two-origins")
     chosen = [space.cover_member(w) for w in ("W[(-inf,inf)-{}]", "W[(-inf,inf)-{0^1}]")]
-    assert sp.subcover_attempt(space, space.canonical_cover(), chosen)[0]
+    assert sp.subcover_attempt(space, sp.canonical_cover(space), chosen)[0]
     assert not ke.verify_certificate(space, cert.uncovered(ml.MultiLinePoint(F(1), 1), chosen))
 
 
