@@ -2,6 +2,13 @@
 
 Every boolean verdict in the engine ships one; `kernel.verify_certificate`
 re-derives the attested fact from scratch without trusting the producer.
+
+`SCHEMA` is the one description of a payload: each kind's fields in payload
+order, each with its shape.  The constructors are built from it, and the
+verifier checks every payload against it before any check runs.  A point,
+basic or word generator is one of the space's; a rational is a Fraction or
+an int; a flag is a bool and a name a str; an index map sends points to
+naturals.  `CONTAINERS` holds each collection shape's container.
 """
 
 from .rationals import Value
@@ -19,58 +26,58 @@ class Certificate(Value):
         self.payload = {} if payload is None else payload
 
 
-def separated_by(p, q, b1, b2) -> Certificate:
-    return Certificate("separated-by", {"p": p, "q": q, "b1": b1, "b2": b2})
+SCHEMA = {
+    "separated-by": "p:point, q:point, b1:basic, b2:basic",
+    "twin-pair": "p:point, q:point",
+    "uncovered": "point:point, chosen:basics",
+    "covered": "probes:points, chosen:basics",
+    # candidates: candidate point -> index of the family member excluding it
+    "excluded-by": "family:name, candidates:index map",
+    "chain": "links:basics, src:point, dst:point, removed:point set",
+    "homeo-word": "word:word, src:point, dst:point, involutive:flag",
+    "compact": "center:point, radius:rational, closed_interval:rationals, enclosing:basic",
+    # (outside point, partner inside) pairs: adjoining the outside point
+    # creates a non-separable pair
+    "maximal-hausdorff": "x:point, handle:basic, adjoin_samples:point pairs",
+    # the union of `basics` and `extra_points` holds no non-separable pair
+    "hausdorff-open": "basics:basics, extra_points:points",
+    # `point` lies in the basic `probe` and in every dense member
+    "baire-point": "point:point, probe:basic, members:basics",
+}
+SCHEMA = {kind: tuple(tuple(f.split(":")) for f in fields.split(", "))
+          for kind, fields in SCHEMA.items()}  # kind -> ((field, shape), ...)
+
+CONTAINERS = {"points": tuple, "point set": frozenset, "point pairs": tuple, "basics": tuple,
+              "word": tuple, "rationals": list, "index map": dict}
 
 
-def twin_pair(p, q) -> Certificate:
-    return Certificate("twin-pair", {"p": p, "q": q})
+def _constructor(kind, name):
+    fields = SCHEMA[kind]
+    names = tuple(f for f, _ in fields)
+    required = frozenset(names)
+    flags = tuple(f for f, shape in fields if shape == "flag")
+    convert = tuple((f, CONTAINERS.get(shape)) for f, shape in fields)
+
+    def make(*args, **kwargs):
+        pl = dict(zip(names, args), **kwargs)
+        for f in flags:  # a flag defaults to False
+            pl.setdefault(f, False)
+        if len(args) + len(kwargs) > len(names) or pl.keys() != required:
+            raise TypeError("%s takes the fields %s" % (name, ", ".join(names)))
+        return Certificate(kind, {f: pl[f] if to is None else to(pl[f]) for f, to in convert})
+    make.__name__ = make.__qualname__ = name
+    make.__doc__ = "Certificate(%r, {%s})" % (kind, ", ".join(names))
+    return make
 
 
-def uncovered(point, chosen) -> Certificate:
-    return Certificate("uncovered", {"point": point, "chosen": tuple(chosen)})
-
-
-def covered(probes, chosen) -> Certificate:
-    return Certificate("covered", {"probes": tuple(probes), "chosen": tuple(chosen)})
-
-
-def excluded_by(family, candidates) -> Certificate:
-    """candidates: mapping candidate point -> index of the family member
-    excluding it."""
-    return Certificate("excluded-by", {"family": family, "candidates": dict(candidates)})
-
-
-def chain(links, src, dst, removed) -> Certificate:
-    return Certificate("chain", {"links": tuple(links), "src": src, "dst": dst,
-                                 "removed": frozenset(removed)})
-
-
-def homeo_word(word, src, dst, involutive=False) -> Certificate:
-    return Certificate("homeo-word", {"word": tuple(word), "src": src, "dst": dst,
-                                      "involutive": involutive})
-
-
-def compact_cert(center, radius, closed_interval, enclosing) -> Certificate:
-    return Certificate("compact", {"center": center, "radius": radius,
-                                   "closed_interval": list(closed_interval),
-                                   "enclosing": enclosing})
-
-
-def maximal_hausdorff(x, handle, adjoin_samples) -> Certificate:
-    """adjoin_samples: list of (outside point, partner inside) pairs showing
-    that adjoining the outside point creates a non-separable pair."""
-    return Certificate("maximal-hausdorff", {"x": x, "handle": handle,
-                                             "adjoin_samples": tuple(adjoin_samples)})
-
-
-def hausdorff_open(basics, extra_points) -> Certificate:
-    """The union of `basics` and `extra_points` holds no non-separable pair."""
-    return Certificate("hausdorff-open", {"basics": tuple(basics),
-                                          "extra_points": tuple(extra_points)})
-
-
-def baire_point(point, probe, members) -> Certificate:
-    """`point` lies in the basic `probe` and in every dense member."""
-    return Certificate("baire-point", {"point": point, "probe": probe,
-                                       "members": tuple(members)})
+separated_by = _constructor("separated-by", "separated_by")
+twin_pair = _constructor("twin-pair", "twin_pair")
+uncovered = _constructor("uncovered", "uncovered")
+covered = _constructor("covered", "covered")
+excluded_by = _constructor("excluded-by", "excluded_by")
+chain = _constructor("chain", "chain")
+homeo_word = _constructor("homeo-word", "homeo_word")
+compact_cert = _constructor("compact", "compact_cert")
+maximal_hausdorff = _constructor("maximal-hausdorff", "maximal_hausdorff")
+hausdorff_open = _constructor("hausdorff-open", "hausdorff_open")
+baire_point = _constructor("baire-point", "baire_point")

@@ -354,9 +354,10 @@ def demo_lemma_zorn():
         space = ke.space_of(name)
         p = space.parse_point(ptext)
         handle, c = sp.maximal_hausdorff_at(space, p)
-        hd, _ = sp.hausdorff_open(space, handle)
+        hd, hc = sp.hausdorff_open(space, handle)
         rows[name] = dict(ke.verified(space, c, point=p, handle=handle),
-                          hausdorff=hd, dense=space.dense(handle))
+                          hausdorff=hd and ke.verify_certificate(space, hc),
+                          dense=space.dense(handle))
     ok = all(r["verified"] and r["hausdorff"] and r["dense"] for r in rows.values())
     return ("maximal Hausdorff dense opens certified" if ok else "failed",
             {"certificate": rows}, ok)

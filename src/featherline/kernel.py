@@ -38,7 +38,10 @@ Parsing is the boundary: `parse_point` and `parse_basic` reject another
 space's objects with a `PreconditionError` quoting the input, so wrong-space
 objects never reach the operations the refuter calls in its inner loop.
 `verify_certificate` holds a certificate built in-process to the same rule:
-a payload point that `is_point` does not accept is rejected.
+before any check runs, one walk matches its payload against
+`certificates.SCHEMA`.  The payload must hold exactly its kind's fields,
+each of its shape: points that `is_point` accepts, basics of the types in
+`basic_kind`, word generators of the types in `generators`.
 
 The verification contract.  A `twin-pair` certificate, and each adjoin
 sample of a `maximal-hausdorff` one, claims a pair that no two canonical
@@ -130,6 +133,7 @@ class Space:
 
     spec = None
     is_baire = True
+    generators = ()  # the classes of a homeomorphism word's generators
 
     def __getattr__(self, name):
         # only for names the class lacks: an operation another space implements
@@ -173,6 +177,7 @@ class FeatherSpace(Space):
     tag = "feather"
     point_kind = ((tuple,), "feather point")
     basic_kind = ((fe.Chart, fe.FeatherInterval, fe.SkeletonHandle), "feather basic")
+    generators = (fe.FlipGen, fe.StraightenGen, fe.FeatherTranslateGen)
 
     def _basic_arms(self, b):
         if isinstance(b, fe.SkeletonHandle):
@@ -341,6 +346,7 @@ class MultiLineSpace(Space):
     tag = "multiline"
     point_kind = ((ml.MultiLinePoint,), "line point")
     basic_kind = ((ml.Wave,), "wave")
+    generators = (ml.TranslateGen, ml.ExchangeGen, ml.ReflectGen)
 
     def __init__(self, spec: ml.SpaceSpec):
         self.spec = spec
@@ -478,8 +484,6 @@ class MultiLineSpace(Space):
         point lies in one of them.  No finite family covers a line doubled
         everywhere, so there a covered certificate claims only its probes
         (the waves that contain them)."""
-        if not all(isinstance(w, ml.Wave) for w in chosen):
-            raise PreconditionError("a line cover consists of waves")
         if self.spec.k > 1 and self.spec.doubling == "all":
             return True
         return iset_covers_line(_down_union(chosen)) and all(
@@ -703,9 +707,8 @@ def _down_union(waves) -> IntervalSet:
 
 def _down_gaps(member) -> set:
     """Finite set of abscissae whose down point is missed by a dense wave
-    union (the zero-width gaps of its down projection)."""
-    waves = member if isinstance(member, (list, tuple)) else [member]
-    iv = _down_union(waves).intervals
+    (the zero-width gaps of its down projection)."""
+    iv = _down_union([member]).intervals
     return {iv[k][1] for k in range(len(iv) - 1) if iv[k][1] == iv[k + 1][0]}
 
 
@@ -716,28 +719,44 @@ def _down_gaps(member) -> set:
 
 def verify_certificate(space, c: cert.Certificate) -> bool:
     check = _CHECKS.get(c.kind)
-    if check is None:
-        return False
-    if not all(map(space.is_point, _payload_points(c.payload))):
+    if check is None or not _fits_schema(space, c.kind, c.payload):
         return False
     try:
         return check(space, c.payload)
-    except (PreconditionError, AssertionError, KeyError):  # KeyError: a missing field
+    except (PreconditionError, AssertionError):
         return False
 
 
-_POINT_FIELDS = frozenset(("p", "q", "x", "point", "src", "dst", "center"))
-_POINT_COLLECTION_FIELDS = frozenset(("probes", "removed", "extra_points", "candidates"))
+def _fits_schema(space, kind, pl) -> bool:
+    """Whether the payload `pl` holds exactly `SCHEMA`'s fields for `kind`, each of its shape."""
+    fields = cert.SCHEMA[kind]
+    return (type(pl) is dict and len(pl) == len(fields)
+            and all(f in pl and _SHAPES[shape](space, pl[f]) for f, shape in fields))
 
 
-def _payload_points(pl):
-    """The points a certificate payload names, whatever its kind."""
-    for k in pl.keys() & _POINT_FIELDS:
-        yield pl[k]
-    for k in pl.keys() & _POINT_COLLECTION_FIELDS:
-        yield from pl[k]
-    for pair in pl.get("adjoin_samples", ()):
-        yield from pair
+def _each(shape, entries):
+    """A collection shape: its container, with entries that `entries` accepts."""
+    container = cert.CONTAINERS[shape]
+    return lambda space, x: type(x) is container and entries(space, x)
+
+
+_SHAPES = {
+    "point": lambda space, x: space.is_point(x),
+    "basic": lambda space, x: type(x) in space.basic_kind[0],
+    "rational": lambda space, x: type(x) in _RATIONAL,
+    "flag": lambda space, x: type(x) is bool,
+    "name": lambda space, x: type(x) is str,
+}
+_SHAPES.update({shape: _each(shape, entries) for shape, entries in {
+    **dict.fromkeys(("points", "point set"), lambda space, xs: all(map(space.is_point, xs))),
+    "point pairs": lambda space, xs: all(type(x) is tuple and len(x) == 2
+                                         and all(map(space.is_point, x)) for x in xs),
+    "basics": lambda space, xs: set(map(type, xs)).issubset(space.basic_kind[0]),
+    "word": lambda space, xs: set(map(type, xs)).issubset(space.generators),
+    "rationals": lambda space, xs: set(map(type, xs)) <= _RATIONAL,
+    "index map": lambda space, xs: all(map(space.is_point, xs)) and all(
+        type(n) is int and n >= 0 for n in xs.values()),
+}.items()})
 
 
 def verified(space, c: cert.Certificate, **fields) -> dict:
@@ -799,12 +818,6 @@ def _above(hi, lo, r) -> bool:
     return lt(la, ha) and lt(la + lb * r, ha + hb * r)
 
 
-def _verify_excluded(space, pl) -> bool:
-    if pl["family"] != "cofinite-diagonal" or not pl["candidates"]:
-        return False
-    return all(not CofiniteSet.excl(idx).contains(n) for n, idx in pl["candidates"].items())
-
-
 def _verify_chain(space, pl) -> bool:
     links = pl["links"]
     if not links:
@@ -823,57 +836,33 @@ def _verify_chain(space, pl) -> bool:
 
 
 def _verify_word(space, pl) -> bool:
-    run = space.replay
-    if run(pl["word"], pl["src"]) != pl["dst"]:
+    run, word, src, dst = space.replay, pl["word"], pl["src"], pl["dst"]
+    if run(word, src) != dst:
         return False
-    if pl.get("involutive"):
-        if run(pl["word"], pl["dst"]) != pl["src"]:
-            return False
-        for x in (pl["src"], pl["dst"]):
-            if run(pl["word"], run(pl["word"], x)) != x:
-                return False
-    return True
+    # an involutive word also carries dst back to src and squares to the identity
+    return not pl["involutive"] or (run(word, dst) == src
+                                    and all(run(word, run(word, x)) == x for x in (src, dst)))
 
 
 def _verify_compact(space, pl) -> bool:
-    radius = pl["radius"]
-    a, b = pl["closed_interval"]
-    if not (-radius < a <= b < radius):
+    radius, ends = pl["radius"], pl["closed_interval"]
+    if len(ends) != 2 or not -radius < ends[0] <= ends[1] < radius:
         return False
     # a slightly larger open chart contains the closed image; its containment
     # in the enclosing neighborhood certifies the nesting
-    probe = (max(abs(a), abs(b)) + radius) / 2
+    probe = (max(map(abs, ends)) + radius) / 2
     small = space.canonical_neighborhood(pl["center"], probe)
     return space.basic_subset(small, pl["enclosing"])
 
 
 def _verify_maximal(space, pl) -> bool:
     handle = pl["handle"]
-    if not space.member(pl["x"], handle):
+    if (not space.member(pl["x"], handle) or space.union_twin_pair([handle]) is not None
+            or not space.dense(handle)):
         return False
-    if space.union_twin_pair([handle]) is not None or not space.dense(handle):
-        return False
-    for outside, partner in pl["adjoin_samples"]:
-        if space.member(outside, handle):
-            return False
-        if not space.member(partner, handle):
-            return False
-        if not _non_separable_at_every_scale(space, outside, partner):
-            return False
-    return True
-
-
-def _verify_baire_point(space, pl) -> bool:
-    p = pl["point"]
-    if not space.member(p, pl["probe"]):
-        return False
-    for m in pl["members"]:
-        if isinstance(m, (list, tuple)):
-            if not any(space.member(p, b) for b in m):
-                return False
-        elif not space.member(p, m):
-            return False
-    return True
+    return all(not space.member(outside, handle) and space.member(partner, handle)
+               and _non_separable_at_every_scale(space, outside, partner)
+               for outside, partner in pl["adjoin_samples"])
 
 
 _CHECKS = {
@@ -885,12 +874,15 @@ _CHECKS = {
     "covered": lambda space, pl: (all(any(space.member(p, b) for b in pl["chosen"])
                                       for p in pl["probes"])
                                   and space.covered_by(pl["chosen"])),
-    "excluded-by": _verify_excluded,
+    "excluded-by": lambda space, pl: (
+        pl["family"] == "cofinite-diagonal" and len(pl["candidates"]) > 0
+        and all(not CofiniteSet.excl(i).contains(n) for n, i in pl["candidates"].items())),
     "chain": _verify_chain,
     "homeo-word": _verify_word,
     "compact": _verify_compact,
     "maximal-hausdorff": _verify_maximal,
     "hausdorff-open": lambda space, pl: space.union_twin_pair(list(pl["basics"]),
                                                               pl["extra_points"]) is None,
-    "baire-point": _verify_baire_point,
+    "baire-point": lambda space, pl: all(space.member(pl["point"], b)
+                                         for b in (pl["probe"], *pl["members"])),
 }

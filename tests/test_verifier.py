@@ -221,9 +221,27 @@ def test_chart_forms_alone_would_accept_off_space_points(monkeypatch, name, outs
 # The verifier makes no refuter call.
 
 
+# one argv per verb that issues a certificate, over the spaces it takes
+CLI_CERTIFICATE_ARGVS = [
+    ["separate", "feather", "F(0,1)", "F(0,1,1)"], ["separate", "branch", "B(0,R)", "B(1,R)"],
+    ["twin", "F(0,1)"], ["flip", "F(0,1)", "F(0,2)"], ["normalize", "F(0,1,3)"],
+    ["move", "feather", "F(0,1)", "F(2,3,4)"],
+    ["move", "doubled", "D(0 @0)", "D(1 @1)", "--involutive"],
+    ["chain", "tripled", "D(-1 @0)", "D(1 @0)", "--remove", "D(0 @0);D(0 @1)",
+     "--window=-5,5"],
+    ["maximal-hausdorff", "tripled", "D(0 @2)"],
+    ["subcover", "two-origins", "W[(-inf,inf)-{}]", "W[(-inf,inf)-{0^1}]"],
+    ["subcover", "feather", "F(0)"],
+    ["baire", "doubled", "W[(-inf,inf)-{0^1}]", "--probe", "W[(-1,1)-{}]"],
+    ["baire", "feather", "strict-skeleton", "--probe", "FI[(0);(1)]"],
+    ["baire", "N", "--candidates", "3"],
+    ["microcompact", "feather", "F(0,1)", "FI[(0,0);(0,2)]", "--depth", "2"],
+]
+
+
 def _produced_certificates(monkeypatch):
-    """Every (space, certificate, answer) the demos, the pipeline and the
-    twin and maximal paths verify."""
+    """Every (space, certificate, answer) the demos, the pipeline, the CLI
+    verbs and the twin and maximal paths verify."""
     seen = []
     verify = ke.verify_certificate
 
@@ -237,6 +255,8 @@ def _produced_certificates(monkeypatch):
             cli.main(["demo", name])
         for name in MULTILINE + ("feather",):
             cli.main(["demo", "theorem2", "--space", name])
+        for argv in CLI_CERTIFICATE_ARGVS:
+            assert cli.main(argv) in (0, 3), argv
     for name, p, q in [("feather", "F(0,1)", "F(0,1,1)"), ("feather", "F(2)", "F(2,2)"),
                        ("doubled", "D(0 @0)", "D(0 @1)"), ("tripled", "D(1 @2)", "D(1 @1)"),
                        ("two-origins", "D(0 @1)", "D(0 @0)"), ("branch", "B(0,R)", "B(0,L)"),
@@ -262,18 +282,91 @@ def test_the_verifier_makes_no_refuter_call(monkeypatch):
     assert [ke.verify_certificate(s, c) for s, c, _ in seen] == [a for _, _, a in seen]
 
 
-def test_a_certificate_missing_a_field_is_rejected(monkeypatch):
-    d = ke.space_of("doubled")
-    accepted = {"hausdorff-open": (d, sp.hausdorff_open(d, ml.full_wave(d.spec))[1])}
+def _one_accepted_certificate_per_kind(monkeypatch):
+    """{kind: (space, certificate)}: the first engine-made certificate of
+    each kind that verifies."""
+    accepted = {}
     for space, c, answer in _produced_certificates(monkeypatch):
         if answer:
             accepted.setdefault(c.kind, (space, c))
+    return accepted
+
+
+def test_a_certificate_missing_a_field_is_rejected(monkeypatch):
+    accepted = _one_accepted_certificate_per_kind(monkeypatch)
     assert set(accepted) == set(ke._CHECKS)
     for space, c in accepted.values():
-        for field in set(c.payload) - {"involutive"}:  # an optional flag
+        for field in c.payload:
             payload = {k: v for k, v in c.payload.items() if k != field}
             assert ke.verify_certificate(space, cert.Certificate(c.kind, payload)) is False, \
                 (c.kind, field)
+
+
+def _wrong_shapes(space, value):
+    """Values of the wrong shape for a payload field that holds `value`:
+    no value, a negative int, text, another space's point, basic and word
+    generator, the wrong container, and a collection of one wrong entry."""
+    other = ke.space_of("doubled" if space is ke.FEATHER else "feather")
+    point, basic, _ = other.chart_sample()
+    gen = ml.TranslateGen(F(1)) if space is ke.FEATHER else fe.FeatherTranslateGen(F(1))
+    yield from (None, -1, "x", point, basic, gen)
+    if isinstance(value, (tuple, list)):
+        yield list(value) if isinstance(value, tuple) else tuple(value)
+    if space.is_point(value) or not isinstance(value, (tuple, frozenset, list, dict)):
+        return
+    if isinstance(value, dict):
+        yield [1]
+        yield from ({k: -1} for k in list(value)[:1])  # a negative index
+    else:
+        yield from (type(value)([e]) for e in (None, -1, point, basic, gen))
+    if isinstance(value, list):
+        yield value + value[:1]  # a 3-element interval
+    first = next(iter(value), None)
+    if type(first) is tuple and len(first) == 2 and all(map(space.is_point, first)):
+        yield from (type(value)([pair]) for pair in (first[:1], first + first[:1], list(first)))
+
+
+def test_a_payload_of_the_wrong_shape_is_rejected(monkeypatch):
+    accepted = _one_accepted_certificate_per_kind(monkeypatch)
+    raised, accepted_wrong = [], []
+    for space, c in accepted.values():
+        wrong = [list(c.payload.items()), tuple(c.payload.values()), None]
+        cases = [("payload", c.kind, pl) for pl in wrong]
+        for field, value in c.payload.items():
+            cases += [(field, c.kind, dict(c.payload, **{field: bad}))
+                      for bad in _wrong_shapes(space, value)]
+        for field, kind, payload in cases:
+            bad = cert.Certificate(kind)
+            bad.payload = payload
+            try:
+                answer = ke.verify_certificate(space, bad)
+            except Exception as exc:  # noqa: BLE001 - any escape is the failure
+                raised.append((kind, field, payload.get(field) if field != "payload"
+                               else payload, type(exc).__name__))
+                continue
+            if answer is not False:
+                accepted_wrong.append((kind, field, payload))
+    assert not raised, raised
+    assert not accepted_wrong, accepted_wrong
+    assert set(accepted) == set(ke._CHECKS)
+
+
+def test_the_schema_describes_every_kind_and_every_produced_payload(monkeypatch):
+    assert set(cert.SCHEMA) == set(ke._CHECKS)
+    assert {shape for fields in cert.SCHEMA.values() for _, shape in fields} <= set(ke._SHAPES)
+    seen = _produced_certificates(monkeypatch)
+    assert {c.kind for _, c, _ in seen} == set(cert.SCHEMA)
+    for space, c, _ in seen:
+        assert ke._fits_schema(space, c.kind, c.payload), c
+    # each constructor lays its payload out in schema order, whatever the
+    # argument order
+    constructors = {c.kind: getattr(cert, "compact_cert" if c.kind == "compact"
+                                    else c.kind.replace("-", "_")) for _, c, _ in seen}
+    for _, c, _ in seen:
+        names = [f for f, _ in cert.SCHEMA[c.kind]]
+        assert list(c.payload) == names
+        rebuilt = constructors[c.kind](**dict(reversed(c.payload.items())))
+        assert list(rebuilt.payload) == names and rebuilt == c
 
 
 # ---------------------------------------------------------------------------
