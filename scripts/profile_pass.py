@@ -8,11 +8,13 @@ Run from the repository root:
     python3 scripts/profile_pass.py --workload wave-wide --seed 7 --callers 'fractions.py:.*__hash__'
 
 It builds the workload's op pool with `bench/gen.py` and `bench/ops.py`,
-runs one untimed pass to warm caches, then one pass under cProfile.  It
-prints the top K functions by self time and the share of all self time
-spent in the standard library's `fractions.py`.  With `--callers PATTERN` it
-then prints, for every function whose `file:line(name)` matches the regular
-expression PATTERN, the functions that called it and how often.
+runs one untimed pass to warm caches, one timed pass without the profiler,
+then one pass under cProfile.  It prints the top K functions by self time
+and the share of all self time spent in the standard library's
+`fractions.py`, then a table of op kinds from the timed pass: each kind's
+op count, mean wall time per op and share of the pass.  With `--callers
+PATTERN` it then prints, for every function whose `file:line(name)` matches
+the regular expression PATTERN, the functions that called it and how often.
 """
 
 import argparse
@@ -21,6 +23,7 @@ import os
 import pstats
 import re
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
@@ -33,6 +36,19 @@ def one_pass(built):
     for rnd in built:
         for kind, args, expect in rnd:
             ops.run(kind, args, expect)
+
+
+def timed_pass(built) -> dict:
+    """One pass without the profiler: op kind -> [ops, wall seconds]."""
+    kinds = {}
+    for rnd in built:
+        for kind, args, expect in rnd:
+            start = time.perf_counter()
+            ops.run(kind, args, expect)
+            row = kinds.setdefault(kind, [0, 0.0])
+            row[0] += 1
+            row[1] += time.perf_counter() - start
+    return kinds
 
 
 def main(argv=None) -> int:
@@ -53,6 +69,7 @@ def main(argv=None) -> int:
 
     built = [[ops.build(spec) for spec in rnd] for rnd in gen.pool(args.workload, args.seed)]
     one_pass(built)
+    kinds = timed_pass(built)
     prof = cProfile.Profile()
     prof.runcall(one_pass, built)
     stats = pstats.Stats(prof).stats  # (file, line, name) -> (cc, nc, tt, ct, callers)
@@ -66,9 +83,21 @@ def main(argv=None) -> int:
     for func, (_, calls, tt, _, _) in rows:
         print("%8.3f %5.1f%% %9d  %s" % (tt, 100 * tt / total, calls, label(func)))
     print("fractions.py share of self time: %.1f%%" % (100 * in_fractions / total))
+    print_kinds(kinds)
     if callers_re is not None:
         print_callers(stats, callers_re)
     return 0
+
+
+def print_kinds(kinds):
+    """Each op kind's count, mean ms per op and share of the timed pass,
+    largest share first."""
+    wall = sum(seconds for _, seconds in kinds.values())
+    print()
+    print("op kinds: one timed pass without the profiler, %.1f ms" % (1000 * wall))
+    print("%-14s %5s %9s %6s" % ("kind", "ops", "mean_ms", "share"))
+    for kind, (n, seconds) in sorted(kinds.items(), key=lambda item: -item[1][1]):
+        print("%-14s %5d %9.3f %5.1f%%" % (kind, n, 1000 * seconds / n, 100 * seconds / wall))
 
 
 def label(func) -> str:

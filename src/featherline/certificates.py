@@ -59,12 +59,15 @@ def _constructor(kind, name):
     convert = tuple((f, CONTAINERS.get(shape)) for f, shape in fields)
 
     def make(*args, **kwargs):
-        pl = dict(zip(names, args), **kwargs)
-        for f in flags:  # a flag defaults to False
-            pl.setdefault(f, False)
-        if len(args) + len(kwargs) > len(names) or pl.keys() != required:
-            raise TypeError("%s takes the fields %s" % (name, ", ".join(names)))
-        return Certificate(kind, {f: pl[f] if to is None else to(pl[f]) for f, to in convert})
+        if kwargs or len(args) != len(names):  # not every field by position
+            pl = dict(zip(names, args), **kwargs)
+            for f in flags:  # a flag defaults to False
+                pl.setdefault(f, False)
+            if len(args) + len(kwargs) > len(names) or pl.keys() != required:
+                raise TypeError("%s takes the fields %s" % (name, ", ".join(names)))
+            args = [pl[f] for f in names]
+        return Certificate(kind, {f: a if to is None else to(a)
+                                  for (f, to), a in zip(convert, args)})
     make.__name__ = make.__qualname__ = name
     make.__doc__ = "Certificate(%r, {%s})" % (kind, ", ".join(names))
     return make

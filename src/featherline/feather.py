@@ -30,7 +30,7 @@ checked centre and the clamped radius keeps them valid and ordered.
 
 from fractions import Fraction
 
-from .rationals import PreconditionError, Value, eq, fmt_ext, lt, same
+from .rationals import PreconditionError, Value, check_rational, eq, fmt_ext, lt, same
 
 # A feather point is a plain tuple of Fractions, validated by fp_validate and
 # printed by fp_str.
@@ -400,7 +400,7 @@ class FeatherTranslateGen(Value):
     __slots__ = _fields = ("shift",)
 
     def __init__(self, shift):
-        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "shift", check_rational(shift, "a shift"))
 
     def apply(self, p: tuple) -> tuple:
         return fp_translate(self.shift, p)

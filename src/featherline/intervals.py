@@ -5,11 +5,11 @@ All sets are finite presentations with rational or infinite endpoints, so
 every operation here is exact.
 """
 
-from bisect import bisect_left
 from fractions import Fraction
 from operator import itemgetter
 
-from .rationals import NEG_INF, POS_INF, PreconditionError, Value, as_ext, fmt_ext, lt, sorted_by
+from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, as_ext, eq, fmt_ext, lt,
+                        sorted_by)
 
 
 class IntervalSet(Value):
@@ -38,19 +38,26 @@ class IntervalSet(Value):
         return not self.intervals
 
     def contains(self, x) -> bool:
-        """One interval is two comparisons.  Otherwise bisect for the last
-        interval opening strictly below x: a left bisection keeps the
+        """One interval is two comparisons.  Otherwise binary-search, by
+        `lt`, for the last interval opening strictly below x: that keeps the
         endpoint shared by touching intervals out."""
         iv = self.intervals
         if len(iv) == 1:
             return lt(iv[0][0], x) and lt(x, iv[0][1])
-        k = bisect_left(iv, x, key=_LO) - 1
-        return k >= 0 and lt(x, iv[k][1])
+        lo, hi = 0, len(iv)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if lt(iv[mid][0], x):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo > 0 and lt(x, iv[lo - 1][1])
 
     def __str__(self):
-        if not self.intervals:
-            return "empty"
-        return "u".join("(%s,%s)" % (fmt_ext(a), fmt_ext(b)) for a, b in self.intervals)
+        iv = self.intervals
+        if len(iv) == 1:
+            return "(%s,%s)" % (fmt_ext(iv[0][0]), fmt_ext(iv[0][1]))
+        return "u".join(["(%s,%s)" % (fmt_ext(a), fmt_ext(b)) for a, b in iv]) or "empty"
 
 
 _LO = itemgetter(0)
@@ -103,8 +110,13 @@ def iset_meets(a: IntervalSet, b: IntervalSet) -> bool:
     return False
 
 
-def iset_union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return canon_intervals(list(a.intervals) + list(b.intervals))
+def iset_union(*sets: IntervalSet) -> IntervalSet:
+    """The union of any number of sets (none gives the empty set), by one
+    sort and merge over all their intervals.  One set is returned as it is:
+    it is already canonical."""
+    if len(sets) == 1:
+        return sets[0]
+    return canon_intervals([pair for s in sets for pair in s.intervals])
 
 
 def iset_remove_points(a: IntervalSet, xs) -> IntervalSet:
@@ -128,12 +140,10 @@ def iset_complement_is_finite(a: IntervalSet) -> bool:
     """True iff the complement of the union is a finite set of points,
     i.e. the intervals stretch to both infinities with zero-width gaps."""
     iv = a.intervals
-    if not iv:
-        return False
-    if iv[0][0] != NEG_INF or iv[-1][1] != POS_INF:
+    if not iv or lt(NEG_INF, iv[0][0]) or lt(iv[-1][1], POS_INF):
         return False
     for k in range(len(iv) - 1):
-        if iv[k][1] != iv[k + 1][0]:
+        if not eq(iv[k][1], iv[k + 1][0]):
             return False
     return True
 

@@ -74,8 +74,7 @@ from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
 _RATIONAL = frozenset((Fraction, int))  # exact coordinate types of a point
-_HALF = Fraction(1, 2)
-_ONE = Fraction(1)
+_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 
 
 class SeqDescriptor(Value):
@@ -318,7 +317,7 @@ class FeatherSpace(Space):
     def uncovered_point(self, chosen):
         return self.density_witness([ch.interval for ch in chosen]).center
 
-    def default_subfamily(self, sample_points):
+    def default_subfamily(self, sample_points, handles):
         return tuple(fe.fp_chart(p, Fraction(1)) for p in sample_points)
 
     def baire_point(self, members, probe):
@@ -424,12 +423,9 @@ class MultiLineSpace(Space):
     def basic_subset(self, small, big) -> bool:
         return ml.wave_meet(small, big) == small
 
-    def _full_wave_through(self, x) -> ml.Wave:
-        return ml.full_wave(self.spec, ((x.x, x.level),) if x.level > 0 else ())
-
     def maximal_hausdorff(self, x):
         spec = self.spec
-        handle = self._full_wave_through(x)
+        handle = ml.full_wave(spec, ((x.x, x.level),) if x.level > 0 else ())
         samples = []
         abscissae = [x.x] if spec.doubling == "all" else list(spec.doubling)
         lift_map = handle.lift_map()
@@ -457,13 +453,21 @@ class MultiLineSpace(Space):
         return self.parse_basic(text)
 
     def uncovered_point(self, chosen):
-        """A point no chosen wave contains, or None when they cover."""
+        """A point no chosen wave contains, or None when they cover.  On a
+        line doubled everywhere that is the upper point at max |x| + 1 over
+        the lifted abscissae x (1 with none lifted), found by a running
+        maximum and minimum decided by `lt`."""
         spec = self.spec
         if spec.k > 1 and spec.doubling == "all":
             # finitely many lifts miss the upper points at any other abscissa
-            lifted = {x for w in chosen for x, _ in w.lift}
-            fresh = (max((abs(x) for x in lifted), default=Fraction(0))) + 1
-            return ml.MultiLinePoint(fresh, 1)
+            lo = hi = _ZERO
+            for w in chosen:
+                for x, _ in w.lift:
+                    if lt(hi, x):
+                        hi = x
+                    elif lt(x, lo):
+                        lo = x
+            return ml.MultiLinePoint((-lo if lt(hi, -lo) else hi) + 1, 1)
         for p in self._upper_points():
             if not any(w.contains(p) for w in chosen):
                 return p
@@ -494,10 +498,9 @@ class MultiLineSpace(Space):
         and every upper point."""
         return [ml.MultiLinePoint(Fraction(n), 0) for n in (-1, 0, 1)] + self._upper_points()
 
-    def default_subfamily(self, sample_points):
-        if self.spec.k == 1:
-            return (ml.full_wave(self.spec),)
-        return tuple(self._full_wave_through(p) for p in sample_points)
+    def default_subfamily(self, sample_points, handles):
+        # the samples' handles are full waves lifting at most their own point
+        return (ml.full_wave(self.spec),) if self.spec.k == 1 else tuple(handles)
 
     def baire_point(self, members, probe):
         avoid = {x for x, _ in probe.lift}
@@ -698,11 +701,10 @@ def _line_gap_point(union: IntervalSet) -> Fraction:
 
 
 def _down_union(waves) -> IntervalSet:
-    """The open set of abscissae whose down point some wave contains."""
-    down = IntervalSet.empty()
-    for w in waves:
-        down = iset_union(down, w.down_projection())
-    return down
+    """The open set of abscissae whose down point some wave contains: one
+    n-ary `iset_union` of the down projections, so one wave's projection
+    comes back as it is and several are sorted and merged once."""
+    return iset_union(*[w.down_projection() for w in waves])
 
 
 def _down_gaps(member) -> set:
@@ -807,15 +809,16 @@ def _in_chart_form(form, key, w, r) -> bool:
 
 def _above(hi, lo, r) -> bool:
     """hi(δ) > lo(δ) for every δ in (0, r], for affine hi and lo given as
-    pairs (a, b) = a + b·δ: the constants may tie, the values at r may not.
-    Comparisons decide it, except when hi starts above lo and falls towards
-    it.  Each comparison is `rationals.lt`, decided on integers."""
+    pairs (a, b) = a + b·δ: the constants may tie, and then the slopes
+    decide; the values at r may not tie.  Comparisons decide it, except when
+    hi starts above lo and falls towards it.  Each comparison is
+    `rationals.eq` or `rationals.lt`, decided on integers."""
     (ha, hb), (la, lb) = hi, lo
+    if eq(ha, la):
+        return lt(lb, hb)
     if lt(ha, la):
         return False
-    if not lt(hb, lb):
-        return lt(la, ha) or lt(lb, hb)
-    return lt(la, ha) and lt(la + lb * r, ha + hb * r)
+    return not lt(hb, lb) or lt(la + lb * r, ha + hb * r)
 
 
 def _verify_chain(space, pl) -> bool:

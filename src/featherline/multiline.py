@@ -26,8 +26,8 @@ from operator import itemgetter
 
 from .intervals import (FinSet, IntervalSet, iset_meet, iset_meets, iset_pick_point,
                         iset_remove_points)
-from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, eq, fmt_ext, key, lt,
-                        sorted_by)
+from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, check_rational, eq, fmt_ext,
+                        key, lt, sorted_by)
 
 _ABSCISSA = itemgetter(0)  # lift abscissae are unique: sort by them alone
 
@@ -132,7 +132,7 @@ class Wave(Value):
         return iset_remove_points(self.parts, (x for x, _ in self.lift))
 
     def __str__(self):
-        lifts = ",".join("%s^%d" % (fmt_ext(x), j) for x, j in self.lift)
+        lifts = ",".join(["%s^%d" % (fmt_ext(x), j) for x, j in self.lift]) if self.lift else ""
         return "W[%s-{%s}]" % (self.parts, lifts)
 
 
@@ -186,7 +186,7 @@ class TranslateGen(Value):
     __slots__ = _fields = ("shift",)
 
     def __init__(self, shift):
-        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "shift", check_rational(shift, "a shift"))
 
     def apply(self, p: MultiLinePoint) -> MultiLinePoint:
         return MultiLinePoint(p.x + self.shift, p.level)
@@ -199,8 +199,11 @@ class TranslateGen(Value):
 class ExchangeGen(Value):
     __slots__ = _fields = ("at", "levels")
 
-    def __init__(self, at, levels):  # levels: (i, j)
-        Value.__init__(self, at, levels)
+    def __init__(self, at, levels):  # levels: (i, j), two distinct naturals
+        if not (type(levels) is tuple and len(levels) == 2
+                and all(type(j) is int and j >= 0 for j in levels) and levels[0] != levels[1]):
+            raise PreconditionError("exchange levels must be two distinct naturals: %r" % (levels,))
+        Value.__init__(self, check_rational(at, "an exchange abscissa"), levels)
 
     def _swap(self, level: int) -> int:
         i, j = self.levels
@@ -234,7 +237,7 @@ class ReflectGen(Value):
     __slots__ = _fields = ("about",)
 
     def __init__(self, about):
-        object.__setattr__(self, "about", about)
+        object.__setattr__(self, "about", check_rational(about, "a reflection center"))
 
     def apply(self, p: MultiLinePoint) -> MultiLinePoint:
         return MultiLinePoint(2 * self.about - p.x, p.level)

@@ -48,6 +48,13 @@ def as_ext(x):
     return Fraction(x)
 
 
+def check_rational(x, what: str):
+    """`x` itself if it is an int or a Fraction, else a PreconditionError."""
+    if x.__class__ is not Fraction and x.__class__ is not int:
+        raise PreconditionError("%s must be an int or a Fraction, not %r" % (what, x))
+    return x
+
+
 def lt(a, b) -> bool:
     """Exactly `a < b`.  Reads the `_numerator`/`_denominator` slots of
     `Fraction` (present on Python 3.10-3.13), which cost far less than the

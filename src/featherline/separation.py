@@ -115,7 +115,7 @@ def theorem_pipeline(space, sample_points, chosen=None, probes=None):
         report["stages"].append(ke.verified(space, mcert, id="lemma-zorn", point=p, handle=handle))
     cover = canonical_cover(space)
     if chosen is None:
-        chosen = space.default_subfamily(sample_points)
+        chosen = space.default_subfamily(sample_points, opens)
     covered, scert = subcover_attempt(space, cover, chosen)
     report["stages"].append(ke.verified(space, scert, id="subcover", covered=covered))
     if not covered:

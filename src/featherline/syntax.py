@@ -47,7 +47,8 @@ def fmt_basic(b) -> str:
 
 
 def _tuple(value):
-    if value and all(type(c) is Fraction for c in value):
+    # a tuple of points or pairs fails on its first entry, with no generator
+    if value and type(value[0]) is Fraction and all(type(c) is Fraction for c in value):
         return fe.fp_str(value)
     return [jsonable(v) for v in value]
 
@@ -55,7 +56,7 @@ def _tuple(value):
 # One encoder per type: containers recurse, values that print themselves in
 # input syntax go through `str`, generators and certificates become dicts.
 _ENCODERS = {
-    dict: lambda d: {jsonable(k): jsonable(v) for k, v in d.items()},
+    dict: lambda d: {k if type(k) is str else jsonable(k): jsonable(v) for k, v in d.items()},
     list: lambda s: [jsonable(v) for v in s],
     tuple: _tuple,
     frozenset: lambda s: sorted(map(jsonable, s), key=str),

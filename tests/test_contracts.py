@@ -162,7 +162,8 @@ def test_protocol_table_names_the_methods_each_space_class_defines():
 
 
 # ---------------------------------------------------------------------------
-# Every public feather entry rejects an invalid point.
+# Every public feather entry rejects an invalid point, and every word
+# generator a field of the wrong shape.
 
 BAD = (F(0), F(0), F(0))
 GOOD = (F(0), F(1))
@@ -188,6 +189,13 @@ PUBLIC_ENTRIES = {
     "homotopy_eval": lambda: fe.homotopy_eval(F(1, 2), BAD),
     "SkeletonHandle.contains": lambda: fe.strict_skeleton().contains(BAD),
     "SkeletonHandle.contains-flipped": lambda: fe.SkeletonHandle(fe.FlipGen(PIVOT)).contains(BAD),
+    "FeatherTranslateGen-text": lambda: fe.FeatherTranslateGen("x"),
+    "ExchangeGen-one-level": lambda: ml.ExchangeGen(F(0), (1,)),
+    "TranslateGen-text": lambda: ml.TranslateGen("x"),
+    "ReflectGen-None": lambda: ml.ReflectGen(None),
+    "ExchangeGen-equal-levels": lambda: ml.ExchangeGen(F(0), (1, 1)),
+    "ExchangeGen-negative-level": lambda: ml.ExchangeGen(F(0), (0, -1)),
+    "ExchangeGen-float": lambda: ml.ExchangeGen(0.5, (0, 1)),
 }
 
 

@@ -1,9 +1,11 @@
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from featherline.intervals import (CofiniteSet, FinSet, IntervalSet,
+from featherline.intervals import (CofiniteSet, FinSet, IntervalSet, canon_intervals,
                                    cofinite_meet, iset_complement_is_finite,
                                    iset_covers_line, iset_meet,
                                    iset_remove_points, iset_union,
@@ -52,6 +54,38 @@ def test_remove_point_membership(a, x, y):
     assert not r.contains(x)
     if y != x:
         assert r.contains(y) == a.contains(y)
+
+
+# Ends from a small grid, so intervals often touch or share a lower end, and
+# the sentinels open and close sets.
+grid_ends = st.sampled_from([NEG_INF, POS_INF]) | st.integers(-3, 3).map(Fraction) \
+    | st.fractions(min_value=-3, max_value=3, max_denominator=2)
+grid_sets = st.lists(st.tuples(grid_ends, grid_ends), max_size=5).map(canon_intervals)
+TOUCHING = IntervalSet.of((NEG_INF, 0), (0, 1), (1, 2), (3, POS_INF))
+
+
+@given(st.lists(grid_sets, max_size=5))
+@example([])
+@example([IntervalSet.empty()])
+@example([TOUCHING])
+@example([IntervalSet.of((0, 1)), IntervalSet.of((1, 2)), IntervalSet.empty()])
+def test_nary_union_agrees_with_the_pairwise_fold(sets):
+    folded = IntervalSet.empty()
+    for s in sets:  # the two-set union, one set at a time
+        folded = canon_intervals(list(folded.intervals) + list(s.intervals))
+    assert iset_union(*sets) == folded
+    if len(sets) == 1:
+        assert iset_union(*sets) is sets[0]
+
+
+@given(grid_sets)
+@example(TOUCHING)
+def test_contains_agrees_with_the_left_bisection(s):
+    # x on a grid between the ends, at every end, and at the sentinels
+    ends = [x for pair in s.intervals for x in pair]
+    for x in [Fraction(n, 4) for n in range(-14, 15)] + ends + [NEG_INF, POS_INF]:
+        k = bisect_left(s.intervals, x, key=itemgetter(0)) - 1
+        assert s.contains(x) is (k >= 0 and x < s.intervals[k][1]), (s, x)
 
 
 def test_complement_finite():

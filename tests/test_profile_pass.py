@@ -1,11 +1,13 @@
-"""The one-pass profiler's `--callers` listing."""
+"""The one-pass profiler's `--callers` listing and its table of op kinds."""
 
+import importlib.util
 import pathlib
 import re
 import subprocess
 import sys
 
-SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "profile_pass.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "profile_pass.py"
 
 
 def run_profile(*args):
@@ -35,3 +37,25 @@ def test_callers_reports_a_pattern_that_matches_nothing():
 def test_callers_rejects_a_malformed_pattern():
     proc = run_profile("--callers", "(")
     assert proc.returncode == 2 and "--callers" in proc.stderr and proc.stdout == ""
+
+
+def test_the_op_kind_table_splits_one_timed_pass_by_the_pool_s_kinds():
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    proc = run_profile()
+    assert proc.returncode == 0, proc.stderr
+    table = proc.stdout.split("\nop kinds: ")[1]
+    header, columns, *rows = table.strip().splitlines()
+    assert re.fullmatch(r"one timed pass without the profiler, [\d.]+ ms", header)
+    assert columns.split() == ["kind", "ops", "mean_ms", "share"]
+    cells = [re.fullmatch(r"(\w+) +(\d+) +([\d.]+) +([\d.]+)%", row).groups() for row in rows]
+    pool = [op["kind"] for rnd in gen.pool("feather-deep", 7) for op in rnd]
+    assert {kind: int(n) for kind, n, _, _ in cells} == {k: pool.count(k) for k in set(pool)}
+    # the means times the counts add up to the pass, to their rounding
+    wall = float(header.split()[-2])
+    summed = sum(int(n) * float(mean) for _, n, mean, _ in cells)
+    assert abs(summed - wall) <= 0.05 + len(pool) / 2000
+    shares = [float(share) for *_, share in cells]
+    assert shares == sorted(shares, reverse=True)
+    assert abs(sum(shares) - 100) <= 0.05 * len(shares)  # each share is rounded to 0.1

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 from featherline import feather as fe
 from featherline import kernel as ke
 from featherline import multiline as ml
+from featherline import separation as sp
 from featherline.intervals import IntervalSet, canon_intervals, iset_meet, iset_meets
 from featherline.rationals import (NEG_INF, POS_INF, PreconditionError, _floor_key, eq, fmt_ext,
                                    key, lt, same, sorted_by)
@@ -63,6 +64,15 @@ def test_above_is_a_positive_margin_on_the_whole_piece(hi, lo, r):
     (ha, hb), (la, lb) = hi, lo
     direct = Fraction(ha) >= Fraction(la) and Fraction(ha) + hb * r > Fraction(la) + lb * r
     assert ke._above(hi, lo, r) is direct
+
+
+@given(small_fracs | st.integers(-3, 3) | sentinels, st.booleans(), affine, affine, radii)
+def test_above_on_tied_constants_lets_the_slopes_decide(c, as_int, hi, lo, r):
+    # one constant on both sides, spelled as an int or as a Fraction, or one
+    # sentinel: the margin is (hb - lb)·δ, positive on (0, r] iff hb > lb
+    spelled = int(c) if as_int and c not in (NEG_INF, POS_INF) and c == int(c) else c
+    (_, hb), (_, lb) = hi, lo
+    assert ke._above((c, hb), (spelled, lb), r) is (hb > lb)
 
 
 @given(small_fracs | st.integers(-3, 3), affine)
@@ -246,6 +256,19 @@ def test_a_wave_rejects_an_abscissa_lifted_to_two_levels_of_either_type():
         ml.Wave(ml.TRIPLED, IntervalSet.of((0, 3)), ((Fraction(1), 1), (1, 2)))
 
 
+@given(st.lists(st.lists(st.tuples(abscissae, st.booleans()), max_size=3), max_size=6),
+       st.sampled_from(["doubled", "tripled"]))
+def test_an_uncovered_point_is_one_past_the_largest_lifted_abs(lifts, name):
+    space = ke.space_of(name)
+    spelled = [[(_spelled(x, as_int), 1) for x, as_int in wave] for wave in lifts]
+    chosen = [ml.full_wave(space.spec, tuple(wave)) for wave in spelled]
+    fresh = max((abs(x) for wave in spelled for x, _ in wave), default=Fraction(0)) + 1
+    p = space.uncovered_point(chosen)
+    assert p == ml.MultiLinePoint(fresh, 1) and type(p.x) is Fraction
+    assert str(p) == "D(%s @1)" % fmt_ext(fresh)
+    assert not any(w.contains(p) for w in chosen)
+
+
 removed_points = st.lists(st.tuples(abscissae, st.integers(0, 2)), max_size=6)
 
 
@@ -268,11 +291,12 @@ def test_chain_connect_reads_int_and_fraction_removed_points_alike(src, dst, rem
 # Count guards: the hot paths call no `Fraction` hash or equality.
 
 
-def _fraction_calls(fn, name) -> int:
+def _fraction_calls(fn, name, module="fractions.py") -> int:
+    """Calls of the function `name` of `module` that `fn()` makes."""
     prof = cProfile.Profile()
     prof.runcall(fn)
     return sum(row[1] for (path, _, func), row in pstats.Stats(prof).stats.items()
-               if os.path.basename(path) == "fractions.py" and func == name)
+               if os.path.basename(path) == module and func == name)
 
 
 def _lifted_wave(start, levels):
@@ -289,6 +313,26 @@ def test_wave_meet_and_chain_connect_hash_no_fraction():
     assert _fraction_calls(lambda: links.append(
         ml.chain_connect(ml.TRIPLED, src, dst, removed, (-5, 100))), "__hash__") == 0
     assert links[0] is not None
+
+
+def test_an_uncovered_point_of_lifted_full_waves_calls_no_fraction_hash_order_or_abs():
+    doubled = ke.space_of("doubled")
+    chosen = [ml.full_wave(ml.DOUBLED, ((Fraction(i - 108, 7), 1),)) for i in range(200)]
+    for name in ("__hash__", "__gt__", "__abs__"):
+        out = []
+        assert _fraction_calls(lambda: out.append(
+            sp.subcover_attempt(doubled, doubled.cover_admits, chosen)), name) == 0, name
+        covered, c = out[0]
+        # the largest |x| lifted is 108/7, on the negative side
+        assert not covered and str(c.payload["point"]) == "D(115/7 @1)"
+
+
+def test_the_density_of_one_wave_sorts_no_intervals():
+    w = _lifted_wave(0, (1, 2))
+    dense = []
+    assert _fraction_calls(lambda: dense.append(ke.space_of("tripled").dense(w)),
+                           "canon_intervals", "intervals.py") == 0
+    assert dense == [True]
 
 
 def test_arms_meet_on_separately_parsed_points_calls_no_fraction_equality():
