@@ -21,11 +21,16 @@ constructors, and the public operations `flip_apply`, `replay`,
 `SkeletonHandle.contains`.  Internal transforms trust tuples that are already
 valid: a generator's `apply` takes a valid point, a flip glues a prefix of its
 pivot to a tail of the point and checks only that seam, and a translation
-preserves the order.  A `StraightenGen` validates its point once and flips at
-its truncations without checking them again, since a truncation of a valid
-point is valid.  `fp_chart` builds its
-interval with `FeatherInterval.trusted`, since both endpoints come from the
-checked centre and the clamped radius keeps them valid and ordered.
+preserves the order.  A `StraightenGen` validates its point once, since a
+truncation of a valid point is valid, and its `apply` runs the flips at the
+truncations in one pass, O(len(s) + len(p)).  Each flip keeps the two cases of
+`_flip`, in their order, and its seam check, which compares only the two
+coordinates that meet at the seam; which case holds is read off a
+common-prefix length (or, for the inverse, a running flag) in O(1), and the
+image is built once.  `fp_chart` builds its interval with
+`FeatherInterval.trusted`, since both endpoints come from the checked centre
+and the clamped radius keeps them valid and ordered; the radius is checked and
+clamped with exact comparisons.
 """
 
 from fractions import Fraction
@@ -317,21 +322,27 @@ class Chart(Value):
         return self.center[:-1] + (a + c,)
 
 
+def _at_most(eps, gap):
+    """min(eps, gap), decided exactly; eps on a tie, as `min` keeps it."""
+    return gap if lt(gap, eps) else eps
+
+
 def fp_chart(p: tuple, eps) -> Chart:
     """Chart at p of radius at most eps, auto-shrunk so the member set keeps
     one of the two canonical shapes (pure arm, or glued twin neighborhood)."""
-    eps = Fraction(eps)
-    if eps <= 0:
+    if eps.__class__ is not Fraction:
+        eps = Fraction(eps)
+    if not lt(0, eps):
         raise PreconditionError("chart radius must be positive")
     p = fp_validate(p)
     if fp_is_strict(p):
         if len(p) >= 2:
-            eps = min(eps, p[-1] - p[-2])
+            eps = _at_most(eps, p[-1] - p[-2])
         itv = FeatherInterval.trusted(p[:-1] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
     else:
         # upper twin (q, a, a): glue the branch below a to the arm above it
         if len(p) >= 3:
-            eps = min(eps, p[-1] - p[-3])
+            eps = _at_most(eps, p[-1] - p[-3])
         itv = FeatherInterval.trusted(p[:-2] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
     return Chart(p, eps, itv)
 
@@ -346,17 +357,24 @@ def flip_apply(s: tuple, r: tuple) -> tuple:
     return FlipGen(s).apply(fp_validate(r))
 
 
+def _seam_error(head: tuple, tail: tuple) -> PreconditionError:
+    return PreconditionError("flip seam breaks the order: %s + %s" % (head, tail))
+
+
 def _glue(head: tuple, tail: tuple) -> tuple:
     """head + tail for a proper prefix and a suffix of valid points; only
-    the seam between them needs checking."""
+    the seam between them needs checking: a strict step, or a slack one onto
+    a one-coordinate tail."""
     if head and tail and not (lt(head[-1], tail[0]) or (len(tail) == 1 and eq(head[-1], tail[0]))):
-        raise PreconditionError("flip seam breaks the order: %s + %s" % (head, tail))
+        raise _seam_error(head, tail)
     return head + tail
 
 
 def _flip(s: tuple, n: int, p: tuple) -> tuple:
     """The flip pinned at s[:n+1] (n >= 1) applied to a valid point p; the
-    first case takes precedence when both patterns match."""
+    first case takes precedence when both patterns match: drop p[n-1] when
+    p[:n] is s[:n], else insert s[n-1] before p[n-1] when p[:n-1] is
+    s[:n-1] and p[n-1] >= s[n-1]."""
     if len(p) >= n + 1 and same(p[:n], s[:n]):
         return _glue(s[:n - 1], p[n:])
     if len(p) >= n and same(p[:n - 1], s[:n - 1]) and not lt(p[n - 1], s[n - 1]):
@@ -382,7 +400,11 @@ class StraightenGen(Value):
     """The flips at the truncations s, s[:-1], ..., s[:2] of a point s,
     longest first, which carry s to the length-1 point (s[-1],).  With
     `inverse` set the same flips run shortest first, which undoes them (each
-    flip is an involution).  The word stores s once, not n pivots."""
+    flip is an involution).  The word stores s once, not n pivots.
+
+    `apply` gives the result of `_flip` at each truncation in turn, in one
+    pass: each flip keeps `_flip`'s two cases and `_glue`'s seam check, at
+    O(1) a flip (see the module's validation contract)."""
 
     __slots__ = _fields = ("point", "inverse")
 
@@ -390,10 +412,65 @@ class StraightenGen(Value):
         Value.__init__(self, fp_validate(point), inverse)
 
     def apply(self, p: tuple) -> tuple:
-        s = self.point
-        for n in (range(1, len(s)) if self.inverse else range(len(s) - 1, 0, -1)):
-            p = _flip(s, n, p)
-        return p
+        if self.inverse:
+            return _unstraighten(self.point, p)
+        return _straighten(self.point, p)
+
+
+def _straighten(s: tuple, p: tuple) -> tuple:
+    """The flips at n = len(s)-1, ..., 1 applied to p.  Flips above n touch
+    only indices >= n, so at flip n the point is p[:n] + tail, with c, the
+    length of the common prefix of p and s, deciding both cases.  The tail
+    grows at its front, so it is kept reversed."""
+    m = min(len(s), len(p))
+    c = 0
+    while c < m and (s[c] is p[c] or eq(s[c], p[c])):
+        c += 1
+    rev = list(reversed(p[len(s) - 1:]))  # the tail p[n:], reversed
+    for n in range(len(s) - 1, 0, -1):
+        if c >= n and rev:  # p[:n] is s[:n]: drop p[n-1]
+            last, first = s[n - 2], rev[-1]  # the seam, as `_glue` checks it
+            if n >= 2 and not (lt(last, first) or (len(rev) == 1 and eq(last, first))):
+                raise _seam_error(s[:n - 1], tuple(reversed(rev)))
+        elif c >= n - 1 and len(p) >= n and not lt(p[n - 1], s[n - 1]):  # insert s[n-1]
+            last, first = s[n - 1], p[n - 1]
+            if not (lt(last, first) or (not rev and eq(last, first))):
+                raise _seam_error(s[:n], (first,) + tuple(reversed(rev)))
+            rev.append(p[n - 1])
+            rev.append(s[n - 1])
+        elif len(p) >= n:
+            rev.append(p[n - 1])
+    return tuple(reversed(rev))
+
+
+def _unstraighten(s: tuple, p: tuple) -> tuple:
+    """The flips at n = 1, ..., len(s)-1 applied to p.  Flip n settles
+    index n-1 for good, so before flip n the point is head + p[i:]: `head`,
+    its first n-1 coordinates, is final, `pre` says whether head is s[:n-1],
+    and p[i:] is an untouched suffix of p."""
+    head, i, pre = [], 0, True
+    for n in range(1, len(s)):
+        rest = len(p) - i
+        if not rest:  # the point is shorter than n: no later flip applies
+            break
+        x = s[n - 1]
+        hit = pre and eq(p[i], x)
+        if hit and rest >= 2:  # p[:n] is s[:n]: drop p[i]
+            last, first = s[n - 2], p[i + 1]  # the seam, as `_glue` checks it
+            if n >= 2 and not (lt(last, first) or (rest == 2 and eq(last, first))):
+                raise _seam_error(s[:n - 1], p[i + 1:])
+            head.append(first)
+            pre = eq(first, x)
+            i += 2
+        elif pre and not lt(p[i], x):  # p[:n-1] is s[:n-1]: insert x
+            if not (lt(x, p[i]) or (rest == 1 and eq(x, p[i]))):
+                raise _seam_error(s[:n], p[i:])
+            head.append(x)
+        else:
+            head.append(p[i])
+            pre = hit
+            i += 1
+    return tuple(head) + p[i:]
 
 
 class FeatherTranslateGen(Value):

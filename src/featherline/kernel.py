@@ -24,7 +24,8 @@ declares in `basic_kind`, and rejects any other with "not a <noun>".
 By default `density_witness` (a basic missing a non-dense union) is None,
 `covered_by` is True (a covered certificate rests on its probes) and
 `is_baire` is True; the cofinite space is not Baire, as its diagonal family
-of dense opens has empty intersection.  An operation a space lacks raises
+of dense opens has empty intersection.  An operation a space lacks is a
+stub, generated once on `Space`, that raises
 `PreconditionError("<op> is not implemented for <tag>")`.  The bench tracer
 times only the methods a space class defines itself, so the table's methods
 stay on each class.
@@ -128,20 +129,12 @@ def _chart_radius(eps) -> Fraction:
 
 
 class Space:
-    """Boundary parsing and the one not-implemented path of the protocol."""
+    """Boundary parsing, `member`, the protocol's defaults, and one stub per
+    protocol operation that some space lacks (see `_not_implemented`)."""
 
     spec = None
     is_baire = True
     generators = ()  # the classes of a homeomorphism word's generators
-
-    def __getattr__(self, name):
-        # only for names the class lacks: an operation another space implements
-        if name.startswith("_") or not any(name in vars(c) for c in Space.__subclasses__()):
-            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-
-        def missing(*args, **kwargs):
-            raise PreconditionError("%s is not implemented for %s" % (name, self.tag))
-        return missing
 
     def _parse(self, parse, kind, text):
         types, noun = kind  # accepted types, name in messages
@@ -590,6 +583,24 @@ class CofiniteSpace(Space):
         if isinstance(u, CofiniteSet):
             u = [u]
         return any(not b.empty_set for b in u)
+
+
+def _not_implemented(name: str):
+    def missing(self, *args, **kwargs):
+        raise PreconditionError("%s is not implemented for %s" % (name, self.tag))
+    missing.__name__ = missing.__qualname__ = name
+    return missing
+
+
+# Each protocol operation that some space class lacks gets one stub on
+# `Space`, which that class inherits.  The stubs are plain methods, so an
+# attribute read stays an ordinary lookup and an unknown name raises
+# AttributeError.
+_DEFINED = [{name for name, value in vars(cls).items()
+             if not name.startswith("_") and callable(value)} for cls in Space.__subclasses__()]
+for _name in sorted(set.union(*_DEFINED) - set.intersection(*_DEFINED) - set(vars(Space))):
+    setattr(Space, _name, _not_implemented(_name))
+del _DEFINED, _name
 
 
 FEATHER = FeatherSpace()

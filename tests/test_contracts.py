@@ -161,6 +161,23 @@ def test_protocol_table_names_the_methods_each_space_class_defines():
         assert hasattr(ke.Space, name) and "`%s`" % name in ke.__doc__
 
 
+def test_an_operation_a_space_lacks_raises_and_an_unknown_name_is_missing():
+    assert "__getattr__" not in vars(ke.Space)
+    defined = {cls_name: {name for name, value in vars(getattr(ke, cls_name)).items()
+                          if not name.startswith("_") and callable(value)}
+               for cls_name in SPACE_CLASSES}
+    defaults = {"member", "covered_by", "density_witness", "is_baire"}  # answered by Space
+    for space in set(ke._SPACES.values()):
+        lacking = set().union(*defined.values()) - defined[type(space).__name__] - defaults
+        for name in lacking:
+            with pytest.raises(PreconditionError) as info:
+                getattr(space, name)()
+            assert str(info.value) == "%s is not implemented for %s" % (name, space.tag)
+        for name in ("no_such_operation", "_no_such_helper"):
+            with pytest.raises(AttributeError):
+                getattr(space, name)
+
+
 # ---------------------------------------------------------------------------
 # Every public feather entry rejects an invalid point, and every word
 # generator a field of the wrong shape.

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from featherline import feather as fe
 from featherline import kernel as ke
@@ -214,6 +214,134 @@ def test_twin_swap_flip(p):
     gen = fe.twin_swap_flip(p)
     assert gen.apply(p) == fe.fp_twin(p)
     assert gen.apply(fe.fp_twin(p)) == p
+
+
+# ---------------------------------------------------------------------------
+# One-pass straightening against the flip-by-flip loop it replaces.
+
+
+def flip_by_flip(gen, p):
+    """The reference `StraightenGen.apply`: `_flip` at each truncation of the
+    generator's point in turn, rebuilding the point at every flip."""
+    s = gen.point
+    for n in (range(1, len(s)) if gen.inverse else range(len(s) - 1, 0, -1)):
+        p = fe._flip(s, n, p)
+    return p
+
+
+def outcome(apply, p):
+    try:
+        return apply(p)
+    except PreconditionError as exc:
+        return ("raised", str(exc))
+
+
+def assert_apply_matches(s, p):
+    for inverse in (False, True):
+        gen = fe.StraightenGen(s, inverse)
+        assert outcome(gen.apply, p) == outcome(lambda q: flip_by_flip(gen, q), p)
+
+
+# small integer coordinates, so points of up to ~50 coordinates share
+# prefixes and meet each other's coordinates often
+@st.composite
+def long_points(draw, max_len=50):
+    coords = draw(st.lists(st.integers(0, 80), min_size=1, max_size=max_len, unique=True))
+    p = tuple(map(F, sorted(coords)))
+    if draw(st.booleans()):
+        p = p + (p[-1],)  # a slack last step
+    return p
+
+
+@st.composite
+def tails(draw):
+    """Positive steps up from a branch point, and whether the last is slack."""
+    steps = draw(st.lists(st.integers(1, 3), max_size=5))
+    return steps, draw(st.booleans())
+
+
+def on_branch(head, steps, slack, start=F(-1)):
+    """The point head + (a tail climbing `steps` from head's last coordinate)."""
+    x, tail = (head[-1] if head else start), []
+    for step in steps:
+        x += step
+        tail.append(x)
+    if slack and tail:
+        tail.append(tail[-1])
+    return head + tuple(tail)
+
+
+@example(s=(F(0),), branch=([1], False))
+@example(s=(F(0), F(0)), branch=([], True))
+@example(s=(F(0), F(1)), branch=([1, 1], True))
+@given(long_points(), tails())
+def test_straighten_matches_flip_by_flip_at_every_shared_prefix(s, branch):
+    for k in range(len(s) + 1):
+        head = s[:k]
+        for p in (on_branch(head, *branch), head + head[-1:]):
+            if p:  # the twin of each truncation, and a branch off it
+                assert_apply_matches(s, p)
+
+
+@example(s=(F(0),), p=(F(0), F(0)))
+@example(s=(F(0), F(1)), p=(F(1),))
+@example(s=(F(0), F(1), F(1)), p=(F(0), F(1)))
+@given(long_points(), long_points())
+def test_straighten_matches_flip_by_flip_on_any_point(s, p):
+    assert_apply_matches(s, p)
+
+
+@given(long_points())
+def test_straighten_matches_flip_by_flip_on_the_point_and_its_twin(s):
+    for p in (s, fe.fp_twin(s), s[-1:], s[:1]):
+        assert_apply_matches(s, p)
+
+
+@example(s=(F(0), F(1), F(2)), p=(F(0), F(1), F(0), F(0)))  # a seam breaks
+@example(s=(F(0), F(1), F(2)), p=(F(1), F(0), F(0)))  # a seam breaks in the inverse
+@example(s=(F(0), F(1), F(2)), p=(F(0), F(0), F(1)))  # a repeat keeps the prefix on s
+@given(long_points(max_len=8), st.lists(st.integers(0, 12).map(F), min_size=1, max_size=10))
+def test_straighten_raises_as_flip_by_flip_on_tuples_that_are_not_points(s, p):
+    # outside the contract of `apply`, so the seam checks are what decide
+    assert_apply_matches(s, tuple(p))
+
+
+def test_the_examples_of_broken_seams_do_raise():
+    s = (F(0), F(1), F(2))
+    for gen, p in [(fe.StraightenGen(s), (F(0), F(1), F(0), F(0))),
+                   (fe.StraightenGen(s, inverse=True), (F(1), F(0), F(0)))]:
+        with pytest.raises(PreconditionError, match="flip seam breaks the order"):
+            gen.apply(p)
+
+
+@pytest.mark.parametrize("n", [50, 200, 800])
+def test_straightening_makes_a_linear_number_of_comparisons(monkeypatch, n):
+    # s strict with a slack last step, q on another branch off s[:n // 2]
+    s = tuple(F(k, 3) for k in range(n - 1)) + (F(n - 2, 3),)
+    q = on_branch(s[:n // 2], [1] * (n - n // 2 - 1), True)
+    forward, backward = fe.StraightenGen(s), fe.StraightenGen(s, inverse=True)
+    cases = [(forward, s), (backward, s[-1:]), (forward, q), (backward, q)]
+    expected = [flip_by_flip(gen, p) for gen, p in cases]
+    assert expected[:2] == [s[-1:], s]
+    counts = [0]
+
+    def counting(compare):
+        def counted(a, b):
+            counts[0] += 1
+            return compare(a, b)
+        return counted
+
+    def counted_same(a, b):  # the element comparisons `same` would make
+        counts[0] += min(len(a), len(b))
+        return a == b
+
+    for name in ("lt", "eq"):
+        monkeypatch.setattr(fe, name, counting(getattr(fe, name)))
+    monkeypatch.setattr(fe, "same", counted_same)
+    for (gen, p), out in zip(cases, expected):
+        counts[0] = 0
+        assert gen.apply(p) == out
+        assert counts[0] <= 4 * n, (gen.inverse, counts[0])
 
 
 # ---------------------------------------------------------------------------
