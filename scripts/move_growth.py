@@ -5,16 +5,15 @@ time grows.
 Run from the repository root:
 
     python3 scripts/move_growth.py
-    python3 scripts/move_growth.py --lengths 50 100 200 --repeat 3 --fit 50 200
+    python3 scripts/move_growth.py --lengths 50 100 200
 
 For each length n it builds two feather points of n coordinates, the second
-with a slack last step, and times, best of `--repeat`, what the `move` verb
-does in-process: the homogeneity word from one point to the other, its
-replay, and the verification of the `homeo-word` certificate.  It prints one
-row per length, then the exponent k of a least-squares fit of
-log(time) = k log(n) + c over the lengths inside `--fit LO HI` (default 400
-to 1,600).  A move that does not reach its target, or a certificate that
-does not verify, exits 1.
+with a slack last step, and times, best of 5, what the `move` verb does
+in-process: the homogeneity word from one point to the other, its replay,
+and the verification of the `homeo-word` certificate.  It prints one row per
+length, then the exponent k of a least-squares fit of
+log(time) = k log(n) + c over the lengths from 400 to 1,600.  A move that
+does not reach its target, or a certificate that does not verify, exits 1.
 """
 
 import argparse
@@ -31,6 +30,8 @@ from featherline import certificates as cert  # noqa: E402
 from featherline import kernel as ke  # noqa: E402
 
 DEFAULT_LENGTHS = (50, 100, 200, 400, 800, 1600)
+REPEAT = 5  # runs per length; the best one counts
+FIT = (400, 1600)  # the lengths the exponent is fitted over
 
 
 def points(n: int):
@@ -48,10 +49,10 @@ def move_once(p, q) -> bool:
     return out == q and ke.verify_certificate(ke.FEATHER, c)
 
 
-def best_ms(n: int, repeat: int) -> float:
+def best_ms(n: int) -> float:
     p, q = points(n)
     best = math.inf
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         ok = move_once(p, q)
         best = min(best, time.perf_counter() - start)
@@ -75,28 +76,21 @@ def main(argv=None) -> int:
     parser.add_argument("--lengths", type=int, nargs="+", default=list(DEFAULT_LENGTHS),
                         metavar="N", help="point lengths (default %s)"
                         % " ".join(map(str, DEFAULT_LENGTHS)))
-    parser.add_argument("--repeat", type=int, default=5, help="runs per length (default 5)")
-    parser.add_argument("--fit", type=int, nargs=2, default=[400, 1600], metavar=("LO", "HI"),
-                        help="fit the exponent over the lengths in [LO, HI]")
     args = parser.parse_args(argv)
     if min(args.lengths) < 2:
         parser.error("--lengths must be at least 2")
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
-    lo, hi = args.fit
-    if lo > hi:
-        parser.error("--fit LO HI needs LO <= HI")
 
     rows = []
     print("%8s  %10s" % ("length", "best_ms"))
     for n in sorted(set(args.lengths)):
         try:
-            ms = best_ms(n, args.repeat)
+            ms = best_ms(n)
         except RuntimeError as exc:
             sys.stderr.write("move_growth: %s\n" % exc)
             return 1
         rows.append((n, ms))
         print("%8d  %10.3f" % (n, ms), flush=True)
+    lo, hi = FIT
     fitted = [row for row in rows if lo <= row[0] <= hi]
     if len(fitted) < 2:
         print("exponent %d..%d: n/a (fewer than two lengths in range)" % (lo, hi))

@@ -327,13 +327,19 @@ def _at_most(eps, gap):
     return gap if lt(gap, eps) else eps
 
 
-def fp_chart(p: tuple, eps) -> Chart:
-    """Chart at p of radius at most eps, auto-shrunk so the member set keeps
-    one of the two canonical shapes (pure arm, or glued twin neighborhood)."""
+def chart_radius(eps) -> Fraction:
+    """A chart radius as a Fraction; every space rejects one <= 0 alike."""
     if eps.__class__ is not Fraction:
         eps = Fraction(eps)
     if not lt(0, eps):
         raise PreconditionError("chart radius must be positive")
+    return eps
+
+
+def fp_chart(p: tuple, eps) -> Chart:
+    """Chart at p of radius at most eps, auto-shrunk so the member set keeps
+    one of the two canonical shapes (pure arm, or glued twin neighborhood)."""
+    eps = chart_radius(eps)
     p = fp_validate(p)
     if fp_is_strict(p):
         if len(p) >= 2:
@@ -361,11 +367,17 @@ def _seam_error(head: tuple, tail: tuple) -> PreconditionError:
     return PreconditionError("flip seam breaks the order: %s + %s" % (head, tail))
 
 
+def _seam_ok(last, first, single: bool) -> bool:
+    """Whether a head ending in `last` may be glued to a tail starting with
+    `first`: a strict step, or a slack one onto a one-coordinate (`single`)
+    tail."""
+    return lt(last, first) or (single and eq(last, first))
+
+
 def _glue(head: tuple, tail: tuple) -> tuple:
     """head + tail for a proper prefix and a suffix of valid points; only
-    the seam between them needs checking: a strict step, or a slack one onto
-    a one-coordinate tail."""
-    if head and tail and not (lt(head[-1], tail[0]) or (len(tail) == 1 and eq(head[-1], tail[0]))):
+    the seam between them needs checking (`_seam_ok`)."""
+    if head and tail and not _seam_ok(head[-1], tail[0], len(tail) == 1):
         raise _seam_error(head, tail)
     return head + tail
 
@@ -429,13 +441,11 @@ def _straighten(s: tuple, p: tuple) -> tuple:
     rev = list(reversed(p[len(s) - 1:]))  # the tail p[n:], reversed
     for n in range(len(s) - 1, 0, -1):
         if c >= n and rev:  # p[:n] is s[:n]: drop p[n-1]
-            last, first = s[n - 2], rev[-1]  # the seam, as `_glue` checks it
-            if n >= 2 and not (lt(last, first) or (len(rev) == 1 and eq(last, first))):
+            if n >= 2 and not _seam_ok(s[n - 2], rev[-1], len(rev) == 1):
                 raise _seam_error(s[:n - 1], tuple(reversed(rev)))
         elif c >= n - 1 and len(p) >= n and not lt(p[n - 1], s[n - 1]):  # insert s[n-1]
-            last, first = s[n - 1], p[n - 1]
-            if not (lt(last, first) or (not rev and eq(last, first))):
-                raise _seam_error(s[:n], (first,) + tuple(reversed(rev)))
+            if not _seam_ok(s[n - 1], p[n - 1], not rev):
+                raise _seam_error(s[:n], (p[n - 1],) + tuple(reversed(rev)))
             rev.append(p[n - 1])
             rev.append(s[n - 1])
         elif len(p) >= n:
@@ -456,14 +466,14 @@ def _unstraighten(s: tuple, p: tuple) -> tuple:
         x = s[n - 1]
         hit = pre and eq(p[i], x)
         if hit and rest >= 2:  # p[:n] is s[:n]: drop p[i]
-            last, first = s[n - 2], p[i + 1]  # the seam, as `_glue` checks it
-            if n >= 2 and not (lt(last, first) or (rest == 2 and eq(last, first))):
+            first = p[i + 1]
+            if n >= 2 and not _seam_ok(s[n - 2], first, rest == 2):
                 raise _seam_error(s[:n - 1], p[i + 1:])
             head.append(first)
             pre = eq(first, x)
             i += 2
         elif pre and not lt(p[i], x):  # p[:n-1] is s[:n-1]: insert x
-            if not (lt(x, p[i]) or (rest == 1 and eq(x, p[i]))):
+            if not _seam_ok(x, p[i], rest == 1):
                 raise _seam_error(s[:n], p[i:])
             head.append(x)
         else:

@@ -120,14 +120,6 @@ class ChartForm:
         return all(lo[1] <= 0 <= hi[1] for _, lo, hi, _ in self.arms)
 
 
-def _chart_radius(eps) -> Fraction:
-    """A chart radius as a Fraction; every space rejects one <= 0 alike."""
-    eps = eps if type(eps) is Fraction else Fraction(eps)
-    if eps <= 0:
-        raise PreconditionError("chart radius must be positive")
-    return eps
-
-
 class Space:
     """Boundary parsing, `member`, the protocol's defaults, and one stub per
     protocol operation that some space lacks (see `_not_implemented`)."""
@@ -351,7 +343,7 @@ class MultiLineSpace(Space):
         return ml.waves_disjoint(b1, b2)
 
     def canonical_neighborhood(self, p, eps):
-        eps = _chart_radius(eps)
+        eps = fe.chart_radius(eps)
         lift = ((p.x, p.level),) if p.level > 0 else ()
         return ml.Wave(self.spec, IntervalSet(((p.x - eps, p.x + eps),)), lift)
 
@@ -523,7 +515,7 @@ class BranchSpace(Space):
         return not ml.branch_meet(b1, b2)
 
     def canonical_neighborhood(self, p, eps):
-        eps = _chart_radius(eps)
+        eps = fe.chart_radius(eps)
         return ml.BranchInterval(p.x - eps, p.x + eps, p.side)
 
     def is_point(self, x) -> bool:
@@ -561,7 +553,7 @@ class CofiniteSpace(Space):
         return cofinite_meet(b1, b2).empty_set
 
     def canonical_neighborhood(self, p, eps):
-        _chart_radius(eps)  # the topology has no scales; the ground set is canonical
+        fe.chart_radius(eps)  # the topology has no scales; the ground set is canonical
         return CofiniteSet.ground()
 
     def is_point(self, x) -> bool:

@@ -1,8 +1,9 @@
-"""The move growth probe: a row per length and a fitted exponent, and a usage
+"""The move growth probe: a row per length, the fitted exponent, and a usage
 error, not a traceback, for bad arguments."""
 
+import importlib.util
+import math
 import pathlib
-import re
 import subprocess
 import sys
 
@@ -11,34 +12,38 @@ import pytest
 SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "move_growth.py"
 
 
+def load_probe():
+    spec = importlib.util.spec_from_file_location("move_growth", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def run_probe(*args):
     return subprocess.run([sys.executable, str(SCRIPT)] + list(args),
                           capture_output=True, text=True)
 
 
-def test_small_lengths_print_a_row_each_and_the_exponent():
-    proc = run_probe("--lengths", "8", "4", "16", "--repeat", "1", "--fit", "4", "16")
+@pytest.mark.parametrize("k", [1.0, 2.0, 0.5])
+def test_the_exponent_of_a_power_law_is_its_power(k):
+    rows = [(n, 3 * n ** k) for n in (400, 800, 1600)]
+    assert math.isclose(load_probe().exponent(rows), k)
+
+
+def test_small_lengths_print_a_row_each_and_no_exponent():
+    proc = run_probe("--lengths", "8", "4", "16")
     assert proc.returncode == 0, proc.stderr
     header, *rows, fit = proc.stdout.strip().splitlines()
     assert header.split() == ["length", "best_ms"]
     assert [int(row.split()[0]) for row in rows] == [4, 8, 16]
     assert all(float(row.split()[1]) > 0 for row in rows)
-    assert re.fullmatch(r"exponent 4\.\.16: -?\d+\.\d\d", fit)
-
-
-def test_a_fit_range_with_fewer_than_two_lengths_is_reported():
-    proc = run_probe("--lengths", "4", "--repeat", "1")
-    assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.strip().splitlines()[-1]
-    assert last == "exponent 400..1600: n/a (fewer than two lengths in range)"
+    assert fit == "exponent 400..1600: n/a (fewer than two lengths in range)"
 
 
 @pytest.mark.parametrize("args,shown", [
     (["--lengths", "1"], "--lengths must be at least 2"),
     (["--lengths", "ten"], "--lengths"),
-    (["--repeat", "0"], "--repeat must be at least 1"),
-    (["--fit", "800", "400"], "--fit LO HI needs LO <= HI"),
-    (["--fit", "400"], "--fit"),
+    (["--repeat", "3"], "unrecognized arguments"),
 ])
 def test_bad_arguments_exit_2_with_a_message(args, shown):
     proc = run_probe(*args)
