@@ -621,12 +621,3 @@ def skeleton_through(p: tuple) -> SkeletonHandle:
     if fp_is_strict(p):
         return SkeletonHandle()
     return SkeletonHandle(twin_swap_flip(p))
-
-
-def disjoint_branch_family(x, a, b) -> FeatherInterval:
-    """The level-one branch interval {(x, r) : a < r < b}; for distinct x
-    these are pairwise disjoint, an uncountable disjoint open family."""
-    x, a, b = Fraction(x), Fraction(a), Fraction(b)
-    if not x < a < b:
-        raise PreconditionError("need x < a < b")
-    return FeatherInterval((x, a), (x, b))

@@ -182,13 +182,10 @@ def _naturals_signed():
 
 
 def iset_pick_point(a: IntervalSet, avoid=()) -> Fraction:
-    avoid = set(avoid)
-    for lo, hi in a.intervals:
-        try:
-            return pick_rational_in(lo, hi, avoid)
-        except AssertionError:  # pragma: no cover - interval crowded by avoid
-            continue
-    raise PreconditionError("empty set has no points")
+    if not a.intervals:
+        raise PreconditionError("empty set has no points")
+    lo, hi = a.intervals[0]
+    return pick_rational_in(lo, hi, avoid)
 
 
 class FinSet(Value):

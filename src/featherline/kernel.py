@@ -61,6 +61,12 @@ the refuter and without the producer's `non_separable_pair`:
     the space: a point of the right type but not of the space, such as
     D(1 @1) on the line with two origins, is rejected.
 The producer's cross-check in `separable` keeps the 4-scale refuter.
+A `homeo-word` certificate claims a homeomorphism of this space.  Before it
+replays the word, the verifier asks whether each generator maps the space
+onto itself, reading the rule off the spec, not `ml_move`: a translation or
+reflection must map the doubled set onto itself, and an exchange must swap
+two levels that both exist over its abscissa (or neither, and move no
+point).  Feather generators always do.
 """
 
 from fractions import Fraction
@@ -843,11 +849,28 @@ def _verify_chain(space, pl) -> bool:
 
 def _verify_word(space, pl) -> bool:
     run, word, src, dst = space.replay, pl["word"], pl["src"], pl["dst"]
-    if run(word, src) != dst:
+    if not all(_maps_onto_itself(space.spec, g) for g in word) or run(word, src) != dst:
         return False
     # an involutive word also carries dst back to src and squares to the identity
     return not pl["involutive"] or (run(word, dst) == src
                                     and all(run(word, run(word, x)) == x for x in (src, dst)))
+
+
+def _maps_onto_itself(spec, gen) -> bool:
+    """Whether a word generator maps the space of `spec` onto itself, read
+    off the spec.  A translation or reflection must map the doubled set onto
+    itself.  An exchange swaps two levels over `at`: both must exist there,
+    or neither (then it moves no point).  Feather generators always do."""
+    t = type(gen)
+    if t is ml.ExchangeGen:
+        i, j = (n == 0 or n < spec.k and spec.is_doubled(gen.at) for n in gen.levels)
+        return i == j
+    if t not in (ml.TranslateGen, ml.ReflectGen) or spec.k == 1 or spec.doubling == "all":
+        return True
+    xs = spec.doubling.elements
+    image = ({x + gen.shift for x in xs} if t is ml.TranslateGen
+             else {2 * gen.about - x for x in xs})
+    return image == set(xs)
 
 
 def _verify_compact(space, pl) -> bool:

@@ -248,30 +248,6 @@ class ReflectGen(Value):
         return Wave(w.spec, parts, tuple((c - x, j) for x, j in w.lift))
 
 
-def translate_t(spec: SpaceSpec, s, p: MultiLinePoint) -> MultiLinePoint:
-    s = Fraction(s)
-    _check_translation(spec, s)
-    return TranslateGen(s).apply(p)
-
-
-def _check_translation(spec: SpaceSpec, s: Fraction):
-    if s == 0 or spec.doubling == "all" or spec.k == 1:
-        return
-    shifted = {x + s for x in spec.doubling}
-    if shifted != set(spec.doubling.elements):
-        raise PreconditionError("translation by %s does not preserve the doubling domain" % fmt_ext(s))
-
-
-def exchange_e(spec: SpaceSpec, s, levels, p: MultiLinePoint) -> MultiLinePoint:
-    s = Fraction(s)
-    i, j = levels
-    if not (0 <= i < spec.k and 0 <= j < spec.k):
-        raise PreconditionError("exchange levels out of range")
-    if {i, j} != {0} and i != j and not spec.is_doubled(s):
-        raise PreconditionError("abscissa %s is not doubled" % fmt_ext(s))
-    return ExchangeGen(s, (i, j)).apply(p)
-
-
 def ml_move(spec: SpaceSpec, p: MultiLinePoint, q: MultiLinePoint, involutive=False):
     """Homeomorphism word taking p to q.  The involutive variant reflects
     about the midpoint and patches levels with exchanges; it swaps p and q

@@ -373,6 +373,19 @@ def test_nonpositive_count_is_a_parse_error(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["microcompact", "doubled", "D(0)", "W[(-1,1)-{}]", "--depth", "129"],
+    ["microcompact", "feather", "F(0,1)", "FI[(0,0);(0,2)]", "--depth", "200"],
+    ["microcompact", "doubled", "D(0)", "W[(-1/%d,1)-{}]" % 2**140],
+], ids=["doubled-depth-129", "feather-depth-200", "doubled-end-2^-140"])
+def test_microcompact_halves_as_often_as_its_inputs_need(args):
+    # the halvings are bounded by the inputs' denominators, not by a constant
+    proc = run_cli(args)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "verified: true" in proc.stdout.splitlines()
+
+
 @pytest.mark.parametrize("handle", ["strict-skeleton", "strict-skeleton*flip(0,1)"])
 @pytest.mark.parametrize("point", ["F(1,2,5)", "F(0,0)", "F(-1/2,3)"])
 def test_microcompact_inside_a_handle_is_a_precondition_error(point, handle):

@@ -407,9 +407,11 @@ def test_skeleton_through_upper_twin():
 
 
 def test_disjoint_branch_family():
-    i0 = fe.disjoint_branch_family(F(0), F(1), F(2))
-    i1 = fe.disjoint_branch_family(F(1), F(2), F(3))
+    # the level-one branch intervals {(x, r) : a < r < b}, one per x, are
+    # pairwise disjoint: an uncountable disjoint open family
+    i0 = fe.FeatherInterval((F(0), F(1)), (F(0), F(2)))
+    i1 = fe.FeatherInterval((F(1), F(2)), (F(1), F(3)))
     assert i0.contains((F(0), F(3, 2)))
     assert not ke.FEATHER.meet(i0, i1)
     with pytest.raises(PreconditionError):
-        fe.disjoint_branch_family(F(0), F(1), F(1))
+        fe.FeatherInterval((F(0), F(1)), (F(0), F(1)))

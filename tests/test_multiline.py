@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from featherline import certificates as cert
+from featherline import kernel as ke
 from featherline import multiline as ml
 from featherline.intervals import FinSet, IntervalSet
 from featherline.rationals import PreconditionError
@@ -65,23 +67,35 @@ def test_wave_meet_pointwise(w1, w2, p):
 # Generators and homogeneity.
 
 
+def _word_verifies(space_name, word, src, dst) -> bool:
+    return ke.verify_certificate(ke.space_of(space_name), cert.homeo_word(tuple(word), src, dst))
+
+
 @given(points(ml.DOUBLED), rationals)
 def test_translate_inverse(p, s):
-    assert ml.translate_t(ml.DOUBLED, -s, ml.translate_t(ml.DOUBLED, s, p)) == p
+    word = (ml.TranslateGen(s), ml.TranslateGen(-s))
+    assert ml.ml_replay(word, p) == p
+    assert _word_verifies("doubled", word, p, p)
 
 
 def test_translate_respects_restricted_doubling():
-    with pytest.raises(PreconditionError):
-        ml.translate_t(ml.TWO_ORIGINS, F(1), ml.MultiLinePoint(F(0), 0))
-    p = ml.translate_t(ml.TWO_ORIGINS, F(0), ml.MultiLinePoint(F(0), 1))
-    assert p == ml.MultiLinePoint(F(0), 1)
+    # translating by 1 carries the doubled abscissa 0 to 1, which has no upper point
+    origin, up = ml.MultiLinePoint(F(0), 0), ml.MultiLinePoint(F(0), 1)
+    assert not _word_verifies("two-origins", [ml.TranslateGen(F(1))],
+                              origin, ml.MultiLinePoint(F(1), 0))
+    assert ml.TranslateGen(F(0)).apply(up) == up
+    assert _word_verifies("two-origins", [ml.TranslateGen(F(0))], up, up)
 
 
 def test_exchange():
-    assert ml.exchange_e(ml.DOUBLED, F(0), (0, 1), ml.MultiLinePoint(F(0), 0)) \
-        == ml.MultiLinePoint(F(0), 1)
-    assert ml.exchange_e(ml.DOUBLED, F(0), (0, 1), ml.MultiLinePoint(F(1), 0)) \
-        == ml.MultiLinePoint(F(1), 0)
+    e = ml.ExchangeGen(F(0), (0, 1))
+    assert e.apply(ml.MultiLinePoint(F(0), 0)) == ml.MultiLinePoint(F(0), 1)
+    assert e.apply(ml.MultiLinePoint(F(1), 0)) == ml.MultiLinePoint(F(1), 0)
+    assert _word_verifies("doubled", [e], ml.MultiLinePoint(F(0), 0), ml.MultiLinePoint(F(0), 1))
+    # a level out of range, and an abscissa that is not doubled
+    away = ml.MultiLinePoint(F(5), 0)
+    assert not _word_verifies("doubled", [ml.ExchangeGen(F(0), (0, 2))], away, away)
+    assert not _word_verifies("two-origins", [ml.ExchangeGen(F(1), (0, 1))], away, away)
 
 
 @given(points(ml.TRIPLED), rationals)

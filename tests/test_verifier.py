@@ -4,6 +4,7 @@ with the paper's characterization, it makes no refuter call, and it rejects
 pairs that separate only below the refuter's scales and points that are not
 points of the space."""
 
+import collections
 import contextlib
 import io
 from fractions import Fraction
@@ -282,6 +283,14 @@ def test_the_verifier_makes_no_refuter_call(monkeypatch):
     assert [ke.verify_certificate(s, c) for s, c, _ in seen] == [a for _, _, a in seen]
 
 
+def test_every_certificate_is_verified_exactly_once(monkeypatch):
+    # producers return certificates; whoever reports one verifies it, once
+    seen = _produced_certificates(monkeypatch)
+    counts = collections.Counter(id(c) for _, c, _ in seen)
+    repeated = sorted({c.kind for _, c, _ in seen if counts[id(c)] > 1})
+    assert not repeated, repeated
+
+
 def _one_accepted_certificate_per_kind(monkeypatch):
     """{kind: (space, certificate)}: the first engine-made certificate of
     each kind that verifies."""
@@ -396,3 +405,75 @@ def test_a_covered_certificate_must_hold_every_upper_point():
     probes = [ml.MultiLinePoint(F(n), 0) for n in (-1, 0, 1)]
     c = cert.covered(probes, [space.parse_basic("W[(-inf,inf)-{}]")])
     assert not ke.verify_certificate(space, c)
+
+
+# ---------------------------------------------------------------------------
+# Homeomorphism words on the line family: each generator must map the space
+# onto itself.
+
+
+def _d(x, level=0):
+    return ml.MultiLinePoint(F(x), level)
+
+
+# (space, word, src, dst): each replays src to dst, but some generator maps
+# points of the space off it
+FORGED_WORDS = [
+    ("two-origins", [ml.ReflectGen(F(1, 2))], _d(0), _d(1)),
+    ("two-origins", [ml.TranslateGen(F(1))], _d(5), _d(6)),
+    ("two-origins", [ml.ExchangeGen(F(3), (0, 1))], _d(5), _d(5)),
+    ("line", [ml.ExchangeGen(F(0), (0, 1))], _d(5), _d(5)),
+    ("doubled", [ml.ExchangeGen(F(0), (0, 2))], _d(5), _d(5)),
+]
+GENUINE_WORDS = [
+    ("two-origins", [ml.TranslateGen(F(0))], _d(0, 1), _d(0, 1)),
+    ("two-origins", [ml.ReflectGen(F(0))], _d(0, 1), _d(0, 1)),
+    ("two-origins", [ml.ExchangeGen(F(0), (0, 1))], _d(0), _d(0, 1)),
+    ("line", [ml.TranslateGen(F(1)), ml.ReflectGen(F(1, 2))], _d(5), _d(-5)),
+    ("tripled", [ml.ExchangeGen(F(1), (2, 0))], _d(1), _d(1, 2)),
+]
+
+
+@pytest.mark.parametrize("name,word,src,dst", FORGED_WORDS + GENUINE_WORDS,
+                         ids=["forged-%d" % i for i in range(len(FORGED_WORDS))]
+                         + ["genuine-%d" % i for i in range(len(GENUINE_WORDS))])
+def test_a_word_verifies_only_if_each_generator_maps_the_space_onto_itself(name, word, src,
+                                                                           dst):
+    space = ke.space_of(name)
+    assert space.replay(word, src) == dst
+    c = cert.homeo_word(tuple(word), src, dst)
+    assert ke.verify_certificate(space, c) is ((name, word, src, dst) in GENUINE_WORDS)
+
+
+def _inverse(gen):
+    # reflections and exchanges are involutions
+    return ml.TranslateGen(-gen.shift) if type(gen) is ml.TranslateGen else gen
+
+
+@st.composite
+def line_generators(draw):
+    x = st.one_of(st.sampled_from([F(0), F(1), F(-1, 2)]), rationals)
+    kind = draw(st.sampled_from(["translate", "reflect", "exchange"]))
+    if kind == "translate":
+        return ml.TranslateGen(draw(x))
+    if kind == "reflect":
+        return ml.ReflectGen(draw(x))
+    levels = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    return ml.ExchangeGen(draw(x), tuple(levels))
+
+
+@pytest.mark.parametrize("name", MULTILINE)
+@given(gen=line_generators(), xs=st.lists(rationals, max_size=3))
+def test_the_generator_rule_agrees_with_images_of_points(name, gen, xs):
+    """Brute force: the image and the preimage of every point over the
+    doubled set (sampled where that is the whole line) and over the
+    exchange's abscissa are points of the space."""
+    space = ke.space_of(name)
+    spec = space.spec
+    over = set(xs) if spec.doubling == "all" else set(spec.doubling.elements)
+    if type(gen) is ml.ExchangeGen:
+        over.add(gen.at)
+    points = [ml.MultiLinePoint(x, level) for x in over for level in range(spec.k)]
+    points = [p for p in points if space.is_point(p)]
+    brute = all(space.is_point(g.apply(p)) for p in points for g in (gen, _inverse(gen)))
+    assert ke._maps_onto_itself(spec, gen) is brute
