@@ -31,9 +31,17 @@ image is built once.  `fp_chart` builds its interval with
 `FeatherInterval.trusted`, since both endpoints come from the checked centre
 and the clamped radius keeps them valid and ordered; the radius is checked and
 clamped with exact comparisons.
+
+Exact comparisons.  Every coordinate comparison goes through `rationals`,
+never a `Fraction` operator: arm ends and chart radii by `lt` and `eq` (`_min`
+and `_max` keep the first argument on a tie, as `min` and `max` do), points and
+prefixes by `same`, and the homotopy's t <= 1/k as t_num * k <= t_den.  The
+kernel's refuter probes a twin pair's p against `fp_twin(p)`, whose prefixes
+share p's coordinate objects.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .rationals import PreconditionError, Value, check_rational, eq, fmt_ext, lt, same
 
@@ -114,14 +122,14 @@ class Arm(Value):
 
     def contains_coord(self, r) -> bool:
         if self.lo_closed:
-            return self.lo <= r < self.hi
-        return self.lo < r < self.hi
+            return not lt(r, self.lo) and lt(r, self.hi)
+        return lt(self.lo, r) and lt(r, self.hi)
 
     def contains(self, p: tuple) -> bool:
         return same(p[:-1], self.prefix) and self.contains_coord(p[-1])
 
     def is_empty(self) -> bool:
-        return not self.lo < self.hi
+        return not lt(self.lo, self.hi)
 
 
 class FeatherInterval(Value):
@@ -190,18 +198,28 @@ def interval_arms(u: tuple, v: tuple) -> tuple:
     return tuple(arms)
 
 
+def _arm_order(a, b) -> int:
+    """The order of the key (len(prefix), prefix, lo, not lo_closed), with
+    each coordinate compared by `eq` and `lt`, as a cmp function."""
+    if len(a.prefix) != len(b.prefix):
+        return len(a.prefix) - len(b.prefix)
+    for x, y in zip(a.prefix + (a.lo,), b.prefix + (b.lo,)):
+        if x is not y and not eq(x, y):
+            return -1 if lt(x, y) else 1
+    return b.lo_closed - a.lo_closed
+
+
 def normalize_arms(arms) -> tuple:
     """Sort and merge same-prefix arms with overlapping or closed-touching
     coordinate ranges."""
-    keyed = sorted((a for a in arms if not a.is_empty()),
-                   key=lambda a: (len(a.prefix), a.prefix, a.lo, not a.lo_closed))
+    keyed = sorted((a for a in arms if not a.is_empty()), key=cmp_to_key(_arm_order))
     out = []
     for arm in keyed:
         if out and same(out[-1].prefix, arm.prefix):
             prev = out[-1]
-            if arm.lo < prev.hi or (arm.lo == prev.hi and arm.lo_closed) or (
-                    arm.lo == prev.lo):
-                out[-1] = Arm(prev.prefix, prev.lo, max(prev.hi, arm.hi), prev.lo_closed)
+            if lt(arm.lo, prev.hi) or (eq(arm.lo, prev.hi) and arm.lo_closed) or (
+                    eq(arm.lo, prev.lo)):
+                out[-1] = Arm(prev.prefix, prev.lo, _max(prev.hi, arm.hi), prev.lo_closed)
                 continue
         out.append(arm)
     return tuple(out)
@@ -213,13 +231,13 @@ def meet_arms(arms1, arms2) -> tuple:
         for b in arms2:
             if not same(a.prefix, b.prefix):
                 continue
-            if a.lo > b.lo:
+            if lt(b.lo, a.lo):
                 lo, closed = a.lo, a.lo_closed
-            elif b.lo > a.lo:
+            elif lt(a.lo, b.lo):
                 lo, closed = b.lo, b.lo_closed
             else:
                 lo, closed = a.lo, a.lo_closed and b.lo_closed
-            hi = min(a.hi, b.hi)
+            hi = _min(a.hi, b.hi)
             arm = Arm(a.prefix, lo, hi, closed)
             if not arm.is_empty():
                 out.append(arm)
@@ -251,7 +269,7 @@ def arms_to_intervals(arms) -> list:
         for chain in chains:
             tail = chain[-1]
             for c in closed_arms:
-                if c.prefix == tail.prefix + (tail.hi,) and c.lo == tail.hi:
+                if same(c.prefix, tail.prefix + (tail.hi,)) and eq(c.lo, tail.hi):
                     chain.append(c)
                     closed_arms.remove(c)
                     progress = True
@@ -312,19 +330,24 @@ class Chart(Value):
 
     def from_coord(self, c) -> tuple:
         c = Fraction(c)
-        if not -self.radius < c < self.radius:
+        if not (lt(-self.radius, c) and lt(c, self.radius)):
             raise PreconditionError("coordinate outside chart range")
         a = self.center[-1]
         if fp_is_strict(self.center):
             return self.center[:-1] + (a + c,)
-        if c < 0:
+        if lt(c, 0):
             return self.center[:-2] + (a + c,)
         return self.center[:-1] + (a + c,)
 
 
-def _at_most(eps, gap):
-    """min(eps, gap), decided exactly; eps on a tie, as `min` keeps it."""
-    return gap if lt(gap, eps) else eps
+def _min(a, b):
+    """min(a, b), decided exactly: a on a tie, as `min` keeps it."""
+    return b if lt(b, a) else a
+
+
+def _max(a, b):
+    """max(a, b), decided exactly: a on a tie, as `max` keeps it."""
+    return b if lt(a, b) else a
 
 
 def chart_radius(eps) -> Fraction:
@@ -343,12 +366,12 @@ def fp_chart(p: tuple, eps) -> Chart:
     p = fp_validate(p)
     if fp_is_strict(p):
         if len(p) >= 2:
-            eps = _at_most(eps, p[-1] - p[-2])
+            eps = _min(eps, p[-1] - p[-2])
         itv = FeatherInterval.trusted(p[:-1] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
     else:
         # upper twin (q, a, a): glue the branch below a to the arm above it
         if len(p) >= 3:
-            eps = _at_most(eps, p[-1] - p[-3])
+            eps = _min(eps, p[-1] - p[-3])
         itv = FeatherInterval.trusted(p[:-2] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
     return Chart(p, eps, itv)
 
@@ -499,7 +522,7 @@ def normalize_to_line(s: tuple):
     gen = StraightenGen(s)
     s = gen.point
     cur = gen.apply(s)
-    if cur != (s[-1],):
+    if not same(cur, (s[-1],)):
         raise AssertionError("flip word does not reach the line: %s" % (cur,))
     return ((gen,) if len(s) > 1 else ()), cur
 
@@ -511,7 +534,7 @@ def fp_move(p: tuple, q: tuple):
     wq, line_q = normalize_to_line(q)
     word = list(wp)
     shift = line_q[0] - line_p[0]
-    if shift != 0:
+    if not eq(shift, 0):
         word.append(FeatherTranslateGen(shift))
     word.extend(StraightenGen(gen.point, inverse=True) for gen in wq)
     return tuple(word)
@@ -540,18 +563,20 @@ def homotopy_eval(t, s: tuple) -> tuple:
     slides left during [1, 2]."""
     t = Fraction(t)
     s = fp_validate(s)
-    if not 0 <= t <= 2:
+    if lt(t, 0) or lt(2, t):
         raise PreconditionError("homotopy time must lie in [0, 2]")
-    if t > 1:
+    if lt(1, t):
         return (s[0] - t + 1,)
     return _homotopy_tree(t, s)
 
 
 def _homotopy_tree(t, s):
+    """The tree phase at a Fraction t in [0, 1].  t <= 1/k is decided on
+    integers: t_num * k <= t_den (the denominator is positive)."""
     n = len(s) - 1
-    if n == 0 or t <= Fraction(1, n + 1):
+    if n == 0 or t._numerator * (n + 1) <= t._denominator:
         return s
-    if t <= Fraction(1, n):
+    if t._numerator * n <= t._denominator:
         tp = n * (n + 1) * t - n
         x, y = s[n - 1], s[n]
         return s[:n] + ((1 - tp) * y + tp * x,)
@@ -565,12 +590,12 @@ def homotopy_seam_limits(t0, s: tuple):
     t0 = Fraction(t0)
     s = fp_validate(s)
     left = homotopy_eval(t0, s)  # the phi branch owns the closed endpoint
-    if t0 == 1:
+    if eq(t0, 1):
         right = (s[0],)
     else:
-        if t0.numerator != 1:
+        if t0._numerator != 1:
             raise PreconditionError("seam times are 1 and 1/n")
-        n = t0.denominator
+        n = t0._denominator
         if len(s) - 1 >= n:
             right = s[:n]
         else:

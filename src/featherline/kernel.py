@@ -76,7 +76,8 @@ from . import feather as fe
 from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
                         iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
-from .rationals import NEG_INF, POS_INF, PreconditionError, Value, eq, key, lt, same, sorted_by
+from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, denominator_bits, eq, key, lt,
+                        same, sorted_by)
 from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
@@ -203,12 +204,14 @@ class FeatherSpace(Space):
         return same(fe.fp_twin(p), q)
 
     def separable(self, p, q):
-        return _separate(self, p, q, self._separating_charts)
+        # a twin q equals fp_twin(p), which is built from p's own coordinate
+        # objects, so the refuter's prefix tests on it settle by identity
+        return _separate(self, p, q, self._separating_charts, fe.fp_twin)
 
     def _separating_charts(self, p, q):
         # distinct coordinates differ by at least 1/(den_a*den_b), so this
         # many halvings always reach a separating scale
-        rounds = 64 + sum(c.denominator.bit_length() for c in p + q)
+        rounds = 64 + denominator_bits(p + q)
         eps = Fraction(1)
         for _ in range(rounds):
             c1, c2 = fe.fp_chart(p, eps), fe.fp_chart(q, eps)
@@ -225,8 +228,9 @@ class FeatherSpace(Space):
         prefix, limit = _feather_descr_check(descr)
         fe.fp_validate(p)
         if descr.direction == "below":
-            return (p == prefix + (limit,) and fe.fp_is_strict(p)) or p == prefix + (limit, limit)
-        return p == prefix + (limit,)
+            return ((same(p, prefix + (limit,)) and fe.fp_is_strict(p))
+                    or same(p, prefix + (limit, limit)))
+        return same(p, prefix + (limit,))
 
     def dense(self, u) -> bool:
         # every chart contains strict points, so the skeleton is dense; a finite
@@ -269,7 +273,7 @@ class FeatherSpace(Space):
             return any(h.contains(w) for h in handles) or any(a.contains(w) for a in arms)
         for w in extra_points:
             partner = fe.fp_twin(w)
-            if in_union(partner) or partner in extra_points:
+            if in_union(partner) or any(same(partner, e) for e in extra_points):
                 return (w, partner)
         # a handle plus an explicit arm may overlap in twins
         for h in handles:
@@ -649,13 +653,15 @@ def _multiline_descr_check(spec: ml.SpaceSpec, descr: SeqDescriptor):
         raise PreconditionError("up-level terms leave a restricted doubling domain")
 
 
-def _separate(space, p, q, separating):
+def _separate(space, p, q, separating, partner=None):
     """Every `separable`: the space's non-separable pairs, cross-checked by
-    the refuter, else the disjoint basics `separating(p, q)` builds."""
-    if p == q:
+    the refuter, else the disjoint basics `separating(p, q)` builds.  Where
+    given, the refuter probes p against `partner(p)`, a point equal to q
+    once the pair is non-separable."""
+    if _equal(p, q):
         raise PreconditionError("separable needs two distinct points")
     if space.non_separable_pair(p, q):
-        if bounded_refuter(space, p, q) is not None:
+        if bounded_refuter(space, p, q if partner is None else partner(p)) is not None:
             raise AssertionError("refuter contradicts the %s characterization" % space.tag)
         return False, cert.twin_pair(p, q)
     b1, b2 = separating(p, q)
@@ -679,7 +685,7 @@ def _arm_twin_inside_handle(handle, arm):
     # an arm's twin partners: for (q, r) the partner (q, r, r) or q; the
     # skeleton contains exactly the strict points (up to the conjugating
     # flip), so only the closed lower end of the arm can pair up
-    if arm.lo_closed and arm.prefix and arm.prefix[-1] == arm.lo:
+    if arm.lo_closed and arm.prefix and eq(arm.prefix[-1], arm.lo):
         upper = arm.prefix + (arm.lo,)
         lower = fe.fp_twin(upper)
         if handle.contains(upper) and handle.contains(lower):
@@ -690,9 +696,9 @@ def _arm_twin_inside_handle(handle, arm):
 def _arm_subset(a, b) -> bool:
     if not same(a.prefix, b.prefix) or lt(b.hi, a.hi):
         return False
-    if a.lo > b.lo:
+    if lt(b.lo, a.lo):
         return True
-    if a.lo < b.lo:
+    if lt(a.lo, b.lo):
         return False
     return b.lo_closed or not a.lo_closed
 
@@ -779,7 +785,15 @@ def verified(space, c: cert.Certificate, **fields) -> dict:
 def _non_separable_at_every_scale(space, p, q) -> bool:
     """No two canonical charts of the distinct points p and q are disjoint,
     at any scales: the common point the space names lies in both."""
-    return p != q and _in_both_charts(space, p, q, *space.common_point(p, q))
+    return not _equal(p, q) and _in_both_charts(space, p, q, *space.common_point(p, q))
+
+
+def _equal(a, b) -> bool:
+    """`a == b` for two points or two chart keys; plain tuples (feather
+    points and prefixes) are compared by `rationals.same`."""
+    if a.__class__ is tuple and b.__class__ is tuple:
+        return same(a, b)
+    return a == b
 
 
 def _in_both_charts(space, p, q, key, w) -> bool:
@@ -810,7 +824,7 @@ def _in_chart_form(form, key, w, r) -> bool:
             return False
     shared = form.shared_below
     for k, lo, hi, _closed in form.arms:
-        if ((k == key or shared is not None and _above(shared, w, r))
+        if ((_equal(k, key) or shared is not None and _above(shared, w, r))
                 and _above(w, lo, r) and _above(hi, w, r)):
             return True
     return False
@@ -849,11 +863,11 @@ def _verify_chain(space, pl) -> bool:
 
 def _verify_word(space, pl) -> bool:
     run, word, src, dst = space.replay, pl["word"], pl["src"], pl["dst"]
-    if not all(_maps_onto_itself(space.spec, g) for g in word) or run(word, src) != dst:
+    if not all(_maps_onto_itself(space.spec, g) for g in word) or not _equal(run(word, src), dst):
         return False
     # an involutive word also carries dst back to src and squares to the identity
-    return not pl["involutive"] or (run(word, dst) == src
-                                    and all(run(word, run(word, x)) == x for x in (src, dst)))
+    return not pl["involutive"] or (_equal(run(word, dst), src) and all(
+        _equal(run(word, run(word, x)), x) for x in (src, dst)))
 
 
 def _maps_onto_itself(spec, gen) -> bool:

@@ -24,6 +24,8 @@ operators' generic dispatch and without a float.  Nothing patches
   values: stable, keyed on the exact integer floor(v * 2**32) (a sentinel
   keys as itself, and int-float comparison is exact), with ties on that key
   broken by `lt`.
+- `denominator_bits(x)` sums the bit lengths of the denominators in a
+  rational, a tuple or a `Value`, read from the `_denominator` slot.
 - `key(x)` is an integer pair (numerator, denominator) that is equal for two
   values exactly when they are `==`, so an int and an equal Fraction key
   alike.  Anything else keys as `Fraction(x)` does, as it keyed in a
@@ -147,6 +149,25 @@ def key(x) -> tuple:
             return (x, 1)
         x = Fraction(x)
     return (x._numerator, x._denominator)
+
+
+def denominator_bits(x) -> int:
+    """The bit lengths of the denominators of the rationals in `x`, summed:
+    `x` is a rational, or a tuple or `Value` holding them, nested; anything
+    else counts 0.  Distinct rationals a and b differ by at least
+    1/(den_a*den_b), which bounds the halvings of a search by scale."""
+    bits, todo = 0, [x]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is Fraction:
+            bits += x._denominator.bit_length()
+        elif x.__class__ is int:
+            bits += 1
+        elif isinstance(x, Value):
+            todo.append(x._values())
+        elif isinstance(x, tuple):
+            todo.extend(x)
+    return bits
 
 
 def fmt_ext(x) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import certificates as cert
 from . import kernel as ke
 from .intervals import CofiniteSet
-from .rationals import PreconditionError, Value
+from .rationals import PreconditionError, Value, denominator_bits, lt
 
 # ---------------------------------------------------------------------------
 # Lemma-style maximal Hausdorff dense opens.
@@ -174,42 +174,41 @@ def quasi_compact_subcover(cover, within=CofiniteSet.ground()):
 def microcompact_neighborhood(space, p, v):
     """A compact neighborhood of p inside v: a closed interval in a chart at
     p.  Returns (certificate, interior basic) so the construction nests."""
+    return _compact_in(space, p, v, 0)[1:]
+
+
+def _compact_in(space, p, v, start):
+    """`microcompact_neighborhood`, trying the chart radii 2**-k for k from
+    `start` on; returns (k, certificate, interior basic) for the first k
+    whose chart fits in v."""
     if not space.member(p, v):
         raise PreconditionError("point must lie in the neighborhood")
-    eps = Fraction(1)
+    eps = Fraction(1, 1 << start)
     # distinct rationals differ by at least 1/(den_a*den_b), so this many
-    # halvings bring the chart's ends inside v's ends and past its lifts
-    for _ in range(64 + _denominator_bits(p) + _denominator_bits(v)):
+    # halvings from 1 bring the chart's ends inside v's ends and past its lifts
+    for k in range(start, 64 + denominator_bits(p) + denominator_bits(v)):
         chart = space.canonical_neighborhood(p, eps)
         radius = getattr(chart, "radius", eps)
         if space.basic_subset(chart, v):
-            return (cert.compact_cert(p, radius, (-radius / 2, radius / 2), v),
+            return (k, cert.compact_cert(p, radius, (-radius / 2, radius / 2), v),
                     space.canonical_neighborhood(p, radius / 2))
         eps /= 2
     raise AssertionError("no chart neighborhood fits inside v")
 
 
-def _denominator_bits(x) -> int:
-    """The bit lengths of the denominators of the rationals in a point or a
-    basic, summed."""
-    if isinstance(x, Fraction):
-        return x.denominator.bit_length()
-    if isinstance(x, Value):
-        x = x._values()
-    return sum(map(_denominator_bits, x)) if isinstance(x, tuple) else 0
-
-
 def microcompact_nesting(space, p, v, depth=5):
     """Iterate microcompact_neighborhood inside its own interior: a strictly
-    nested chain of closed chart intervals."""
+    nested chain of closed chart intervals.  Each interior lies in the
+    neighborhood it was built in, so a chart that did not fit there does not
+    fit in it: each level's search resumes at the radius that fitted last,
+    and depth d costs O(d) subset tests, not O(d**2)."""
     chain = []
-    cur = v
+    cur, k = v, 0
     for _ in range(depth):
-        c, interior = microcompact_neighborhood(space, p, cur)
+        k, c, cur = _compact_in(space, p, cur, k)
         chain.append(c)
-        cur = interior
     radii = [c.payload["radius"] for c in chain]
-    if not all(a > b for a, b in zip(radii, radii[1:])):
+    if not all(map(lt, radii[1:], radii)):
         raise AssertionError("nesting not strict")
     return chain
 

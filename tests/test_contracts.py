@@ -460,6 +460,81 @@ def test_refuter_answers_as_the_chart_per_probe_loop(p, q):
 
 
 # ---------------------------------------------------------------------------
+# Feather comparisons go through `rationals`: no `Fraction` operator or
+# numerator/denominator property is called from featherline's own code.
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """Counts, by (operator or property, calling function), the `Fraction`
+    comparisons and numerator/denominator reads made directly by code in
+    the featherline package."""
+    calls = {}
+    in_package = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            code = sys._getframe(1).f_code
+            path = code.co_filename
+            if path not in in_package:
+                in_package[path] = pathlib.Path(path).resolve().parent == PACKAGE_DIR
+            if in_package[path]:
+                calls[name, code.co_name] = calls.get((name, code.co_name), 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    for name in ("numerator", "denominator"):
+        monkeypatch.setattr(Fraction, name, property(counted(name, getattr(Fraction, name).fget)))
+    return calls
+
+
+def test_the_fraction_call_counter_sees_calls_from_the_package(fraction_calls):
+    assert Fraction(1) < Fraction(2) and not fraction_calls  # this file is not the package
+    doubled = ke.space_of("doubled")  # compares abscissae with ==
+    assert doubled.non_separable_pair(ml.MultiLinePoint(F(1), 0), ml.MultiLinePoint(F(1), 1))
+    assert fraction_calls == {("__eq__", "non_separable_pair"): 1}
+
+
+def _deep(n, last=None):
+    """A strict feather point of n + 1 coordinates, built afresh each call;
+    with `last`, the upper twin of the point ending in `last`."""
+    p = tuple(F(k, 3) for k in range(n)) + (F(n, 3) if last is None else F(last),)
+    return p if last is None else p + (F(last),)
+
+
+def test_feather_queries_and_their_verification_compare_on_integers(fraction_calls):
+    f, n = ke.FEATHER, 41
+    p, twin = _deep(n), _deep(n, F(n, 3))
+    pairs = [(p, twin),
+             (p, _deep(n)[:-1] + (F(n, 3) + F(1, 1000),)),  # close on one arm
+             (p, _deep(20) + (F(100),))]  # on another branch
+    verdicts, certificates = [], []
+    for a, b in pairs:
+        ok, c = f.separable(a, b)
+        verdicts.append(ok)
+        certificates.append(c)
+    assert verdicts == [False, True, True]
+    for x in (p, twin):
+        certificates.append(sp.maximal_hausdorff_at(f, x)[1])
+    # lengths n - 2 to n + 1: an open arm, then closed arms glued on
+    wide = fe.FeatherInterval(_deep(n - 3)[:-1] + (F(n - 3, 3) - F(1, 6),),
+                              _deep(n)[:-1] + (F(2 * n),))
+    upper = _deep(n - 1, F(n - 1, 3))
+    for b1, center, probe in ((wide, p, p), (wide, upper, upper),
+                              (fe.FeatherInterval((F(-1),), (F(1, 7),)), p, (F(0),))):
+        chart = fe.fp_chart(center, F(1, 5))
+        parts = f.meet(b1, chart)
+        certificates.append(cert.covered((probe,), parts) if parts
+                            else cert.separated_by(probe, center, b1, chart))
+    for t in (F(0), F(1, n + 2), F(1, n), F(1, 3), F(3, 4), F(1), F(3, 2), F(2)):
+        fe.homotopy_eval(t, twin)
+    assert all(ke.verify_certificate(f, c) for c in certificates)
+    assert fraction_calls == {}
+
+
+# ---------------------------------------------------------------------------
 # Formatting.
 
 

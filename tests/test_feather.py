@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from featherline import certificates as cert
 from featherline import feather as fe
 from featherline import kernel as ke
 from featherline.rationals import PreconditionError
@@ -342,6 +343,147 @@ def test_straightening_makes_a_linear_number_of_comparisons(monkeypatch, n):
         counts[0] = 0
         assert gen.apply(p) == out
         assert counts[0] <= 4 * n, (gen.inverse, counts[0])
+
+
+# ---------------------------------------------------------------------------
+# The arm layer decides on `rationals.lt`/`eq`: differential against the
+# operator versions it replaced.
+
+
+def _ref_contains_coord(arm, r):
+    if arm.lo_closed:
+        return arm.lo <= r < arm.hi
+    return arm.lo < r < arm.hi
+
+
+def _ref_is_empty(arm):
+    return not arm.lo < arm.hi
+
+
+def _ref_normalize_arms(arms):
+    keyed = sorted((a for a in arms if not _ref_is_empty(a)),
+                   key=lambda a: (len(a.prefix), a.prefix, a.lo, not a.lo_closed))
+    out = []
+    for arm in keyed:
+        if out and out[-1].prefix == arm.prefix:
+            prev = out[-1]
+            if arm.lo < prev.hi or (arm.lo == prev.hi and arm.lo_closed) or (
+                    arm.lo == prev.lo):
+                out[-1] = fe.Arm(prev.prefix, prev.lo, max(prev.hi, arm.hi), prev.lo_closed)
+                continue
+        out.append(arm)
+    return tuple(out)
+
+
+def _ref_meet_arms(arms1, arms2):
+    out = []
+    for a in arms1:
+        for b in arms2:
+            if a.prefix != b.prefix:
+                continue
+            if a.lo > b.lo:
+                lo, closed = a.lo, a.lo_closed
+            elif b.lo > a.lo:
+                lo, closed = b.lo, b.lo_closed
+            else:
+                lo, closed = a.lo, a.lo_closed and b.lo_closed
+            arm = fe.Arm(a.prefix, lo, min(a.hi, b.hi), closed)
+            if not _ref_is_empty(arm):
+                out.append(arm)
+    return _ref_normalize_arms(out)
+
+
+def _ref_arm_subset(a, b):
+    if a.prefix != b.prefix or b.hi < a.hi:
+        return False
+    if a.lo > b.lo:
+        return True
+    if a.lo < b.lo:
+        return False
+    return b.lo_closed or not a.lo_closed
+
+
+def _rebuilt(x):
+    """An equal Fraction in a new object; an int as it is."""
+    return F(x.numerator, x.denominator) if type(x) is F else x
+
+
+# few values, so ends tie often; ints among them, as `lt`/`eq` take both
+arm_values = st.sampled_from([F(-1), F(0), 0, F(1, 3), F(1, 2), F(1), 1, F(2)])
+
+
+@st.composite
+def arm_lists(draw, min_size=0, max_size=5):
+    """Arms over two base prefixes, each arm holding a prefix either shared
+    with the others or rebuilt coordinate by coordinate, and ends from a few
+    values, each end shared or rebuilt: equal ends are often distinct
+    objects, so a tie rule that keeps the wrong one shows."""
+    bases = [(F(0),), (F(0), F(1, 2))]
+    arms = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        prefix = draw(st.sampled_from(bases))
+        if draw(st.booleans()):
+            prefix = tuple(map(_rebuilt, prefix))
+        lo, hi = draw(arm_values), draw(arm_values)
+        lo, hi = [draw(st.sampled_from([x, _rebuilt(x)])) for x in (lo, hi)]
+        arms.append(fe.Arm(prefix, lo, hi, draw(st.booleans())))
+    return arms
+
+
+def _same_arms(xs, ys):
+    """Equal arms holding the very same prefix and end objects."""
+    return len(xs) == len(ys) and all(
+        x.prefix is y.prefix and x.lo is y.lo and x.hi is y.hi and x.lo_closed is y.lo_closed
+        for x, y in zip(xs, ys))
+
+
+@given(arm_lists(min_size=1, max_size=1), arm_values)
+def test_arm_membership_and_emptiness_match_the_operators(arms, r):
+    for arm in arms:
+        assert arm.is_empty() == _ref_is_empty(arm)
+        assert arm.contains_coord(r) == _ref_contains_coord(arm, r)
+        assert arm.contains_coord(_rebuilt(arm.lo)) == _ref_contains_coord(arm, arm.lo)
+
+
+@given(arm_lists())
+def test_normalize_arms_matches_the_operators(arms):
+    assert _same_arms(fe.normalize_arms(arms), _ref_normalize_arms(arms))
+
+
+@given(arm_lists(), arm_lists())
+def test_meet_arms_matches_the_operators(arms1, arms2):
+    assert _same_arms(fe.meet_arms(arms1, arms2), _ref_meet_arms(arms1, arms2))
+
+
+@given(arm_lists(max_size=3), arm_lists(max_size=3))
+def test_arm_subset_matches_the_operators(arms1, arms2):
+    for a in arms1:
+        for b in arms2:
+            assert ke._arm_subset(a, b) == _ref_arm_subset(a, b)
+
+
+@given(feather_points())
+def test_refuter_on_a_rebuilt_twin_answers_as_on_fp_twin(p):
+    q = tuple(F(x.numerator, x.denominator) for x in fe.fp_twin(p))
+    assert ke.bounded_refuter(ke.FEATHER, p, q) == ke.bounded_refuter(ke.FEATHER, p, fe.fp_twin(p))
+    assert repr(ke.FEATHER.separable(p, q)) == repr((False, cert.twin_pair(p, q)))
+
+
+def _ref_homotopy_tree(t, s):
+    n = len(s) - 1
+    if n == 0 or t <= F(1, n + 1):
+        return s
+    if t <= F(1, n):
+        tp = n * (n + 1) * t - n
+        x, y = s[n - 1], s[n]
+        return s[:n] + ((1 - tp) * y + tp * x,)
+    return _ref_homotopy_tree(t, s[:n])
+
+
+@given(feather_points(max_len=6), st.integers(1, 8), st.sampled_from([F(0), F(1, 97), F(-1, 97)]))
+def test_homotopy_tree_matches_the_operators_at_and_beside_the_seams(s, n, off):
+    t = F(1, n) + off
+    assert repr(fe._homotopy_tree(t, s)) == repr(_ref_homotopy_tree(t, s))
 
 
 # ---------------------------------------------------------------------------

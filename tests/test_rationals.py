@@ -18,8 +18,8 @@ from featherline import kernel as ke
 from featherline import multiline as ml
 from featherline import separation as sp
 from featherline.intervals import IntervalSet, canon_intervals, iset_meet, iset_meets
-from featherline.rationals import (NEG_INF, POS_INF, PreconditionError, _floor_key, eq, fmt_ext,
-                                   key, lt, same, sorted_by)
+from featherline.rationals import (NEG_INF, POS_INF, PreconditionError, _floor_key,
+                                   denominator_bits, eq, fmt_ext, key, lt, same, sorted_by)
 
 big = st.integers(-10**30, 10**30)
 fracs = st.builds(Fraction, big, st.integers(1, 10**30))
@@ -343,3 +343,13 @@ def test_arms_meet_on_separately_parsed_points_calls_no_fraction_equality():
     met = []
     assert _fraction_calls(lambda: met.append(fe.arms_meet(a1, a2)), "__eq__") == 0
     assert met == [True]
+
+
+def test_denominator_bits_sums_over_points_and_basics():
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    assert denominator_bits(third) == 2 and denominator_bits(7) == 1
+    assert denominator_bits((third, quarter)) == 5
+    itv = fe.FeatherInterval((Fraction(0), third), (Fraction(0), quarter + 1))
+    assert denominator_bits(itv) == denominator_bits(itv.lower + itv.upper) == 7
+    assert denominator_bits(fe.fp_chart(itv.lower, 1)) > denominator_bits(itv.lower)
+    assert denominator_bits((POS_INF, "L", None, True)) == 0

@@ -323,6 +323,63 @@ def test_microcompact_nesting_strict():
     assert all(a > b for a, b in zip(radii, radii[1:]))
 
 
+def _restarting_nesting(space, p, v, depth):
+    """The nesting with every level's search restarted at radius 1."""
+    chain, cur = [], v
+    for _ in range(depth):
+        c, cur = sp.microcompact_neighborhood(space, p, cur)
+        chain.append(c)
+    return chain
+
+
+def _nesting_case(name):
+    line, doubled, f = ke.space_of("line"), ke.space_of("doubled"), ke.FEATHER
+    twin, deep = (F(0), F(1), F(1)), (F(-1), F(2, 7), F(5, 3))
+    return {
+        "line": (line, ml.MultiLinePoint(F(1, 3), 0),
+                 ml.Wave(line.spec, IntervalSet.of((-1, 1)))),
+        "doubled-up": (doubled, ml.MultiLinePoint(F(0), 1),
+                       ml.Wave(doubled.spec, IntervalSet.of((-1, 1)), ((F(0), 1),))),
+        "doubled-down": (doubled, ml.MultiLinePoint(F(1, 2), 0),
+                         ml.Wave(doubled.spec, IntervalSet.of((0, 3)))),
+        "feather-strict": (f, (F(0), F(1)), fe.FeatherInterval((F(0), F(0)), (F(0), F(2)))),
+        "feather-twin": (f, twin, fe.fp_chart(twin, F(1, 3))),
+        # a chart clamped below the first radius tried
+        "feather-clamped": (f, (F(0), F(1, 8)), fe.fp_chart((F(0), F(1, 8)), F(1))),
+        "feather-deep": (f, deep, fe.FeatherInterval((F(-1), F(0)), (F(-1), F(2, 7), F(3)))),
+    }[name]
+
+
+@pytest.mark.parametrize("depth", [5, 30])
+@pytest.mark.parametrize("name", ["line", "doubled-up", "doubled-down", "feather-strict",
+                                  "feather-twin", "feather-clamped", "feather-deep"])
+def test_microcompact_nesting_gives_the_chain_of_restarted_searches(name, depth):
+    space, p, v = _nesting_case(name)
+    chain = sp.microcompact_nesting(space, p, v, depth=depth)
+    assert repr(chain) == repr(_restarting_nesting(space, p, v, depth))
+    assert all(ke.verify_certificate(space, c) for c in chain)
+
+
+def test_microcompact_nesting_makes_a_linear_number_of_subset_tests(monkeypatch):
+    calls = []
+    original = ke.FeatherSpace.basic_subset
+
+    def counting(self, small, big):
+        calls.append(None)
+        return original(self, small, big)
+
+    monkeypatch.setattr(ke.FeatherSpace, "basic_subset", counting)
+    p, v = (F(0), F(1)), fe.FeatherInterval((F(0), F(0)), (F(0), F(2)))
+    counts = {}
+    for depth in (50, 100):
+        calls.clear()
+        sp.microcompact_nesting(ke.FEATHER, p, v, depth=depth)
+        counts[depth] = len(calls)
+    # the first level fits at radius 1; each later one rejects the radius
+    # that fitted last and takes its half (restarting at 1: d(d+1)/2)
+    assert counts == {50: 99, 100: 199}
+
+
 def test_chart_of_implications():
     rows = sp.chart_of_implications()
     for name in ("line", "doubled", "feather"):
