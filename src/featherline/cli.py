@@ -150,11 +150,10 @@ def cmd_subcover(space, chosen):
 
 def cmd_baire(space, members, probe, candidates):
     if not space.is_baire:
-        verdict, c = sp.baire_intersect(space, sp.DenseFamily("cofinite-diagonal"),
-                                        CofiniteSet.ground(), candidates=range(candidates))
+        verdict, c = sp.diagonal_intersection(range(candidates))
         return verdict, ke.verified(space, c), False
-    fam = sp.DenseFamily("finite", tuple(space.parse_basic(b) for b in members))
-    point, c = sp.baire_intersect(space, fam, space.parse_basic(probe))
+    point, c = sp.baire_intersect(space, [space.parse_basic(b) for b in members],
+                                  space.parse_basic(probe))
     return point, ke.verified(space, c), True
 
 
@@ -354,10 +353,10 @@ def demo_lemma_zorn():
         space = ke.space_of(name)
         p = space.parse_point(ptext)
         handle, c = sp.maximal_hausdorff_at(space, p)
-        hd, hc = sp.hausdorff_open(space, handle)
+        hd, hc = sp.hausdorff_open(space, [handle])
         rows[name] = dict(ke.verified(space, c, point=p, handle=handle),
                           hausdorff=hd and ke.verify_certificate(space, hc),
-                          dense=space.dense(handle))
+                          dense=space.dense([handle]))
     ok = all(r["verified"] and r["hausdorff"] and r["dense"] for r in rows.values())
     return ("maximal Hausdorff dense opens certified" if ok else "failed",
             {"certificate": rows}, ok)
@@ -396,8 +395,7 @@ def demo_lindelof_failure():
 @_demo("cofinite-not-baire", "finite-complement-topology", "baire-property")
 def demo_cofinite_not_baire():
     space = ke.COFINITE
-    verdict, c = sp.baire_intersect(space, sp.DenseFamily("cofinite-diagonal"),
-                                    CofiniteSet.ground(), candidates=range(10))
+    verdict, c = sp.diagonal_intersection(range(10))
     sub = sp.quasi_compact_subcover([CofiniteSet.excl(1), CofiniteSet.excl(2)])
     certificate = {
         "intersection": ke.verified(space, c),

@@ -306,8 +306,7 @@ def arms_twin_pair(arms):
 
 
 class Chart(Value):
-    """Canonical basic neighborhood of a point, homeomorphic to (-eps, eps)
-    via r |-> r - (last coordinate of the center)."""
+    """Canonical basic neighborhood of `center`: an interval of `radius` around it."""
 
     __slots__ = _fields = ("center", "radius", "interval")
 
@@ -322,22 +321,6 @@ class Chart(Value):
 
     def contains(self, p: tuple) -> bool:
         return self.interval.contains(p)
-
-    def to_coord(self, p: tuple) -> Fraction:
-        if not self.contains(p):
-            raise PreconditionError("point outside chart")
-        return p[-1] - self.center[-1]
-
-    def from_coord(self, c) -> tuple:
-        c = Fraction(c)
-        if not (lt(-self.radius, c) and lt(c, self.radius)):
-            raise PreconditionError("coordinate outside chart range")
-        a = self.center[-1]
-        if fp_is_strict(self.center):
-            return self.center[:-1] + (a + c,)
-        if lt(c, 0):
-            return self.center[:-2] + (a + c,)
-        return self.center[:-1] + (a + c,)
 
 
 def _min(a, b):

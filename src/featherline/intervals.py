@@ -200,18 +200,11 @@ class FinSet(Value):
     def of(*xs) -> "FinSet":
         return FinSet(tuple(sorted({Fraction(x) for x in xs})))
 
-    @staticmethod
-    def empty() -> "FinSet":
-        return FinSet(())
-
     def __contains__(self, x):
         return x in self.elements
 
     def __iter__(self):
         return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
 
     def __str__(self):
         return "{%s}" % ",".join(fmt_ext(x) for x in self.elements)

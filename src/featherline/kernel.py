@@ -7,7 +7,9 @@ neighborhoods, which is what makes separation and convergence decidable.
 
 The space protocol.  `FeatherSpace`, `MultiLineSpace` (line, doubled,
 tripled, two-origins), `BranchSpace` and `CofiniteSpace` answer the same
-calls, so no caller asks which space it holds.  Each class defines:
+calls, so no caller asks which space it holds.  A family of basics is a
+list (`dense`, `union_twin_pair`): one handle goes in as `[handle]`.  Each
+class defines:
 
     every space          is_point meet meet_is_empty canonical_neighborhood
                          chart_form common_point non_separable_pair separable
@@ -17,7 +19,7 @@ calls, so no caller asks which space it holds.  Each class defines:
                          cover_member uncovered_point default_subfamily
                          baire_point chart_sample pipeline_sample
     feather only         homotopy density_witness
-    multiline only       chain cover_probes covered_by
+    multiline only       chain connected cover_probes covered_by
 
 `Space` answers the rest.  `member` tests a basic of the types the space
 declares in `basic_kind`, and rejects any other with "not a <noun>".
@@ -42,7 +44,10 @@ objects never reach the operations the refuter calls in its inner loop.
 before any check runs, one walk matches its payload against
 `certificates.SCHEMA`.  The payload must hold exactly its kind's fields,
 each of its shape: points that `is_point` accepts, basics of the types in
-`basic_kind`, word generators of the types in `generators`.
+`basic_kind`, word generators of the types in `generators`.  A check asks
+the space about a basic (`member`, `connected`), so a payload the space has
+no such operation for meets a stub's `PreconditionError`: a rejection.
+`converges` holds its descriptor's base and its target to `is_point` too.
 
 The verification contract.  A `twin-pair` certificate, and each adjoin
 sample of a `maximal-hausdorff` one, claims a pair that no two canonical
@@ -82,7 +87,7 @@ from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
 _RATIONAL = frozenset((Fraction, int))  # exact coordinate types of a point
-_ZERO, _HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(1)
+_ZERO, _HALF, _NEG_HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1)
 
 
 class SeqDescriptor(Value):
@@ -148,6 +153,11 @@ class Space:
     def parse_basic(self, text):
         return self._parse(parse_basic, self.basic_kind, text)
 
+    def _check_points(self, *points):
+        for x in points:
+            if not self.is_point(x):
+                raise PreconditionError("not a %s of this space: %s" % (self.point_kind[1], x))
+
     def member(self, p, b) -> bool:
         types, noun = self.basic_kind
         if type(b) not in types:
@@ -198,7 +208,7 @@ class FeatherSpace(Space):
 
     def common_point(self, p, q):
         # (q, a - δ/2): just below the branch point of the twins (q, a), (q, a, a)
-        return (p[:-1] if fe.fp_is_strict(p) else p[:-2]), (p[-1], -_HALF)
+        return (p[:-1] if fe.fp_is_strict(p) else p[:-2]), (p[-1], _NEG_HALF)
 
     def non_separable_pair(self, p, q) -> bool:
         return same(fe.fp_twin(p), q)
@@ -225,17 +235,16 @@ class FeatherSpace(Space):
                              limit, direction)
 
     def converges(self, descr: SeqDescriptor, p) -> bool:
-        prefix, limit = _feather_descr_check(descr)
-        fe.fp_validate(p)
+        prefix, limit = _feather_descr_check(self, descr)
+        self._check_points(p)
         if descr.direction == "below":
             return ((same(p, prefix + (limit,)) and fe.fp_is_strict(p))
                     or same(p, prefix + (limit, limit)))
         return same(p, prefix + (limit,))
 
-    def dense(self, u) -> bool:
+    def dense(self, basics) -> bool:
         # every chart contains strict points, so the skeleton is dense; a finite
         # explicit union misses the chart at a fresh level-one branch
-        basics = u if isinstance(u, (list, tuple)) else [u]
         return any(isinstance(b, fe.SkeletonHandle) for b in basics)
 
     def density_witness(self, basics):
@@ -381,13 +390,12 @@ class MultiLineSpace(Space):
                              limit, direction)
 
     def converges(self, descr: SeqDescriptor, p) -> bool:
-        _multiline_descr_check(self.spec, descr)
+        _multiline_descr_check(self, descr)
+        self._check_points(p)
         return descr.base.level == 0 and p.x == descr.limit
 
-    def dense(self, u) -> bool:
-        if isinstance(u, ml.Wave):
-            u = [u]
-        return iset_complement_is_finite(_down_union(u))
+    def dense(self, basics) -> bool:
+        return iset_complement_is_finite(_down_union(basics))
 
     def move(self, p, q, involutive=False):
         return ml.ml_move(self.spec, p, q, involutive=involutive)
@@ -397,6 +405,9 @@ class MultiLineSpace(Space):
 
     def chain(self, src, dst, removed, window):
         return ml.chain_connect(self.spec, src, dst, removed, window)
+
+    def connected(self, w) -> bool:  # one interval of its canonical open set
+        return len(w.parts.intervals) == 1
 
     def union_twin_pair(self, basics, extra_points=()):
         waves = list(basics)
@@ -538,7 +549,7 @@ class BranchSpace(Space):
         return ChartForm(((p.side, (p.x, -1), (p.x, 1), False),), shared_below=(Fraction(0), 0))
 
     def common_point(self, p, q):
-        return "L", (p.x, -_HALF)  # B(x - δ/2, L)
+        return "L", (p.x, _NEG_HALF)  # B(x - δ/2, L)
 
     def non_separable_pair(self, p, q) -> bool:
         return p.x == q.x == 0 and p.side != q.side
@@ -581,10 +592,8 @@ class CofiniteSpace(Space):
     def separable(self, p, q):
         return _separate(self, p, q, None)  # every pair of points is non-separable
 
-    def dense(self, u) -> bool:
-        if isinstance(u, CofiniteSet):
-            u = [u]
-        return any(not b.empty_set for b in u)
+    def dense(self, basics) -> bool:
+        return any(not b.empty_set for b in basics)
 
 
 def _not_implemented(name: str):
@@ -628,13 +637,13 @@ def space_of(name: str):
     return _SPACES[name]
 
 
-def _feather_descr_check(descr: SeqDescriptor):
+def _feather_descr_check(space, descr: SeqDescriptor):
     if descr.space != "feather":
         raise PreconditionError("feather descriptor expected")
-    base = fe.fp_validate(descr.base)
-    if not 0 <= descr.coord_index < len(base):
+    space._check_points(descr.base)
+    if not 0 <= descr.coord_index < len(descr.base):
         raise PreconditionError("coordinate index out of range")
-    prefix = base[: descr.coord_index]
+    prefix = descr.base[: descr.coord_index]
     if prefix:
         floor = prefix[-1]
         if descr.direction == "below" and descr.limit <= floor:
@@ -644,12 +653,13 @@ def _feather_descr_check(descr: SeqDescriptor):
     return prefix, Fraction(descr.limit)
 
 
-def _multiline_descr_check(spec: ml.SpaceSpec, descr: SeqDescriptor):
+def _multiline_descr_check(space, descr: SeqDescriptor):
     if descr.space != "multiline":
         raise PreconditionError("multiline descriptor expected")
+    space._check_points(descr.base)
     if descr.coord_index != 0:
         raise PreconditionError("a line point has one coordinate: index must be 0")
-    if descr.base.level > 0 and spec.doubling != "all":
+    if descr.base.level > 0 and space.spec.doubling != "all":
         raise PreconditionError("up-level terms leave a restricted doubling domain")
 
 
@@ -849,9 +859,7 @@ def _verify_chain(space, pl) -> bool:
     if not links:
         return False
     for w in links:
-        if w.is_empty() or not w.is_connected():
-            return False
-        if any(space.member(r, w) for r in pl["removed"]):
+        if not space.connected(w) or any(space.member(r, w) for r in pl["removed"]):
             return False
     if not space.member(pl["src"], links[0]) or not space.member(pl["dst"], links[-1]):
         return False
@@ -901,7 +909,7 @@ def _verify_compact(space, pl) -> bool:
 def _verify_maximal(space, pl) -> bool:
     handle = pl["handle"]
     if (not space.member(pl["x"], handle) or space.union_twin_pair([handle]) is not None
-            or not space.dense(handle)):
+            or not space.dense([handle])):
         return False
     return all(not space.member(outside, handle) and space.member(partner, handle)
                and _non_separable_at_every_scale(space, outside, partner)
@@ -919,12 +927,12 @@ _CHECKS = {
                                   and space.covered_by(pl["chosen"])),
     "excluded-by": lambda space, pl: (
         pl["family"] == "cofinite-diagonal" and len(pl["candidates"]) > 0
-        and all(not CofiniteSet.excl(i).contains(n) for n, i in pl["candidates"].items())),
+        and all(not space.member(n, CofiniteSet.excl(i)) for n, i in pl["candidates"].items())),
     "chain": _verify_chain,
     "homeo-word": _verify_word,
     "compact": _verify_compact,
     "maximal-hausdorff": _verify_maximal,
-    "hausdorff-open": lambda space, pl: space.union_twin_pair(list(pl["basics"]),
+    "hausdorff-open": lambda space, pl: space.union_twin_pair(pl["basics"],
                                                               pl["extra_points"]) is None,
     "baire-point": lambda space, pl: all(space.member(pl["point"], b)
                                          for b in (pl["probe"], *pl["members"])),

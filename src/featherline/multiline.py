@@ -124,9 +124,6 @@ class Wave(Value):
     def is_empty(self) -> bool:
         return self.parts.is_empty()
 
-    def is_connected(self) -> bool:
-        return len(self.parts.intervals) == 1
-
     def down_projection(self) -> IntervalSet:
         """Open set of abscissae whose down point belongs to the wave."""
         return iset_remove_points(self.parts, (x for x, _ in self.lift))
@@ -376,9 +373,9 @@ def chain_connect(spec: SpaceSpec, src: MultiLinePoint, dst: MultiLinePoint,
     return [wave]
 
 
-def up_points_discrete_witnesses(spec: SpaceSpec, sample: FinSet, down_point=None):
+def up_points_discrete_witnesses(spec: SpaceSpec, sample: FinSet, down_point):
     """For each sampled abscissa, a wave isolating its up point from the
-    other sampled up points; optionally a wave showing a given down point
+    other sampled up points, and a wave showing the down point `down_point`
     avoids the up set entirely."""
     isolating = {}
     xs = list(sample)
@@ -388,11 +385,9 @@ def up_points_discrete_witnesses(spec: SpaceSpec, sample: FinSet, down_point=Non
         gaps = [abs(x - y) for y in xs if y != x]
         d = min(gaps) / 2 if gaps else Fraction(1)
         isolating[x] = Wave(spec, IntervalSet.of((x - d, x + d)), ((x, 1),))
-    avoiding = None
-    if down_point is not None:
-        gaps = [abs(down_point.x - y) for y in xs if y != down_point.x]
-        d = min(gaps) / 2 if gaps else Fraction(1)
-        avoiding = Wave(spec, IntervalSet.of((down_point.x - d, down_point.x + d)), ())
+    gaps = [abs(down_point.x - y) for y in xs if y != down_point.x]
+    d = min(gaps) / 2 if gaps else Fraction(1)
+    avoiding = Wave(spec, IntervalSet.of((down_point.x - d, down_point.x + d)), ())
     return isolating, avoiding
 
 
@@ -436,9 +431,6 @@ class BranchInterval(Value):
         if not self.lo < p.x < self.hi:
             return False
         return p.x < 0 or p.side == self.side
-
-    def is_empty(self) -> bool:
-        return False
 
 
 def branch_interval(lo, hi, side) -> BranchInterval:

@@ -7,6 +7,10 @@ Zorn's lemma is replaced by closed-form maximal opens per space (a full-line
 wave, the strict skeleton, the complement of one origin), each shipping a
 maximality certificate.
 
+A family of basics is a list: one handle goes in as `[handle]`.
+`baire_intersect` takes finitely many dense members; the cofinite diagonal
+family, indexed by all naturals, has its own `diagonal_intersection`.
+
 Producers return certificates and do not verify them.  Whoever reports a
 certificate verifies it, once: `kernel.verified` in `theorem_pipeline` and
 in the CLI, and `verify_certificate` in `chart_of_implications`.
@@ -17,7 +21,7 @@ from fractions import Fraction
 from . import certificates as cert
 from . import kernel as ke
 from .intervals import CofiniteSet
-from .rationals import PreconditionError, Value, denominator_bits, lt
+from .rationals import PreconditionError, denominator_bits, lt
 
 # ---------------------------------------------------------------------------
 # Lemma-style maximal Hausdorff dense opens.
@@ -31,10 +35,9 @@ def maximal_hausdorff_at(space, x):
     return handle, cert.maximal_hausdorff(x, handle, samples)
 
 
-def hausdorff_open(space, u, extra_points=()):
-    """(verdict, certificate).  u is a handle or a list of basics; the
-    verdict is True iff the union holds no non-separable pair."""
-    basics = u if isinstance(u, (list, tuple)) else [u]
+def hausdorff_open(space, basics, extra_points=()):
+    """(verdict, certificate): True iff the union of the list `basics` and
+    `extra_points` holds no non-separable pair."""
     extra_points = tuple(extra_points)
     pair = space.union_twin_pair(basics, extra_points)
     if pair is None:
@@ -72,28 +75,20 @@ def subcover_attempt(space, cover, chosen):
 # Baire intersections.
 
 
-class DenseFamily(Value):
-    """A finite list of dense open members, or the parametric cofinite
-    family D_n = ground-minus-{n} indexed by all naturals."""
-
-    __slots__ = _fields = ("kind", "members")
-
-    def __init__(self, kind, members=()):  # "finite" | "cofinite-diagonal"
-        Value.__init__(self, kind, members)
-
-
-def baire_intersect(space, fam: DenseFamily, probe, candidates=range(100)):
-    """For finite families on the line spaces / feather: an explicit point of
-    probe inside every member.  For the cofinite diagonal family: the EMPTY
-    verdict, with the excluding index for every candidate."""
-    if fam.kind == "cofinite-diagonal":
-        mapping = {int(n): int(n) for n in candidates}
-        return "EMPTY", cert.excluded_by("cofinite-diagonal", mapping)
-    for m in fam.members:
-        if not space.dense(m):
+def baire_intersect(space, members, probe):
+    """An explicit point of the basic `probe` inside every member of the
+    finite family `members` of dense opens (the line spaces, the feather)."""
+    for m in members:
+        if not space.dense([m]):
             raise PreconditionError("family member is not dense")
-    point = space.baire_point(fam.members, probe)
-    return point, cert.baire_point(point, probe, fam.members)
+    point = space.baire_point(members, probe)
+    return point, cert.baire_point(point, probe, members)
+
+
+def diagonal_intersection(candidates):
+    """The cofinite diagonal family D_n = N - {n}, indexed by all naturals n:
+    the EMPTY verdict, with the member D_n excluding each candidate n."""
+    return "EMPTY", cert.excluded_by("cofinite-diagonal", {int(n): int(n) for n in candidates})
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +114,8 @@ def theorem_pipeline(space, sample_points, chosen=None, probes=None):
     if not covered:
         report["verdict"] = "subcover-stage-failure"
         return report
-    fam = DenseFamily("finite", tuple(opens))
     probe = chosen[0]
-    point, bcert = baire_intersect(space, fam, probe)
+    point, bcert = baire_intersect(space, opens, probe)
     report["stages"].append(ke.verified(space, bcert, id="baire", point=point))
     separations = []
     for y in (probes or []):
@@ -225,8 +219,7 @@ def chart_of_implications():
         p, v, probe = space.chart_sample()
         ccert, _ = microcompact_neighborhood(space, p, v)
         handle, mcert = maximal_hausdorff_at(space, p)
-        fam = DenseFamily("finite", (handle,))
-        point, bcert = baire_intersect(space, fam, probe)
+        point, bcert = baire_intersect(space, [handle], probe)
         rows[name] = {
             "locally_compact": ke.verify_certificate(space, ccert),
             "microcompact": all(ke.verify_certificate(space, c)
@@ -235,8 +228,7 @@ def chart_of_implications():
             "witness_point": point,
         }
     cof = ke.COFINITE
-    verdict, ecert = baire_intersect(cof, DenseFamily("cofinite-diagonal"),
-                                     CofiniteSet.ground(), candidates=range(10))
+    verdict, ecert = diagonal_intersection(range(10))
     empty = verdict == "EMPTY"
     excluded_ok = ke.verify_certificate(cof, ecert)
     rows["cofinite"] = {

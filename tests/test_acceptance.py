@@ -229,11 +229,10 @@ def test_criterion_7_maximal_hausdorff_opens():
             x = make()
             handle, c = sp.maximal_hausdorff_at(space, x)
             assert ke.verify_certificate(space, c)
-            ok, _ = sp.hausdorff_open(space, handle)
-            assert ok and space.dense(handle)
+            ok, _ = sp.hausdorff_open(space, [handle])
+            assert ok and space.dense([handle])
             for outside, partner in c.payload["adjoin_samples"]:
-                bad_ok, bad = sp.hausdorff_open(space, handle,
-                                                extra_points=[outside])
+                bad_ok, bad = sp.hausdorff_open(space, [handle], extra_points=[outside])
                 assert not bad_ok and bad.kind == "twin-pair"
                 assert ke.verify_certificate(space, bad)
     _passed(7, "50 points per space: handles Hausdorff and dense; every "
@@ -283,9 +282,7 @@ def test_criterion_9_compactness_chart():
         assert len(sub) <= len(excluded) + 1
         for n in range(31):
             assert any(c.contains(n) for c in sub)
-    verdict, c = sp.baire_intersect(ke.COFINITE,
-                                    sp.DenseFamily("cofinite-diagonal"),
-                                    CofiniteSet.ground(), candidates=range(1000))
+    verdict, c = sp.diagonal_intersection(range(1000))
     assert verdict == "EMPTY"
     assert ke.verify_certificate(ke.COFINITE, c)
     assert len(c.payload["candidates"]) == 1000

@@ -963,9 +963,6 @@ VALUE_SAMPLES = {
         lambda: ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below"),
         "SeqDescriptor(space='feather', base=(Fraction(0, 1), Fraction(1, 1)), coord_index=1, "
         "limit=Fraction(1, 1), direction='below')"),
-    "DenseFamily": (
-        lambda: sp.DenseFamily("finite", (fe.strict_skeleton(),)),
-        "DenseFamily(kind='finite', members=(SkeletonHandle(flip=None),))"),
     "Certificate": (
         lambda: cert.twin_pair(ml.MultiLinePoint(F(0), 0), ml.MultiLinePoint(F(0), 1)),
         "Certificate(kind='twin-pair', payload={'p': MultiLinePoint(x=Fraction(0, 1), level=0), "
@@ -1002,10 +999,9 @@ def test_value_type_semantics(name):
 @pytest.mark.parametrize("a,b", [
     (ml.TranslateGen(F(1)), fe.FeatherTranslateGen(F(1))),
     (ml.TranslateGen(F(1)), ml.ReflectGen(F(1))),
-    (CofiniteSet("finite", ()), sp.DenseFamily("finite", ())),
     (FinSet(()), IntervalSet(())),
-    (cert.Certificate("k", {}), sp.DenseFamily("k", {})),
-], ids=["translate", "reflect", "cofinite-dense", "finset-iset", "certificate"])
+    (cert.Certificate("k", {}), CofiniteSet("k", {})),
+], ids=["translate", "reflect", "finset-iset", "certificate"])
 def test_values_of_different_classes_with_the_same_fields_differ(a, b):
     assert a != b and b != a and not a == b
 

@@ -134,12 +134,23 @@ def test_meet_pointwise(u1, v1, u2, v2, w):
 # Charts.
 
 
+def _chart_point(center, c):
+    """The point at offset c from a chart's center: on one arm for a strict
+    center; for an upper twin, on the branch below it when c < 0 and on the
+    arm above it otherwise."""
+    a = center[-1]
+    if fe.fp_is_strict(center) or c >= 0:
+        return center[:-1] + (a + c,)
+    return center[:-2] + (a + c,)
+
+
 def test_pure_chart():
     c = fe.fp_chart((F(0), F(1)), F(1, 2))
     assert c.contains((F(0), F(5, 4)))
     assert not c.contains((F(0), F(1), F(5, 4)))
-    assert c.to_coord((F(0), F(5, 4))) == F(1, 4)
-    assert c.from_coord(F(1, 4)) == (F(0), F(5, 4))
+    assert _chart_point(c.center, c.radius / 2) == (F(0), F(5, 4))
+    assert _chart_point(c.center, -c.radius / 2) == (F(0), F(3, 4))
+    assert c.contains((F(0), F(3, 4)))
 
 
 def test_glued_chart():
@@ -148,8 +159,8 @@ def test_glued_chart():
     assert c.contains((F(0), F(1, 4)))    # above, on the upper branch
     assert c.contains((F(0), F(0)))
     assert not c.contains((F(0),))        # the lower twin is outside
-    assert c.from_coord(F(-1, 4)) == (F(-1, 4),)
-    assert c.from_coord(F(1, 4)) == (F(0), F(1, 4))
+    assert _chart_point(c.center, -c.radius / 2) == (F(-1, 4),)
+    assert _chart_point(c.center, c.radius / 2) == (F(0), F(1, 4))
 
 
 def test_chart_auto_shrink():
@@ -161,11 +172,13 @@ def test_chart_auto_shrink():
 
 @given(feather_points(), st.fractions(min_value="1/8", max_value=2))
 def test_chart_coord_roundtrip(p, eps):
+    # the chart holds its center and the points at offsets within its radius,
+    # in its shape (a pure arm, or the branch below glued to the arm above)
     c = fe.fp_chart(p, eps)
-    assert c.to_coord(p) == 0
-    probe = c.from_coord(c.radius / 2)
-    assert c.contains(probe)
-    assert c.to_coord(probe) == c.radius / 2
+    assert c.contains(p) and _chart_point(p, 0) == p
+    for sign in (1, -1):
+        assert c.contains(_chart_point(p, sign * c.radius / 2))
+        assert not c.contains(_chart_point(p, sign * c.radius))
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,37 @@ def test_convergence_oracles():
     assert d.converges(dn, ml.MultiLinePoint(F(0), 1))
 
 
+# (space, descriptor, target): a base or a target that is not a point of the
+# space, which the descriptor alone would decide as converging
+OFF_SPACE_CONVERGENCE = [
+    ("doubled", ke.SeqDescriptor("multiline", ml.MultiLinePoint(F(-1), 0), 0, F(0), "below"),
+     ml.MultiLinePoint(F(0), 7)),
+    ("line", ke.SeqDescriptor("multiline", ml.MultiLinePoint(F(-1), 0), 0, F(0), "below"),
+     ml.MultiLinePoint(F(0), 1)),
+    ("line", ke.SeqDescriptor("multiline", ml.MultiLinePoint(F(-1), 1), 0, F(0), "below"),
+     ml.MultiLinePoint(F(0), 0)),
+    ("feather", ke.SeqDescriptor("feather", ml.MultiLinePoint(F(0), 1), 1, F(1), "below"),
+     (F(0), F(1))),
+    ("feather", ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below"),
+     ml.MultiLinePoint(F(0), 1)),
+    ("feather", ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below"),
+     (F(0), F(1), F(1), F(1))),
+]
+
+
+@pytest.mark.parametrize("name,descr,target", OFF_SPACE_CONVERGENCE,
+                         ids=["doubled-level-7", "line-level-1", "line-base-level-1",
+                              "feather-line-base", "feather-line-target",
+                              "feather-invalid-target"])
+def test_converges_rejects_points_not_in_the_space(name, descr, target):
+    space = ke.space_of(name)
+    with pytest.raises(PreconditionError, match="of this space"):
+        space.converges(descr, target)
+    if space.is_point(descr.base):  # the descriptor still decides the space's points
+        inside = (F(0), F(1)) if name == "feather" else ml.MultiLinePoint(F(0), 0)
+        assert space.converges(descr, inside)
+
+
 def test_malformed_descriptor_rejected():
     f = ke.FEATHER
     with pytest.raises(PreconditionError):
@@ -181,10 +212,10 @@ def test_descriptor_terms_are_valid_points():
 
 def test_density_criteria():
     d = ke.space_of("doubled")
-    assert d.dense(ml.full_wave(d.spec))
-    assert not d.dense(ml.Wave(d.spec, IntervalSet.of((0, POS_INF))))
+    assert d.dense([ml.full_wave(d.spec)])
+    assert not d.dense([ml.Wave(d.spec, IntervalSet.of((0, POS_INF)))])
     f = ke.FEATHER
-    assert f.dense(fe.strict_skeleton())
+    assert f.dense([fe.strict_skeleton()])
     charts = [fe.fp_chart((F(0), F(1)), F(1))]
     assert not f.dense(charts)
     missing = f.density_witness([c.interval for c in charts])

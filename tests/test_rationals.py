@@ -330,7 +330,7 @@ def test_an_uncovered_point_of_lifted_full_waves_calls_no_fraction_hash_order_or
 def test_the_density_of_one_wave_sorts_no_intervals():
     w = _lifted_wave(0, (1, 2))
     dense = []
-    assert _fraction_calls(lambda: dense.append(ke.space_of("tripled").dense(w)),
+    assert _fraction_calls(lambda: dense.append(ke.space_of("tripled").dense([w])),
                            "canon_intervals", "intervals.py") == 0
     assert dense == [True]
 

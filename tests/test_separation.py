@@ -26,8 +26,8 @@ def test_maximal_hausdorff_doubled_up_point():
     handle, c = sp.maximal_hausdorff_at(d, x)
     assert handle.lift == ((F(0), 1),)
     assert ke.verify_certificate(d, c)
-    ok, _ = sp.hausdorff_open(d, handle)
-    assert ok and d.dense(handle)
+    ok, _ = sp.hausdorff_open(d, [handle])
+    assert ok and d.dense([handle])
 
 
 def test_maximal_hausdorff_feather_twin():
@@ -36,7 +36,7 @@ def test_maximal_hausdorff_feather_twin():
     handle, c = sp.maximal_hausdorff_at(f, x)
     assert handle.contains(x)
     assert ke.verify_certificate(f, c)
-    assert f.dense(handle)
+    assert f.dense([handle])
 
 
 def test_maximal_hausdorff_two_origins():
@@ -52,7 +52,7 @@ def test_adjoining_breaks_hausdorffness():
     d = ke.space_of("doubled")
     handle, c = sp.maximal_hausdorff_at(d, ml.MultiLinePoint(F(0), 1))
     for outside, partner in c.payload["adjoin_samples"]:
-        ok, bad = sp.hausdorff_open(d, handle, extra_points=[outside])
+        ok, bad = sp.hausdorff_open(d, [handle], extra_points=[outside])
         assert not ok and bad.kind == "twin-pair"
         assert ke.verify_certificate(d, bad)
 
@@ -74,13 +74,13 @@ def _with_point(c, key, value):
 def test_verify_certificate_checks_hausdorff_open():
     d = ke.space_of("doubled")
     handle, _ = sp.maximal_hausdorff_at(d, ml.MultiLinePoint(F(0), 1))
-    ok, c = sp.hausdorff_open(d, handle, extra_points=[ml.MultiLinePoint(F(5), 0)])
+    ok, c = sp.hausdorff_open(d, [handle], extra_points=[ml.MultiLinePoint(F(5), 0)])
     assert ok and c.kind == "hausdorff-open" and ke.verify_certificate(d, c)
     # the other level over 5 pairs up with the handle's own point there
     assert not ke.verify_certificate(d, _with_point(c, "extra_points",
                                                     (ml.MultiLinePoint(F(5), 1),)))
     f = ke.FEATHER
-    ok, c = sp.hausdorff_open(f, fe.strict_skeleton(), extra_points=[(F(0), F(1))])
+    ok, c = sp.hausdorff_open(f, [fe.strict_skeleton()], extra_points=[(F(0), F(1))])
     assert ok and ke.verify_certificate(f, c)
     assert not ke.verify_certificate(f, _with_point(c, "extra_points", ((F(0), F(0)),)))
 
@@ -89,13 +89,13 @@ def test_verify_certificate_checks_baire_point():
     d = ke.space_of("doubled")
     members = (ml.full_wave(d.spec, ((F(0), 1),)),)
     probe = ml.Wave(d.spec, IntervalSet.of((-1, 2)))
-    point, c = sp.baire_intersect(d, sp.DenseFamily("finite", members), probe)
+    point, c = sp.baire_intersect(d, members, probe)
     assert c.kind == "baire-point" and ke.verify_certificate(d, c)
     assert not ke.verify_certificate(d, _with_point(c, "point", ml.MultiLinePoint(F(3), 0)))
     assert not ke.verify_certificate(d, _with_point(c, "point", ml.MultiLinePoint(F(0), 0)))
     f = ke.FEATHER
     probe = fe.fp_chart((F(0), F(1)), F(1, 2))
-    point, c = sp.baire_intersect(f, sp.DenseFamily("finite", (fe.strict_skeleton(),)), probe)
+    point, c = sp.baire_intersect(f, (fe.strict_skeleton(),), probe)
     assert ke.verify_certificate(f, c)
     assert not ke.verify_certificate(f, _with_point(c, "point", (F(5),)))
     assert not ke.verify_certificate(f, _with_point(c, "point", point + (point[-1],)))
@@ -212,7 +212,7 @@ def test_baire_finite_doubled():
     d = ke.space_of("doubled")
     members = (ml.full_wave(d.spec, ((F(0), 1),)), ml.full_wave(d.spec, ((F(1), 1),)))
     probe = ml.Wave(d.spec, IntervalSet.of((-1, 2)))
-    point, c = sp.baire_intersect(d, sp.DenseFamily("finite", members), probe)
+    point, c = sp.baire_intersect(d, members, probe)
     assert point.level == 0 and point.x not in (F(0), F(1))
     assert ke.verify_certificate(d, c)
 
@@ -221,7 +221,7 @@ def test_baire_finite_feather():
     f = ke.FEATHER
     members = (fe.strict_skeleton(), fe.skeleton_through((F(0), F(0))))
     probe = fe.fp_chart((F(0), F(1)), F(1, 2))
-    point, c = sp.baire_intersect(f, sp.DenseFamily("finite", members), probe)
+    point, c = sp.baire_intersect(f, members, probe)
     assert ke.verify_certificate(f, c)
 
 
@@ -229,14 +229,12 @@ def test_baire_rejects_non_dense_member():
     d = ke.space_of("doubled")
     small = ml.Wave(d.spec, IntervalSet.of((0, 1)))
     with pytest.raises(PreconditionError):
-        sp.baire_intersect(d, sp.DenseFamily("finite", (small,)),
-                           ml.full_wave(d.spec))
+        sp.baire_intersect(d, (small,), ml.full_wave(d.spec))
 
 
 def test_baire_cofinite_empty():
     n = ke.COFINITE
-    verdict, c = sp.baire_intersect(n, sp.DenseFamily("cofinite-diagonal"),
-                                    CofiniteSet.ground(), candidates=range(50))
+    verdict, c = sp.diagonal_intersection(range(50))
     assert verdict == "EMPTY"
     assert ke.verify_certificate(n, c)
     assert c.payload["candidates"][7] == 7
@@ -247,7 +245,7 @@ def test_dense_meet_of_maximal_opens_is_dense():
     h1, _ = sp.maximal_hausdorff_at(d, ml.MultiLinePoint(F(0), 1))
     h2, _ = sp.maximal_hausdorff_at(d, ml.MultiLinePoint(F(1), 1))
     m = ml.wave_meet(h1, h2)
-    assert d.dense(m)
+    assert d.dense([m])
 
 
 # ---------------------------------------------------------------------------

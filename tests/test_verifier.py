@@ -7,6 +7,7 @@ points of the space."""
 import collections
 import contextlib
 import io
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -376,6 +377,72 @@ def test_the_schema_describes_every_kind_and_every_produced_payload(monkeypatch)
         assert list(c.payload) == names
         rebuilt = constructors[c.kind](**dict(reversed(c.payload.items())))
         assert list(rebuilt.payload) == names and rebuilt == c
+
+
+# Two points and one basic of each space, in input syntax; the sweep adds
+# each point's chart at radius 1.
+SWEEP_SAMPLES = {
+    "feather": (("F(0,1)", "F(0,1,1)"), "strict-skeleton"),
+    "line": (("D(0)", "D(1)"), "W[(-inf,inf)-{}]"),
+    "doubled": (("D(0 @1)", "D(1)"), "W[(-inf,inf)-{1^1}]"),
+    "tripled": (("D(0 @2)", "D(1 @1)"), "W[(-inf,inf)-{0^1}]"),
+    "two-origins": (("D(0 @1)", "D(1)"), "W[(-inf,inf)-{0^1}]"),
+    "branch": (("B(0,L)", "B(0,R)"), "BI[(-1,1)@R]"),
+    "cofinite": (("N(0)", "N(3)"), "cofinite-excl{0,1}"),
+}
+SAMPLE_GENERATORS = (fe.FlipGen((F(0), F(1))), fe.StraightenGen((F(0), F(1))),
+                     fe.FeatherTranslateGen(F(1)), ml.TranslateGen(F(1)),
+                     ml.ExchangeGen(F(0), (0, 1)), ml.ReflectGen(F(0)))
+
+
+def _sweep_values(space, name):
+    """Shape -> two values of that shape built from the space's own points,
+    basics and word generators."""
+    texts, basic = SWEEP_SAMPLES[name]
+    p, q = map(space.parse_point, texts)
+    b = space.parse_basic(basic)
+    chart = space.canonical_neighborhood(p, F(1))
+    word = tuple(g for g in SAMPLE_GENERATORS if type(g) in space.generators)
+    return {
+        "point": (p, q), "points": ((p,), (p, q)),
+        "point set": (frozenset([p]), frozenset([p, q])),
+        "point pairs": (((p, q),), ((q, p),)),
+        "basic": (chart, b), "basics": ((chart,), (chart, b)),
+        "word": ((), word), "rational": (F(1, 2), F(2)),
+        "rationals": ([F(-1, 4), F(1, 4)], [F(0), F(0)]),
+        "flag": (False, True), "name": ("cofinite-diagonal", "other"),
+        "index map": ({p: 0}, {p: 1, q: 1}),
+    }
+
+
+def _sweep(name):
+    """(kind, payload) for every combination of sampled field values."""
+    space = ke.space_of(name)
+    values = _sweep_values(space, name)
+    for kind, fields in cert.SCHEMA.items():
+        for combo in itertools.product(*(values[shape] for _, shape in fields)):
+            yield kind, dict(zip((f for f, _ in fields), combo))
+
+
+@pytest.mark.parametrize("name", ALL_SPACES)
+def test_the_verifier_answers_every_well_shaped_payload(name):
+    """Each payload passes the schema walk, so each reaches its check: the
+    check answers True or False and raises nothing, also where the space
+    lacks an operation the check asks for (chains on the feather, the
+    excluded-by family off the cofinite space)."""
+    space = ke.space_of(name)
+    raised, answers = [], collections.Counter()
+    for kind, payload in _sweep(name):
+        assert ke._fits_schema(space, kind, payload), (kind, payload)
+        try:
+            answer = ke.verify_certificate(space, cert.Certificate(kind, payload))
+        except Exception as exc:  # noqa: BLE001 - any escape is the failure
+            raised.append((kind, type(exc).__name__, str(exc)))
+            continue
+        assert type(answer) is bool
+        answers[answer] += 1
+    assert not raised, raised
+    assert answers[True] and answers[False], answers
 
 
 # ---------------------------------------------------------------------------
