@@ -112,9 +112,10 @@ def cmd_dense(space, basics):
 def cmd_converges(space, base, target, limit, direction, index):
     descr = space.descriptor(base, index, limit, direction)
     verdict = space.converges(descr, target)
+    first = descr.first_point(3)
     payload = {"base": base, "coord_index": descr.coord_index, "limit": descr.limit,
                "direction": descr.direction, "target": target,
-               "sample_terms": [descr.term(m) for m in (3, 4, 5)]}
+               "sample_terms": [space.term(descr, m) for m in range(first, first + 3)]}
     return "converges" if verdict else "does not converge", {"certificate": payload}, verdict
 
 
@@ -255,8 +256,7 @@ def demo_feather_contraction():
         entry = {"left": left, "right": right, "equal_or_twins": related}
         if left != right:
             lower = left if fe.fp_is_strict(left) else right
-            descr = ke.SeqDescriptor("feather", lower, len(lower) - 1,
-                                     lower[-1], "below")
+            descr = space.descriptor(lower, None, lower[-1], "below")
             entry["converges_to_both"] = (space.converges(descr, left)
                                           and space.converges(descr, right))
         seams[str(t0)] = entry
@@ -271,8 +271,7 @@ def demo_feather_twins():
     p = (Fraction(0), Fraction(1))
     q = fe.fp_twin(p)
     ok, c = space.separable(p, q)
-    below = ke.SeqDescriptor("feather", p, len(p) - 1, p[-1], "below")
-    above = ke.SeqDescriptor("feather", p, len(p) - 1, p[-1], "above")
+    below, above = (space.descriptor(p, None, p[-1], d) for d in ("below", "above"))
     certificate = {
         "pair": ke.verified(space, c, separable=ok),
         "refuter": {"scales": list(ke.REFUTER_SCALES),

@@ -14,7 +14,7 @@ class defines:
     every space          is_point meet meet_is_empty canonical_neighborhood
                          chart_form common_point non_separable_pair separable
     all but branch       dense
-    feather, multiline   descriptor converges move replay union_twin_pair
+    feather, multiline   descriptor term converges move replay union_twin_pair
                          basic_subset maximal_hausdorff cover_admits
                          cover_member uncovered_point default_subfamily
                          baire_point chart_sample pipeline_sample
@@ -47,7 +47,13 @@ each of its shape: points that `is_point` accepts, basics of the types in
 `basic_kind`, word generators of the types in `generators`.  A check asks
 the space about a basic (`member`, `connected`), so a payload the space has
 no such operation for meets a stub's `PreconditionError`: a rejection.
-`converges` holds its descriptor's base and its target to `is_point` too.
+A sequence is checked once too: `descriptor(base, index, limit, direction)`
+is the only way to build a `SeqDescriptor`.  It refuses a base that is not
+a point of the space, an index out of range, a direction other than "below"
+or "above", a limit below the floor (or at it, from below) and an up-level
+base on a line not doubled everywhere.  Its terms come from the space that
+built it (`term`).  `converges` holds only the descriptor's base and its
+target to `is_point`, which also refuses another space's descriptor.
 
 The verification contract.  A `twin-pair` certificate, and each adjoin
 sample of a `maximal-hausdorff` one, claims a pair that no two canonical
@@ -81,8 +87,8 @@ from . import feather as fe
 from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
                         iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
-from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, denominator_bits, eq, key, lt,
-                        same, sorted_by)
+from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, check_rational,
+                        denominator_bits, eq, key, lt, same, sorted_by)
 from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
@@ -91,23 +97,36 @@ _ZERO, _HALF, _NEG_HALF, _ONE = Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fr
 
 
 class SeqDescriptor(Value):
-    """Parametric sequence on the space "feather" or "multiline":
-    coordinates of `base` up to `coord_index` stay fixed, the moving
-    coordinate runs m |-> limit -+ 1/m ("below" | "above")."""
+    """A sequence built and checked by its space's `descriptor`, whose
+    `term` gives its points: the coordinates of `base` before `coord_index`
+    stay fixed and the moving one runs m |-> limit -+ 1/m ("below" |
+    "above").  A term is a point once the moving coordinate is at least
+    `floor` (None where nothing bounds it)."""
 
-    __slots__ = _fields = ("space", "base", "coord_index", "limit", "direction")
+    __slots__ = _fields = ("base", "coord_index", "limit", "direction", "floor")
 
-    def __init__(self, space, base, coord_index, limit, direction):
-        if direction not in ("below", "above"):
-            raise PreconditionError("direction must be 'below' or 'above'")
-        Value.__init__(self, space, base, coord_index, limit, direction)
-
-    def term(self, m: int):
+    def coordinate(self, m: int) -> Fraction:
         step = Fraction(1, m)
-        x = self.limit - step if self.direction == "below" else self.limit + step
-        if self.space == "feather":
-            return self.base[: self.coord_index] + (x,)
-        return ml.MultiLinePoint(x, self.base.level)
+        return self.limit - step if self.direction == "below" else self.limit + step
+
+    def first_point(self, m: int) -> int:
+        """The first m' >= m whose term is a point: from below, the first
+        with 1/m' <= limit - floor."""
+        if self.floor is None or self.direction == "above":
+            return m
+        gap = self.limit - self.floor
+        return max(m, -(-gap.denominator // gap.numerator))
+
+
+def _sequence(base, index, limit, direction, floor=None) -> SeqDescriptor:
+    """The checks every `descriptor` shares: the direction, and a rational
+    limit at least the floor (above it from below)."""
+    if direction not in ("below", "above"):
+        raise PreconditionError("direction must be 'below' or 'above'")
+    limit = check_rational(limit, "a limit")
+    if floor is not None and (lt(limit, floor) or direction == "below" and eq(limit, floor)):
+        raise PreconditionError("from-%s terms fall outside the space" % direction)
+    return SeqDescriptor(base, index, limit, direction, floor)
 
 
 class ChartForm:
@@ -231,12 +250,20 @@ class FeatherSpace(Space):
         raise AssertionError("no separating charts found for a non-twin pair")
 
     def descriptor(self, base, index, limit, direction) -> SeqDescriptor:
-        return SeqDescriptor("feather", base, len(base) - 1 if index is None else index,
-                             limit, direction)
+        """The sequence moving coordinate `index` of `base` (by default the
+        last); the coordinate before it is the floor."""
+        self._check_points(base)
+        index = len(base) - 1 if index is None else index
+        if not 0 <= index < len(base):
+            raise PreconditionError("coordinate index out of range")
+        return _sequence(base, index, limit, direction, base[index - 1] if index else None)
+
+    def term(self, descr: SeqDescriptor, m: int):
+        return descr.base[: descr.coord_index] + (descr.coordinate(m),)
 
     def converges(self, descr: SeqDescriptor, p) -> bool:
-        prefix, limit = _feather_descr_check(self, descr)
-        self._check_points(p)
+        self._check_points(descr.base, p)
+        prefix, limit = descr.base[: descr.coord_index], descr.limit
         if descr.direction == "below":
             return ((same(p, prefix + (limit,)) and fe.fp_is_strict(p))
                     or same(p, prefix + (limit, limit)))
@@ -386,12 +413,20 @@ class MultiLineSpace(Space):
         return _separate(self, p, q, lambda p, q: ml.separating_waves(self.spec, p, q))
 
     def descriptor(self, base, index, limit, direction) -> SeqDescriptor:
-        return SeqDescriptor("multiline", base, 0 if index is None else index,
-                             limit, direction)
+        """The sequence moving the abscissa of `base` at its level, which
+        must be 0 unless the line is doubled everywhere."""
+        self._check_points(base)
+        if index not in (None, 0):
+            raise PreconditionError("a line point has one coordinate: index must be 0")
+        if base.level > 0 and not self.spec.everywhere:
+            raise PreconditionError("up-level terms leave a restricted doubling domain")
+        return _sequence(base, 0, limit, direction)
+
+    def term(self, descr: SeqDescriptor, m: int):
+        return ml.MultiLinePoint(descr.coordinate(m), descr.base.level)
 
     def converges(self, descr: SeqDescriptor, p) -> bool:
-        _multiline_descr_check(self, descr)
-        self._check_points(p)
+        self._check_points(descr.base, p)
         return descr.base.level == 0 and p.x == descr.limit
 
     def dense(self, basics) -> bool:
@@ -433,17 +468,14 @@ class MultiLineSpace(Space):
         spec = self.spec
         handle = ml.full_wave(spec, ((x.x, x.level),) if x.level > 0 else ())
         samples = []
-        abscissae = [x.x] if spec.doubling == "all" else list(spec.doubling)
         lift_map = handle.lift_map()
-        for a in abscissae:
-            if not spec.is_doubled(a):
-                continue
+        for a in [x.x] if spec.everywhere else spec.finite:  # x's abscissa, or each doubled one
             inside_level = lift_map.get(a, 0)
             partner = ml.MultiLinePoint(a, inside_level)
             for level in range(spec.k):
                 if level != inside_level:
                     samples.append((ml.MultiLinePoint(a, level), partner))
-        if spec.doubling == "all" and spec.k > 1:
+        if spec.everywhere:
             y = x.x + 1
             samples.append((ml.MultiLinePoint(y, 1), ml.MultiLinePoint(y, 0)))
         return handle, samples
@@ -464,7 +496,7 @@ class MultiLineSpace(Space):
         the lifted abscissae x (1 with none lifted), found by a running
         maximum and minimum decided by `lt`."""
         spec = self.spec
-        if spec.k > 1 and spec.doubling == "all":
+        if spec.everywhere:
             # finitely many lifts miss the upper points at any other abscissa
             lo = hi = _ZERO
             for w in chosen:
@@ -485,16 +517,14 @@ class MultiLineSpace(Space):
     def _upper_points(self):
         """The upper points of a line doubled at finitely many abscissae."""
         spec = self.spec
-        if spec.k == 1:
-            return []
-        return [ml.MultiLinePoint(x, level) for x in spec.doubling for level in range(1, spec.k)]
+        return [ml.MultiLinePoint(x, level) for x in spec.finite for level in range(1, spec.k)]
 
     def covered_by(self, chosen) -> bool:
         """The waves' down projections cover the line, and every upper
         point lies in one of them.  No finite family covers a line doubled
         everywhere, so there a covered certificate claims only its probes
         (the waves that contain them)."""
-        if self.spec.k > 1 and self.spec.doubling == "all":
+        if self.spec.everywhere:
             return True
         return iset_covers_line(_down_union(chosen)) and all(
             any(w.contains(p) for w in chosen) for p in self._upper_points())
@@ -635,32 +665,6 @@ def space_of(name: str):
     if name not in _SPACES:
         raise PreconditionError("unknown space %r" % name)
     return _SPACES[name]
-
-
-def _feather_descr_check(space, descr: SeqDescriptor):
-    if descr.space != "feather":
-        raise PreconditionError("feather descriptor expected")
-    space._check_points(descr.base)
-    if not 0 <= descr.coord_index < len(descr.base):
-        raise PreconditionError("coordinate index out of range")
-    prefix = descr.base[: descr.coord_index]
-    if prefix:
-        floor = prefix[-1]
-        if descr.direction == "below" and descr.limit <= floor:
-            raise PreconditionError("from-below terms fall outside the space")
-        if descr.direction == "above" and descr.limit < floor:
-            raise PreconditionError("from-above terms fall outside the space")
-    return prefix, Fraction(descr.limit)
-
-
-def _multiline_descr_check(space, descr: SeqDescriptor):
-    if descr.space != "multiline":
-        raise PreconditionError("multiline descriptor expected")
-    space._check_points(descr.base)
-    if descr.coord_index != 0:
-        raise PreconditionError("a line point has one coordinate: index must be 0")
-    if descr.base.level > 0 and space.spec.doubling != "all":
-        raise PreconditionError("up-level terms leave a restricted doubling domain")
 
 
 def _separate(space, p, q, separating, partner=None):
@@ -887,12 +891,12 @@ def _maps_onto_itself(spec, gen) -> bool:
     if t is ml.ExchangeGen:
         i, j = (n == 0 or n < spec.k and spec.is_doubled(gen.at) for n in gen.levels)
         return i == j
-    if t not in (ml.TranslateGen, ml.ReflectGen) or spec.k == 1 or spec.doubling == "all":
+    if t not in (ml.TranslateGen, ml.ReflectGen) or spec.everywhere:
         return True
-    xs = spec.doubling.elements
+    xs = set(spec.finite)  # none on the line
     image = ({x + gen.shift for x in xs} if t is ml.TranslateGen
              else {2 * gen.about - x for x in xs})
-    return image == set(xs)
+    return image == xs
 
 
 def _verify_compact(space, pl) -> bool:

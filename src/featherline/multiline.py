@@ -33,21 +33,26 @@ _ABSCISSA = itemgetter(0)  # lift abscissae are unique: sort by them alone
 
 
 class SpaceSpec(Value):
-    """Fiber count and which abscissae possess upper levels."""
+    """Fiber count and which abscissae possess upper levels: `doubling` is
+    "all" or a FinSet.  Only this class reads that sentinel.  `everywhere`
+    says whether every abscissa has upper levels (k > 1 and "all");
+    otherwise the tuple `finite` holds the finitely many doubled abscissae,
+    none on the line (k = 1)."""
 
-    __slots__ = _fields = ("k", "doubling")
+    __slots__ = ("k", "doubling", "everywhere", "finite")
+    _fields = ("k", "doubling")
 
-    def __init__(self, k, doubling="all"):  # "all" or a FinSet of doubled abscissae
+    def __init__(self, k, doubling="all"):
         if k < 1:
             raise PreconditionError("fiber count must be >= 1")
         Value.__init__(self, k, doubling)
+        everywhere = k > 1 and doubling == "all"
+        object.__setattr__(self, "everywhere", everywhere)
+        object.__setattr__(self, "finite",
+                           None if everywhere else () if k == 1 else doubling.elements)
 
     def is_doubled(self, x) -> bool:
-        if self.k == 1:
-            return False
-        if self.doubling == "all":
-            return True
-        return x in self.doubling
+        return self.everywhere or x in self.finite
 
 
 LINE = SpaceSpec(1)
@@ -188,10 +193,6 @@ class TranslateGen(Value):
     def apply(self, p: MultiLinePoint) -> MultiLinePoint:
         return MultiLinePoint(p.x + self.shift, p.level)
 
-    def apply_wave(self, w: Wave) -> Wave:
-        parts = IntervalSet(tuple((lo + self.shift, hi + self.shift) for lo, hi in w.parts.intervals))
-        return Wave(w.spec, parts, tuple((x + self.shift, j) for x, j in w.lift))
-
 
 class ExchangeGen(Value):
     __slots__ = _fields = ("at", "levels")
@@ -215,20 +216,6 @@ class ExchangeGen(Value):
             return p
         return MultiLinePoint(p.x, self._swap(p.level))
 
-    def apply_wave(self, w: Wave) -> Wave:
-        lift = w.lift_map()
-        if not w.parts.contains(self.at):
-            return w
-        cur = lift.get(self.at, 0)
-        new = self._swap(cur)
-        if new == cur:
-            return w
-        if new == 0:
-            lift.pop(self.at, None)
-        else:
-            lift[self.at] = new
-        return Wave(w.spec, w.parts, tuple(lift.items()))
-
 
 class ReflectGen(Value):
     __slots__ = _fields = ("about",)
@@ -239,17 +226,12 @@ class ReflectGen(Value):
     def apply(self, p: MultiLinePoint) -> MultiLinePoint:
         return MultiLinePoint(2 * self.about - p.x, p.level)
 
-    def apply_wave(self, w: Wave) -> Wave:
-        c = 2 * self.about
-        parts = IntervalSet(tuple(sorted((c - hi, c - lo) for lo, hi in w.parts.intervals)))
-        return Wave(w.spec, parts, tuple((c - x, j) for x, j in w.lift))
-
 
 def ml_move(spec: SpaceSpec, p: MultiLinePoint, q: MultiLinePoint, involutive=False):
     """Homeomorphism word taking p to q.  The involutive variant reflects
     about the midpoint and patches levels with exchanges; it swaps p and q
     and squares to the identity."""
-    if spec.doubling != "all" and p.x != q.x:
+    if spec.finite and p.x != q.x:  # doubled at finitely many abscissae, at least one
         raise PreconditionError("restricted doubling domain: cannot move across abscissae")
     word = []
     if involutive:

@@ -62,6 +62,26 @@ def rand_wave(r, spec):
     return ml.Wave(spec, parts, tuple(lift))
 
 
+def image_wave(g, w):
+    """The image of the wave `w` under the line generator `g`, built from
+    the generator's fields: criterion 5's reference."""
+    if type(g) is ml.ExchangeGen:
+        lift = dict(w.lift)
+        if w.parts.contains(g.at):
+            i, j = g.levels
+            level = lift.get(g.at, 0)
+            lift[g.at] = j if level == i else i if level == j else level
+        return ml.Wave(w.spec, w.parts, tuple((x, n) for x, n in lift.items() if n > 0))
+    if type(g) is ml.TranslateGen:
+        def f(x):
+            return x + g.shift
+    else:
+        def f(x):
+            return 2 * g.about - x
+    ends = [tuple(sorted((f(lo), f(hi)))) for lo, hi in w.parts.intervals]
+    return ml.Wave(w.spec, IntervalSet.of(*ends), tuple((f(x), n) for x, n in w.lift))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -126,8 +146,7 @@ def test_criterion_3_homotopy():
             assert left == right or fe.fp_twin(left) == right
             if left != right:
                 lower = left if fe.fp_is_strict(left) else right
-                descr = ke.SeqDescriptor("feather", lower, len(lower) - 1,
-                                         lower[-1], "below")
+                descr = f.descriptor(lower, None, lower[-1], "below")
                 assert f.converges(descr, left) and f.converges(descr, right)
             # grid points on both sides approach the seam values exactly
             n = int(1 / t0) if t0 != 1 else 1
@@ -146,11 +165,9 @@ def test_criterion_4_convergence_lemma():
         q = fe.fp_twin(p)
         lower = p if fe.fp_is_strict(p) else q
         upper = fe.fp_twin(lower)
-        below = ke.SeqDescriptor("feather", lower, len(lower) - 1,
-                                 lower[-1], "below")
+        below = f.descriptor(lower, None, lower[-1], "below")
         assert f.converges(below, lower) and f.converges(below, upper)
-        above = ke.SeqDescriptor("feather", lower, len(lower) - 1,
-                                 lower[-1], "above")
+        above = f.descriptor(lower, None, lower[-1], "above")
         assert f.converges(above, lower)
         assert not f.converges(above, upper)
     _passed(4, "100 twin pairs: from-below converges to both, "
@@ -172,7 +189,7 @@ def test_criterion_5_waves():
             levels = (0, r.randint(1, spec.k - 1))
             for g in (ml.TranslateGen(s), ml.ExchangeGen(s, levels),
                       ml.ReflectGen(s)):
-                assert g.apply_wave(w).contains(g.apply(p)) == w.contains(p)
+                assert image_wave(g, w).contains(g.apply(p)) == w.contains(p)
         for _ in range(200):
             p, q = rand_ml_point(r, spec.k), rand_ml_point(r, spec.k)
             assert ml.ml_replay(ml.ml_move(spec, p, q), p) == q

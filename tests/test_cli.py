@@ -6,12 +6,14 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from featherline import cli
 from featherline import kernel as ke
+from featherline import multiline as ml
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -260,6 +262,52 @@ def test_report_echoes_the_command(argv, command):
     assert json.loads(out)["command"] == command
 
 
+@st.composite
+def converges_args(draw):
+    """(space, base, limit, direction, index) for `cmd_converges`: a feather
+    base with a limit at most 2 above the floor at the chosen index, often
+    within 1/3 of it, or a base on the line family."""
+    rationals = st.fractions(min_value=-10, max_value=10, max_denominator=100)
+    name = draw(st.sampled_from(["feather", "feather", "line", "doubled", "tripled",
+                                 "two-origins"]))
+    space, direction = ke.space_of(name), draw(st.sampled_from(["below", "above"]))
+    if name != "feather":
+        level = draw(st.integers(0, space.spec.k - 1)) if space.spec.everywhere else 0
+        return space, ml.MultiLinePoint(draw(rationals), level), draw(rationals), direction, None
+    coords = sorted(draw(st.lists(rationals, min_size=1, max_size=4, unique=True)))
+    base = tuple(coords) + ((coords[-1],) if draw(st.booleans()) else ())
+    index = draw(st.integers(0, len(base) - 1))
+    if index == 0:
+        return space, base, draw(rationals), direction, index
+    gap = draw(st.fractions(min_value=0, max_value=2, max_denominator=50)
+               | st.fractions(min_value=0, max_value=F(1, 3), max_denominator=1000))
+    if gap == 0 and direction == "below":
+        gap = F(1, 1000)
+    return space, base, base[index - 1] + gap, direction, index
+
+
+@given(converges_args())
+def test_converges_sample_terms_are_the_first_points_from_3_on(args):
+    space, base, limit, direction, index = args
+    _, report, _ = cli.cmd_converges(space, base, base, limit, direction, index)
+    terms = report["certificate"]["sample_terms"]
+    assert all(space.is_point(t) for t in terms), terms
+    # reference: scan from m = 3 for the first term that is a point
+    descr = space.descriptor(base, index, limit, direction)
+    m = 3
+    while not space.is_point(space.term(descr, m)):
+        m += 1
+    assert terms == [space.term(descr, n) for n in range(m, m + 3)]
+
+
+def test_converges_samples_from_the_floor():
+    # the terms for m = 3, 4, 5 fall below the floor 0: F(0,-7/30), F(0,-3/20), F(0,-1/10)
+    code, out, err = main_in_process(["converges", "F", "F(0,1)", "F(0,1/10)",
+                                      "--limit", "1/10", "--direction", "below"])
+    assert code == 0, err
+    assert '"sample_terms": ["F(0,0)", "F(0,1/110)", "F(0,1/60)"]' in out
+
+
 def readme_examples():
     """(argv, verdict or None, exit code) for each line of README's example
     queries; a comment gives the verdict and, if not 0, the exit code."""
@@ -274,8 +322,8 @@ def readme_examples():
 README_EXAMPLES = list(readme_examples())
 
 
-def test_readme_lists_nine_example_queries():
-    assert len(README_EXAMPLES) == 9
+def test_readme_lists_ten_example_queries():
+    assert len(README_EXAMPLES) == 10
 
 
 @pytest.mark.parametrize("argv,verdict,code", README_EXAMPLES,

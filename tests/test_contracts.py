@@ -81,10 +81,17 @@ def _names(node):
     return set()
 
 
+def _strings(node):
+    """Whether `node` is a string constant, or a tuple, list or set of them."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return bool(node.elts) and all(map(_strings, node.elts))
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
 def _space_branches(tree, allowed):
     """Lines outside the `allowed` class bodies that ask for a space class
     (`isinstance(x, MultiLineSpace)`) or branch on a space name
-    (`args.space in (...)`)."""
+    (`args.space in (...)`, or any `x.space` compared with a string)."""
     lines = []
 
     def visit(node, inside):
@@ -93,9 +100,12 @@ def _space_branches(tree, allowed):
                 and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2
                 and _names(node.args[1]) & SPACE_CLASSES):
             lines.append(node.lineno)
-        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
-                and node.left.attr == "space" and getattr(node.left.value, "id", None) == "args"):
-            lines.append(node.lineno)
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            spaces = [x for x in operands if isinstance(x, ast.Attribute) and x.attr == "space"]
+            if (any(getattr(x.value, "id", None) == "args" for x in spaces)
+                    or spaces and any(map(_strings, operands))):
+                lines.append(node.lineno)
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
@@ -117,9 +127,23 @@ def test_space_branch_guard_sees_both_forms():
                      "        return args.space in ('N', 'cofinite')\n"
                      "class FeatherSpace:\n"
                      "    def g(self, s):\n"
-                     "        return isinstance(s, FeatherSpace)\n")
-    assert _space_branches(tree, set()) == [2, 3, 6]
-    assert _space_branches(tree, SPACE_CLASSES) == [2, 3]
+                     "        return isinstance(s, FeatherSpace)\n"
+                     "def h(descr, other):\n"
+                     "    if descr.space != 'feather' or 'line' == other.space:\n"
+                     "        return self.space == other.space\n")
+    assert _space_branches(tree, set()) == [2, 3, 6, 8, 8]
+    assert _space_branches(tree, SPACE_CLASSES) == [2, 3, 8, 8]
+
+
+def test_only_kernel_builds_a_sequence_descriptor():
+    # every other module goes through `space.descriptor`, which checks the sequence once
+    here = pathlib.Path(__file__).resolve().parent
+    paths = [*PACKAGE_DIR.glob("*.py"), *here.glob("*.py")]
+    callers = sorted(path.name for path in paths if path.name != "kernel.py" and any(
+        isinstance(node, ast.Call) and "SeqDescriptor" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))))
+    assert not callers, callers
 
 
 # The rows of the protocol table in `kernel`'s docstring, by the classes
@@ -960,9 +984,9 @@ VALUE_SAMPLES = {
         lambda: fe.SkeletonHandle(fe.FlipGen((F(0), F(1)))),
         "SkeletonHandle(flip=FlipGen(pivot=(Fraction(0, 1), Fraction(1, 1))))"),
     "SeqDescriptor": (
-        lambda: ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below"),
-        "SeqDescriptor(space='feather', base=(Fraction(0, 1), Fraction(1, 1)), coord_index=1, "
-        "limit=Fraction(1, 1), direction='below')"),
+        lambda: ke.FEATHER.descriptor((F(0), F(1)), None, F(1), "below"),
+        "SeqDescriptor(base=(Fraction(0, 1), Fraction(1, 1)), coord_index=1, "
+        "limit=Fraction(1, 1), direction='below', floor=Fraction(0, 1))"),
     "Certificate": (
         lambda: cert.twin_pair(ml.MultiLinePoint(F(0), 0), ml.MultiLinePoint(F(0), 1)),
         "Certificate(kind='twin-pair', payload={'p': MultiLinePoint(x=Fraction(0, 1), level=0), "

@@ -121,60 +121,83 @@ def test_cofinite_nothing_separable():
 
 def test_convergence_oracles():
     f = ke.FEATHER
-    below = ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below")
+    below = f.descriptor((F(0), F(1)), None, F(1), "below")
+    assert below.coord_index == 1
     assert f.converges(below, (F(0), F(1)))
     assert f.converges(below, (F(0), F(1), F(1)))
-    above = ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "above")
+    above = f.descriptor((F(0), F(1)), 1, F(1), "above")
     assert f.converges(above, (F(0), F(1)))
     assert not f.converges(above, (F(0), F(1), F(1)))
     d = ke.space_of("doubled")
-    dn = ke.SeqDescriptor("multiline", ml.MultiLinePoint(F(-1), 0), 0, F(0), "below")
+    dn = d.descriptor(ml.MultiLinePoint(F(-1), 0), None, F(0), "below")
+    assert dn.coord_index == 0
     assert d.converges(dn, ml.MultiLinePoint(F(0), 0))
     assert d.converges(dn, ml.MultiLinePoint(F(0), 1))
 
 
-# (space, descriptor, target): a base or a target that is not a point of the
-# space, which the descriptor alone would decide as converging
+# (space, base, target): a base or a target that is not a point of the
+# space; a descriptor on that base would decide the target as converging
 OFF_SPACE_CONVERGENCE = [
-    ("doubled", ke.SeqDescriptor("multiline", ml.MultiLinePoint(F(-1), 0), 0, F(0), "below"),
-     ml.MultiLinePoint(F(0), 7)),
-    ("line", ke.SeqDescriptor("multiline", ml.MultiLinePoint(F(-1), 0), 0, F(0), "below"),
-     ml.MultiLinePoint(F(0), 1)),
-    ("line", ke.SeqDescriptor("multiline", ml.MultiLinePoint(F(-1), 1), 0, F(0), "below"),
-     ml.MultiLinePoint(F(0), 0)),
-    ("feather", ke.SeqDescriptor("feather", ml.MultiLinePoint(F(0), 1), 1, F(1), "below"),
-     (F(0), F(1))),
-    ("feather", ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below"),
-     ml.MultiLinePoint(F(0), 1)),
-    ("feather", ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below"),
-     (F(0), F(1), F(1), F(1))),
+    ("doubled", ml.MultiLinePoint(F(-1), 0), ml.MultiLinePoint(F(0), 7)),
+    ("line", ml.MultiLinePoint(F(-1), 0), ml.MultiLinePoint(F(0), 1)),
+    ("line", ml.MultiLinePoint(F(-1), 1), ml.MultiLinePoint(F(0), 0)),
+    ("feather", ml.MultiLinePoint(F(0), 1), (F(0), F(1))),
+    ("feather", (F(0), F(1)), ml.MultiLinePoint(F(0), 1)),
+    ("feather", (F(0), F(1)), (F(0), F(1), F(1), F(1))),
 ]
 
 
-@pytest.mark.parametrize("name,descr,target", OFF_SPACE_CONVERGENCE,
+@pytest.mark.parametrize("name,base,target", OFF_SPACE_CONVERGENCE,
                          ids=["doubled-level-7", "line-level-1", "line-base-level-1",
                               "feather-line-base", "feather-line-target",
                               "feather-invalid-target"])
-def test_converges_rejects_points_not_in_the_space(name, descr, target):
+def test_converges_rejects_points_not_in_the_space(name, base, target):
     space = ke.space_of(name)
+    limit = F(1) if name == "feather" else F(0)
+    if not space.is_point(base):  # the descriptor refuses it, once
+        with pytest.raises(PreconditionError, match="of this space"):
+            space.descriptor(base, None, limit, "below")
+        return
+    descr = space.descriptor(base, None, limit, "below")
     with pytest.raises(PreconditionError, match="of this space"):
         space.converges(descr, target)
-    if space.is_point(descr.base):  # the descriptor still decides the space's points
-        inside = (F(0), F(1)) if name == "feather" else ml.MultiLinePoint(F(0), 0)
-        assert space.converges(descr, inside)
+    # the descriptor still decides the space's points
+    inside = (F(0), F(1)) if name == "feather" else ml.MultiLinePoint(F(0), 0)
+    assert space.converges(descr, inside)
+
+
+# (space, base, index, limit, direction), each malformed and refused by
+# `descriptor`: a bad direction, an index out of range, a limit below the
+# floor (or at it from below), a float limit, an up-level base on a line
+# with finitely many doubled abscissae, and a base of another space
+MALFORMED_DESCRIPTORS = [
+    ("feather", (F(0), F(1)), None, F(1), "sideways"),
+    ("feather", (F(0), F(1)), 2, F(1), "below"),
+    ("feather", (F(0), F(1)), -1, F(1), "below"),
+    ("feather", (F(0), F(1)), None, F(-5), "below"),
+    ("feather", (F(0), F(1)), None, F(0), "below"),
+    ("feather", (F(0), F(1)), None, F(-1, 2), "above"),
+    ("feather", (F(0), F(1)), None, 0.5, "below"),
+    ("two-origins", ml.MultiLinePoint(F(0), 1), None, F(1), "below"),
+    ("doubled", ml.MultiLinePoint(F(0), 0), 1, F(1), "below"),
+    ("doubled", (F(0), F(1)), None, F(1), "below"),
+]
 
 
 def test_malformed_descriptor_rejected():
-    f = ke.FEATHER
-    with pytest.raises(PreconditionError):
-        ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "sideways")
-    bad = ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(-5), "below")
-    with pytest.raises(PreconditionError):
-        f.converges(bad, (F(0), F(1)))
-    mismatched = ke.SeqDescriptor("multiline", ml.MultiLinePoint(F(0), 0), 0,
-                                  F(0), "below")
-    with pytest.raises(PreconditionError):
-        f.converges(mismatched, (F(0),))
+    for name, base, index, limit, direction in MALFORMED_DESCRIPTORS:
+        with pytest.raises(PreconditionError):
+            ke.space_of(name).descriptor(base, index, limit, direction)
+
+
+def test_converges_refuses_another_spaces_descriptor():
+    f, d = ke.FEATHER, ke.space_of("doubled")
+    on_line = d.descriptor(ml.MultiLinePoint(F(0), 0), None, F(0), "below")
+    with pytest.raises(PreconditionError, match="of this space"):
+        f.converges(on_line, (F(0),))
+    on_feather = f.descriptor((F(0), F(1)), None, F(1), "below")
+    with pytest.raises(PreconditionError, match="of this space"):
+        d.converges(on_feather, ml.MultiLinePoint(F(1), 0))
 
 
 @given(feather_points())
@@ -183,7 +206,7 @@ def test_convergence_separation_link(p):
     f = ke.FEATHER
     q = fe.fp_twin(p)
     lower = p if fe.fp_is_strict(p) else q
-    descr = ke.SeqDescriptor("feather", lower, len(lower) - 1, lower[-1], "below")
+    descr = f.descriptor(lower, None, lower[-1], "below")
     assert f.converges(descr, p) and f.converges(descr, q)
     ok, _ = f.separable(p, q)
     assert not ok
@@ -192,18 +215,17 @@ def test_convergence_separation_link(p):
 def test_multiline_descriptor_moves_coordinate_zero_only():
     d = ke.space_of("doubled")
     base = ml.MultiLinePoint(F(0), 0)
-    assert d.converges(ke.SeqDescriptor("multiline", base, 0, F(1), "below"),
-                       ml.MultiLinePoint(F(1), 1))
+    assert d.converges(d.descriptor(base, 0, F(1), "below"), ml.MultiLinePoint(F(1), 1))
     for index in (3, 1, -1):
         with pytest.raises(PreconditionError):
-            d.converges(ke.SeqDescriptor("multiline", base, index, F(1), "below"),
-                        ml.MultiLinePoint(F(1), 1))
+            d.descriptor(base, index, F(1), "below")
 
 
 def test_descriptor_terms_are_valid_points():
-    descr = ke.SeqDescriptor("feather", (F(0), F(1)), 1, F(1), "below")
+    f = ke.FEATHER
+    descr = f.descriptor((F(0), F(1)), None, F(1), "below")
     for m in range(2, 8):
-        fe.fp_validate(descr.term(m))
+        fe.fp_validate(f.term(descr, m))
 
 
 # ---------------------------------------------------------------------------

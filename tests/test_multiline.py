@@ -34,6 +34,16 @@ def waves(draw, spec=ml.DOUBLED):
 # Waves.
 
 
+@pytest.mark.parametrize("spec,everywhere,finite", [
+    (ml.LINE, False, ()), (ml.DOUBLED, True, None), (ml.TRIPLED, True, None),
+    (ml.TWO_ORIGINS, False, (F(0),))], ids=["line", "doubled", "tripled", "two-origins"])
+def test_spec_is_doubled_everywhere_or_at_finitely_many(spec, everywhere, finite):
+    # the line (k = 1) has doubling "all" too, and no upper level anywhere
+    assert (spec.everywhere, spec.finite) == (everywhere, finite)
+    for x in (F(0), F(1, 2)):
+        assert spec.is_doubled(x) == (everywhere or x in finite)
+
+
 def test_wave_membership():
     w = ml.Wave(ml.DOUBLED, IntervalSet.of((-1, 1)), ((F(0), 1),))
     assert w.contains(ml.MultiLinePoint(F(1, 2), 0))
@@ -101,10 +111,13 @@ def test_exchange():
 @given(points(ml.TRIPLED), rationals)
 def test_generators_are_wave_bijections(p, s):
     spec = ml.TRIPLED
-    gens = [ml.TranslateGen(s), ml.ReflectGen(s), ml.ExchangeGen(s, (0, 2))]
     w = ml.Wave(spec, IntervalSet.of((s - 1, s + 1)), ((s, 1),))
-    for g in gens:
-        gw = g.apply_wave(w)
+    # each generator with the image of w, built here: the reflection about s
+    # and the exchange of levels 0 and 2 at s (w lifts s to 1) fix w
+    images = [(ml.TranslateGen(s), ml.Wave(spec, IntervalSet.of((2 * s - 1, 2 * s + 1)),
+                                           ((2 * s, 1),))),
+              (ml.ReflectGen(s), w), (ml.ExchangeGen(s, (0, 2)), w)]
+    for g, gw in images:
         assert gw.contains(g.apply(p)) == w.contains(p)
     for g in (ml.ReflectGen(s), ml.ExchangeGen(s, (0, 2))):
         assert g.apply(g.apply(p)) == p
