@@ -14,23 +14,29 @@ chart probed many times is decomposed once.  Whether two arm unions meet is
 decided by `arms_meet`, which stops at the first overlapping pair and builds
 no meet.
 
-Validation contract.  A point is checked by `fp_validate` once, where it
-enters: `parse_point`, the `FeatherInterval`, `FlipGen` and `StraightenGen`
-constructors, and the public operations `flip_apply`, `replay`,
-`normalize_to_line`, `fp_move`, `fp_chart`, `homotopy_eval` and
-`SkeletonHandle.contains`.  Internal transforms trust tuples that are already
-valid: a generator's `apply` takes a valid point, a flip glues a prefix of its
-pivot to a tail of the point and checks only that seam, and a translation
-preserves the order.  A `StraightenGen` validates its point once, since a
-truncation of a valid point is valid, and its `apply` runs the flips at the
-truncations in one pass, O(len(s) + len(p)).  Each flip keeps the two cases of
-`_flip`, in their order, and its seam check, which compares only the two
-coordinates that meet at the seam; which case holds is read off a
-common-prefix length (or, for the inverse, a running flag) in O(1), and the
-image is built once.  `fp_chart` builds its interval with
-`FeatherInterval.trusted`, since both endpoints come from the checked centre
-and the clamped radius keeps them valid and ordered; the radius is checked and
-clamped with exact comparisons.
+Validation contract.  A point is checked once, where it is made, and the
+check is its type: `fp_validate` is the only maker of a `FeatherPoint`, a tuple
+of Fractions that holds a valid point.  `fp_validate` checks anything else in
+full and returns a `FeatherPoint` passed back in at once, and
+`FeatherPoint(seq)` runs the same check, so no point of that type is unchecked.
+`parse_point` returns one, as do the `FeatherInterval`, `FlipGen` and
+`StraightenGen` constructors for the points they store; the public operations
+`flip_apply`, `replay`, `normalize_to_line`, `fp_move`, `fp_chart`,
+`homotopy_eval` and `SkeletonHandle.contains` pass their points through
+`fp_validate`, which costs O(1) for a checked point and a full check for any
+other tuple.  A slice or sum of a point is a plain tuple again.  Internal
+transforms trust tuples that are already valid: a generator's `apply` takes a
+valid point, a flip glues a prefix of its pivot to a tail of the point and
+checks only that seam, and a translation preserves the order.  A
+`StraightenGen` validates its point once, since a truncation of a valid point
+is valid, and its `apply` runs the flips at the truncations in one pass,
+O(len(s) + len(p)).  Each flip keeps the two cases of `_flip`, in their order,
+and its seam check, which compares only the two coordinates that meet at the
+seam; which case holds is read off a common-prefix length (or, for the
+inverse, a running flag) in O(1), and the image is built once.  `fp_chart`
+builds its interval with `FeatherInterval.trusted`, since both endpoints come
+from the checked centre and the clamped radius keeps them valid and ordered;
+the radius is checked and clamped with exact comparisons.
 
 Exact comparisons.  Every coordinate comparison goes through `rationals`,
 never a `Fraction` operator: arm ends and chart radii by `lt` and `eq` (`_min`
@@ -45,10 +51,6 @@ from functools import cmp_to_key
 
 from .rationals import PreconditionError, Value, check_rational, eq, fmt_ext, lt, same
 
-# A feather point is a plain tuple of Fractions, validated by fp_validate and
-# printed by fp_str.
-
-
 def _coords(p) -> str:
     return ",".join(map(fmt_ext, p))
 
@@ -58,28 +60,39 @@ def fp_str(p: tuple) -> str:
     return "F(%s)" % _coords(p)
 
 
-def fp_validate(seq) -> tuple:
-    """Check the increasing-then-slack constraint and return the point.
-    A tuple of exact Fractions is checked as it is; anything else is
-    coerced first."""
+class FeatherPoint(tuple):
+    """A feather point that `fp_validate` has checked: a tuple of Fractions,
+    equal to and hashed as the plain tuple.  Building one runs the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, seq):
+        return fp_validate(seq)
+
+
+def fp_ordered(seq) -> bool:
+    """Whether a tuple of rationals is a feather point: nonempty, strictly
+    increasing before the last step, which does not fall."""
+    n = len(seq)
+    return n > 0 and all(map(lt, seq[:-2], seq[1:-1])) and (n == 1 or not lt(seq[-1], seq[-2]))
+
+
+def fp_validate(seq) -> FeatherPoint:
+    """The point `seq` as a `FeatherPoint`: one passed in comes back as it
+    is; anything else is checked in full, after its coordinates are coerced
+    to Fractions unless they all are."""
+    if seq.__class__ is FeatherPoint:
+        return seq
     if type(seq) is not tuple or set(map(type, seq)) != {Fraction}:
         seq = tuple(Fraction(x) for x in seq)
     if not seq:
         raise PreconditionError("feather point must be nonempty")
-    if not all(map(lt, seq[:-2], seq[1:-1])):
+    if not fp_ordered(seq):
+        if all(map(lt, seq[:-2], seq[1:-1])):
+            raise PreconditionError("last step must be non-decreasing: %s" % fp_str(seq))
         raise PreconditionError("coordinates must be strictly increasing before the last step: %s"
                                 % fp_str(seq))
-    if len(seq) >= 2 and lt(seq[-1], seq[-2]):
-        raise PreconditionError("last step must be non-decreasing: %s" % fp_str(seq))
-    return seq
-
-
-def fp_is_valid(seq) -> bool:
-    try:
-        fp_validate(seq)
-        return True
-    except PreconditionError:
-        return False
+    return tuple.__new__(FeatherPoint, seq)
 
 
 def fp_less(p: tuple, q: tuple) -> bool:
@@ -614,7 +627,7 @@ class SkeletonHandle(Value):
         (p, fp_twin(p)) with the partner already inside."""
         if self.contains(p):
             raise PreconditionError("point already inside handle")
-        partner = fp_twin(p)
+        partner = fp_validate(fp_twin(p))
         if not self.contains(partner):
             raise AssertionError("twin partner %s outside the handle" % (partner,))
         return (p, partner)

@@ -195,7 +195,7 @@ class Space:
 
 class FeatherSpace(Space):
     tag = "feather"
-    point_kind = ((tuple,), "feather point")
+    point_kind = ((fe.FeatherPoint,), "feather point")
     basic_kind = ((fe.Chart, fe.FeatherInterval, fe.SkeletonHandle), "feather basic")
     generators = (fe.FlipGen, fe.StraightenGen, fe.FeatherTranslateGen)
 
@@ -214,7 +214,10 @@ class FeatherSpace(Space):
         return fe.fp_chart(p, eps)
 
     def is_point(self, x) -> bool:
-        return type(x) is tuple and set(map(type, x)) <= _RATIONAL and fe.fp_is_valid(x)
+        # a full check for a plain tuple and a FeatherPoint alike: the
+        # certificate walk holds a payload to the space, whatever its class
+        return ((x.__class__ is tuple or x.__class__ is fe.FeatherPoint)
+                and set(map(type, x)) <= _RATIONAL and fe.fp_ordered(x))
 
     def chart_form(self, p) -> ChartForm:
         a = p[-1]
@@ -234,8 +237,10 @@ class FeatherSpace(Space):
 
     def separable(self, p, q):
         # a twin q equals fp_twin(p), which is built from p's own coordinate
-        # objects, so the refuter's prefix tests on it settle by identity
-        return _separate(self, p, q, self._separating_charts, fe.fp_twin)
+        # objects, so the refuter's prefix tests on it settle by identity; it
+        # is checked once, here, not by each of its four charts
+        return _separate(self, p, q, self._separating_charts,
+                         lambda p: fe.fp_validate(fe.fp_twin(p)))
 
     def _separating_charts(self, p, q):
         # distinct coordinates differ by at least 1/(den_a*den_b), so this
@@ -294,6 +299,7 @@ class FeatherSpace(Space):
     def union_twin_pair(self, basics, extra_points=()):
         """A non-separable pair in the union of `basics` (skeleton handles
         allowed) and `extra_points`, or None."""
+        extra_points = [fe.fp_validate(w) for w in extra_points]
         arms = []
         handles = []
         for b in basics:
@@ -329,12 +335,14 @@ class FeatherSpace(Space):
         return True
 
     def maximal_hausdorff(self, x):
+        x = fe.fp_validate(x)
         handle = fe.skeleton_through(x)
-        candidates = [fe.fp_twin(x)]
+        # each candidate is checked once, here; the handle's tests reuse the check
+        candidates = [fe.fp_validate(fe.fp_twin(x))]
         for shift in (1, -1):
             c = x[0] + shift
             tw = (c, c)
-            candidates.append(handle.flip.apply(tw) if handle.flip else tw)
+            candidates.append(fe.fp_validate(handle.flip.apply(tw) if handle.flip else tw))
         return handle, [handle.adjoin_witness(w) for w in candidates if not handle.contains(w)]
 
     def cover_admits(self, b) -> bool:
@@ -357,8 +365,8 @@ class FeatherSpace(Space):
         avoid = set(q[-1:])  # skip the branch point: keep the pick strict
         for _ in range(64):
             r = pick_rational_in(arm.lo, arm.hi, avoid)
-            p = q + (r,)
-            if fe.fp_is_valid(p) and fe.fp_is_strict(p) and all(h.contains(p) for h in members):
+            p = fe.fp_validate(q + (r,))  # r lies above q[-1], the arm's floor
+            if fe.fp_is_strict(p) and all(h.contains(p) for h in members):
                 return p
             avoid.add(r)
         raise AssertionError("no skeleton point found in probe")
@@ -803,9 +811,10 @@ def _non_separable_at_every_scale(space, p, q) -> bool:
 
 
 def _equal(a, b) -> bool:
-    """`a == b` for two points or two chart keys; plain tuples (feather
-    points and prefixes) are compared by `rationals.same`."""
-    if a.__class__ is tuple and b.__class__ is tuple:
+    """`a == b` for two points or two chart keys; tuples (feather points,
+    checked or not, and prefixes) are compared by `rationals.same`."""
+    ca, cb = a.__class__, b.__class__
+    if (ca is tuple or ca is fe.FeatherPoint) and (cb is tuple or cb is fe.FeatherPoint):
         return same(a, b)
     return a == b
 

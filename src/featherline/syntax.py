@@ -14,9 +14,10 @@ the golden files.
     branch basics    BI[(0,2)@L]
 
 Every value type prints itself in this syntax with `str`, except the feather
-point, which is a bare tuple of Fractions printed by `feather.fp_str`.
+point, a tuple of Fractions printed by `feather.fp_str`.
 `jsonable` renders a report by one lookup on the exact type of each value.
-A bare tuple of Fractions is a feather point; any other sequence of
+A feather point is a `feather.FeatherPoint`, or a plain tuple of Fractions
+that the engine derived from one; both print alike.  Any other sequence of
 rationals in a report must be a list, and renders as a list of rationals.
 """
 
@@ -35,7 +36,7 @@ from .rationals import ParseError, fmt_ext, parse_ext, parse_int, parse_rat
 
 def fmt_point(p) -> str:
     t = type(p)
-    if t is tuple:
+    if t is tuple or t is fe.FeatherPoint:
         return fe.fp_str(p)
     if t is int:
         return "N(%d)" % p
@@ -59,6 +60,7 @@ _ENCODERS = {
     dict: lambda d: {k if type(k) is str else jsonable(k): jsonable(v) for k, v in d.items()},
     list: lambda s: [jsonable(v) for v in s],
     tuple: _tuple,
+    fe.FeatherPoint: fe.fp_str,
     frozenset: lambda s: sorted(map(jsonable, s), key=str),
     Fraction: fmt_ext,
     float: fmt_ext,

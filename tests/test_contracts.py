@@ -10,6 +10,7 @@ loads no dataclass or typing machinery."""
 
 import ast
 import pathlib
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,7 +27,7 @@ from featherline import separation as sp
 from featherline import syntax
 from featherline.intervals import (CofiniteSet, FinSet, IntervalSet, iset_meet, iset_meets,
                                    iset_remove_points)
-from featherline.rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
+from featherline.rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext, same
 
 F = Fraction
 
@@ -207,6 +208,7 @@ def test_an_operation_a_space_lacks_raises_and_an_unknown_name_is_missing():
 # generator a field of the wrong shape.
 
 BAD = (F(0), F(0), F(0))
+FALLING = (F(1), F(0))  # its twin (1,) and the flip through it are valid
 GOOD = (F(0), F(1))
 PIVOT = (F(0), F(1), F(2))
 
@@ -230,6 +232,16 @@ PUBLIC_ENTRIES = {
     "homotopy_eval": lambda: fe.homotopy_eval(F(1, 2), BAD),
     "SkeletonHandle.contains": lambda: fe.strict_skeleton().contains(BAD),
     "SkeletonHandle.contains-flipped": lambda: fe.SkeletonHandle(fe.FlipGen(PIVOT)).contains(BAD),
+    "FEATHER.canonical_neighborhood": lambda: ke.FEATHER.canonical_neighborhood(BAD, F(1)),
+    "FEATHER.separable-p": lambda: ke.FEATHER.separable(BAD, GOOD),
+    "FEATHER.separable-q": lambda: ke.FEATHER.separable(GOOD, BAD),
+    "FEATHER.maximal_hausdorff": lambda: ke.FEATHER.maximal_hausdorff(BAD),
+    "FEATHER.maximal_hausdorff-falling": lambda: ke.FEATHER.maximal_hausdorff(FALLING),
+    "FEATHER.replay": lambda: ke.FEATHER.replay((fe.FlipGen(PIVOT),), BAD),
+    "maximal_hausdorff_at": lambda: sp.maximal_hausdorff_at(ke.FEATHER, BAD),
+    "maximal_hausdorff_at-falling": lambda: sp.maximal_hausdorff_at(ke.FEATHER, FALLING),
+    "hausdorff_open-extra": lambda: sp.hausdorff_open(ke.FEATHER, [fe.fp_chart(GOOD, 1)],
+                                                      [FALLING]),
     "FeatherTranslateGen-text": lambda: fe.FeatherTranslateGen("x"),
     "ExchangeGen-one-level": lambda: ml.ExchangeGen(F(0), (1,)),
     "TranslateGen-text": lambda: ml.TranslateGen("x"),
@@ -256,16 +268,20 @@ def _reference_is_valid(seq):
        st.sampled_from([tuple, list]))
 def test_fp_validate_matches_reference(coords, container):
     seq = container(coords)
-    assert fe.fp_is_valid(seq) == _reference_is_valid(seq)
-    if _reference_is_valid(seq):
+    valid = _reference_is_valid(seq)
+    assert fe.fp_ordered(tuple(coords)) == valid
+    if valid:
         assert fe.fp_validate(seq) == tuple(Fraction(x) for x in coords)
+    else:
+        with pytest.raises(PreconditionError):
+            fe.fp_validate(seq)
 
 
 def test_constructors_store_the_validated_point():
     gen = fe.FlipGen([0, 1])
     itv = fe.FeatherInterval([0], [1])
     for point in (gen.pivot, itv.lower, itv.upper):
-        assert type(point) is tuple and all(type(x) is Fraction for x in point)
+        assert type(point) is fe.FeatherPoint and all(type(x) is Fraction for x in point)
     assert gen == fe.FlipGen((F(0), F(1)))
     assert hash(itv) == hash(fe.FeatherInterval((F(0),), (F(1),)))
 
@@ -321,8 +337,9 @@ def test_move_and_replay_validate_linearly(monkeypatch, n):
     calls = _count_validations(monkeypatch)
     word = fe.fp_move(p, q)
     assert fe.replay(word, p) == q
-    # one check per straighten generator (p's, q's and q's inverse) and one
-    # for replay's input; the flips check nothing
+    # one call per straighten generator (p's, q's and q's inverse, which gets
+    # the checked point q's generator stored) and one for replay's input;
+    # the flips check nothing
     assert calls == [len(p), len(q), len(q), len(p)]
 
 
@@ -431,6 +448,117 @@ def test_a_chart_validates_its_centre_once(monkeypatch, p):
     calls = _count_validations(monkeypatch)
     fe.fp_chart(p, F(5))
     assert calls == [len(p)]
+
+
+# ---------------------------------------------------------------------------
+# A checked point is a `FeatherPoint`: checked in full once, where it is
+# made, and O(1) at every later use.
+
+
+@given(feather_points())
+def test_a_checked_point_behaves_as_its_plain_tuple(p):
+    checked = fe.fp_validate(p)
+    assert type(p) is tuple and type(checked) is fe.FeatherPoint
+    assert fe.fp_validate(checked) is checked and fe.FeatherPoint(checked) is checked
+    assert checked == p and p == checked and hash(checked) == hash(p)
+    assert same(checked, p) and same(p, checked)
+    assert ke.FEATHER.is_point(checked) and ke.FEATHER.is_point(p)
+    assert syntax.fmt_point(checked) == syntax.fmt_point(p) == fe.fp_str(p)
+    assert syntax.jsonable(checked) == syntax.jsonable(p)
+    assert syntax.jsonable({"p": checked, "pair": (checked, p)}) == \
+        syntax.jsonable({"p": p, "pair": (p, p)})
+    assert type(checked[:-1]) is tuple and type(checked + p) is tuple
+    assert pickle.loads(pickle.dumps(checked)) == checked
+    assert type(pickle.loads(pickle.dumps(checked))) is fe.FeatherPoint
+
+
+@given(st.lists(st.one_of(rationals, st.integers(-3, 3)), max_size=6),
+       st.sampled_from([tuple, list]))
+def test_building_a_feather_point_runs_the_check(coords, container):
+    if _reference_is_valid(coords):
+        point = fe.FeatherPoint(container(coords))
+        assert type(point) is fe.FeatherPoint and point == tuple(map(Fraction, coords))
+    else:
+        with pytest.raises(PreconditionError):
+            fe.FeatherPoint(container(coords))
+
+
+def _count_full_checks(monkeypatch):
+    """The points `fp_validate` checks in full: those not yet a FeatherPoint."""
+    full = []
+    original = fe.fp_validate
+
+    def counting(seq):
+        if seq.__class__ is not fe.FeatherPoint:
+            full.append(seq)
+        return original(seq)
+
+    monkeypatch.setattr(fe, "fp_validate", counting)
+    return full
+
+
+SEPARABLE_PAIRS = [("F(0,1)", "F(0,1,1)"), ("F(0,1,1)", "F(0,1)"), ("F(0)", "F(0,0)"),
+                   ("F(0,1)", "F(0,2)"), ("F(0,1,2)", "F(0,1,1)"), ("F(5)", "F(0,1,2,3,3)")]
+
+
+@pytest.mark.parametrize("p,q", SEPARABLE_PAIRS)
+def test_separable_checks_only_the_twin_it_builds(monkeypatch, p, q):
+    p, q = ke.FEATHER.parse_point(p), ke.FEATHER.parse_point(q)
+    full = _count_full_checks(monkeypatch)
+    sep, _ = ke.FEATHER.separable(p, q)
+    # a twin pair's refuter probes fp_twin(p), checked once for its 4 charts
+    assert len(full) == (0 if sep else 1)
+
+
+@pytest.mark.parametrize("x", ["F(0)", "F(0,1)", "F(0,1,1)", "F(0,1,2,2)"])
+def test_maximal_hausdorff_checks_each_point_it_builds_once(monkeypatch, x):
+    x = ke.FEATHER.parse_point(x)
+    full = _count_full_checks(monkeypatch)
+    handle, samples = ke.FEATHER.maximal_hausdorff(x)
+    # three candidates, each sample's partner, and the pivot of the flip
+    # that conjugates the skeleton through an upper twin
+    assert len(full) == 3 + len(samples) + (handle.flip is not None)
+
+
+def _feather_certificates():
+    """Certificates the engine builds from checked (parsed) points, one or
+    more of each kind the feather issues."""
+    pt = ke.FEATHER.parse_point
+    p, twin, far, upper = pt("F(0,1)"), pt("F(0,1,1)"), pt("F(2,5/2)"), pt("F(0,1,2,2)")
+    word = fe.fp_move(p, upper)
+    chart = fe.fp_chart(p, F(1, 2))
+    members = [fe.strict_skeleton(), fe.skeleton_through(upper)]
+    return [ke.FEATHER.separable(p, twin)[1], ke.FEATHER.separable(p, far)[1],
+            sp.maximal_hausdorff_at(ke.FEATHER, p)[1],
+            sp.maximal_hausdorff_at(ke.FEATHER, upper)[1],
+            cert.homeo_word(word, p, fe.replay(word, p)),
+            cert.covered((p,), ke.FEATHER.meet(chart, fe.fp_chart(p, F(1, 4)))),
+            sp.subcover_attempt(ke.FEATHER, ke.FEATHER.cover_admits, [chart])[1],
+            sp.baire_intersect(ke.FEATHER, members, chart)[1],
+            sp.hausdorff_open(ke.FEATHER, [chart], [far])[1]]
+
+
+_POINTS_IN = {"point": lambda x: 1, "points": len, "point set": len, "index map": len,
+              "point pairs": lambda x: 2 * len(x)}
+
+
+def _payload_points(c) -> int:
+    return sum(_POINTS_IN[shape](c.payload[f]) for f, shape in cert.SCHEMA[c.kind]
+               if shape in _POINTS_IN)
+
+
+@pytest.mark.parametrize("index", range(len(_feather_certificates())))
+def test_verifying_checks_each_payload_point_once_in_the_walk(monkeypatch, index):
+    c = _feather_certificates()[index]
+    full = _count_full_checks(monkeypatch)
+    ordered = []
+    original = fe.fp_ordered
+    monkeypatch.setattr(fe, "fp_ordered", lambda seq: ordered.append(seq) or original(seq))
+    assert ke.verify_certificate(ke.FEATHER, c) is True, c.kind
+    # the walk checks every payload point in full, checked or not; nothing
+    # after it checks a point again
+    assert full == [], c.kind
+    assert len(ordered) == _payload_points(c) > 0, c.kind
 
 
 # ---------------------------------------------------------------------------
