@@ -227,8 +227,8 @@ def demo_branching_line():
 @_demo("feather-homogeneity", "complete-feather", "flip-homeomorphisms", "homogeneity")
 def demo_feather_homogeneity():
     space = ke.FEATHER
-    p = (Fraction(0), Fraction(1), Fraction(3))
-    q = (Fraction(2), Fraction(5))
+    p = fe.FeatherPoint((0, 1, 3))
+    q = fe.FeatherPoint((2, 5))
     word_n, straightened = fe.normalize_to_line(p)
     cn = cert.homeo_word(word_n, p, straightened)
     word = fe.fp_move(p, q)

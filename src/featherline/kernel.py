@@ -15,9 +15,10 @@ class defines:
                          chart_form common_point non_separable_pair separable
     all but branch       dense
     feather, multiline   descriptor term converges move replay union_twin_pair
-                         basic_subset maximal_hausdorff cover_admits
-                         cover_member uncovered_point default_subfamily
-                         baire_point chart_sample pipeline_sample
+                         basic_subset maximal_hausdorff is_maximal_hausdorff
+                         cover_admits cover_member uncovered_point
+                         default_subfamily baire_point chart_sample
+                         pipeline_sample
     feather only         homotopy density_witness
     multiline only       chain connected cover_probes covered_by
 
@@ -72,6 +73,22 @@ the refuter and without the producer's `non_separable_pair`:
     the space: a point of the right type but not of the space, such as
     D(1 @1) on the line with two origins, is rejected.
 The producer's cross-check in `separable` keeps the 4-scale refuter.
+A `maximal-hausdorff` certificate claims a maximal Hausdorff dense open
+through x.  The verifier reads maximality off the handle's form in O(1)
+(`is_maximal_hausdorff`), without the producer's `union_twin_pair` and
+`dense`:
+  - on the line family a wave holds at most one point over each abscissa,
+    so every wave is Hausdorff; a wave of the space's spec is maximal
+    exactly when it holds a point over every abscissa, that is, when its
+    open set is the whole line, and it is then dense, as its down
+    projection misses only its finitely many lifted abscissae;
+  - on the feather the handle must be a `SkeletonHandle`: the strict
+    skeleton, maximal, dense and Hausdorff, or its image under a flip, a
+    homeomorphism, which is all three too; a chart or interval is not;
+  - the branching line and the cofinite naturals have no such handle, and
+    the stub's `PreconditionError` is a rejection.
+Each adjoin sample is still checked: the outside point is not in the
+handle, the partner is, and the pair is non-separable at every scale.
 A `homeo-word` certificate claims a homeomorphism of this space.  Before it
 replays the word, the verifier asks whether each generator maps the space
 onto itself, reading the rule off the spec, not `ml_move`: a translation or
@@ -334,6 +351,12 @@ class FeatherSpace(Space):
                 return False
         return True
 
+    def is_maximal_hausdorff(self, b) -> bool:
+        # the strict skeleton, or its conjugate by a flip (a homeomorphism):
+        # maximal, dense and Hausdorff; the walk checks only the handle's type
+        return b.__class__ is fe.SkeletonHandle and (b.flip is None
+                                                     or b.flip.__class__ is fe.FlipGen)
+
     def maximal_hausdorff(self, x):
         x = fe.fp_validate(x)
         handle = fe.skeleton_through(x)
@@ -372,12 +395,12 @@ class FeatherSpace(Space):
         raise AssertionError("no skeleton point found in probe")
 
     def chart_sample(self):
-        p = (Fraction(0), Fraction(1))
-        return p, fe.fp_chart(p, Fraction(1)), fe.fp_chart((Fraction(0),), Fraction(1))
+        p = fe.FeatherPoint((0, 1))
+        return p, fe.fp_chart(p, Fraction(1)), fe.fp_chart(fe.FeatherPoint((0,)), Fraction(1))
 
     def pipeline_sample(self):
-        return ([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(2))],
-                [(Fraction(5),), (Fraction(6), Fraction(7))])
+        return ([fe.FeatherPoint((0, 0)), fe.FeatherPoint((1, 2))],
+                [fe.FeatherPoint((5,)), fe.FeatherPoint((6, 7))])
 
 
 class MultiLineSpace(Space):
@@ -487,6 +510,11 @@ class MultiLineSpace(Space):
             y = x.x + 1
             samples.append((ml.MultiLinePoint(y, 1), ml.MultiLinePoint(y, 0)))
         return handle, samples
+
+    def is_maximal_hausdorff(self, w) -> bool:
+        # a wave of this spec holds at most one point over each abscissa; it
+        # is maximal when it holds one over every abscissa
+        return (w.spec is self.spec or w.spec == self.spec) and iset_covers_line(w.parts)
 
     def cover_admits(self, b) -> bool:
         """Whether `b` is in the canonical cover: the waves of this spec over
@@ -921,8 +949,7 @@ def _verify_compact(space, pl) -> bool:
 
 def _verify_maximal(space, pl) -> bool:
     handle = pl["handle"]
-    if (not space.member(pl["x"], handle) or space.union_twin_pair([handle]) is not None
-            or not space.dense([handle])):
+    if not space.is_maximal_hausdorff(handle) or not space.member(pl["x"], handle):
         return False
     return all(not space.member(outside, handle) and space.member(partner, handle)
                and _non_separable_at_every_scale(space, outside, partner)

@@ -2,12 +2,17 @@
 affine chart forms: the forms are the real charts, the uniform check agrees
 with the paper's characterization, it makes no refuter call, and it rejects
 pairs that separate only below the refuter's scales and points that are not
-points of the space."""
+points of the space.  It reads maximality off a maximal Hausdorff handle,
+and the space operations it calls are a declared list."""
 
+import ast
 import collections
 import contextlib
+import importlib.util
+import inspect
 import io
 import itertools
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -23,6 +28,7 @@ from featherline.intervals import CofiniteSet, IntervalSet
 from featherline.rationals import NEG_INF, POS_INF
 
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MULTILINE = ("line", "doubled", "tripled", "two-origins")
 rationals = st.fractions(min_value=-10, max_value=10)
@@ -544,3 +550,213 @@ def test_the_generator_rule_agrees_with_images_of_points(name, gen, xs):
     points = [p for p in points if space.is_point(p)]
     brute = all(space.is_point(g.apply(p)) for p in points for g in (gen, _inverse(gen)))
     assert ke._maps_onto_itself(spec, gen) is brute
+
+
+# ---------------------------------------------------------------------------
+# Maximal Hausdorff handles: maximality is read off the handle, and the
+# producer's `union_twin_pair` and `dense` take no part.
+
+
+# (space, x, handle): x lies in the handle, no adjoin sample fails, but the
+# handle is not maximal
+NOT_MAXIMAL = [
+    ("line", "D(1)", "W[(-inf,0)u(0,inf)-{}]"),  # R - {0}, inside the Hausdorff R
+    ("doubled", "D(0 @1)", "W[(-inf,5)u(5,inf)-{0^1}]"),
+]
+
+
+@pytest.mark.parametrize("name,x,handle", NOT_MAXIMAL)
+def test_a_handle_that_is_not_maximal_is_rejected(name, x, handle):
+    space = ke.space_of(name)
+    x, handle = space.parse_point(x), space.parse_basic(handle)
+    assert space.member(x, handle) and not space.is_maximal_hausdorff(handle)
+    assert ke.verify_certificate(space, cert.maximal_hausdorff(x, handle, ())) is False
+
+
+def test_a_feather_chart_or_interval_handle_is_rejected():
+    x = fe.fp_validate((F(0), F(1)))
+    handle, samples = ke.FEATHER.maximal_hausdorff(x)
+    assert ke.verify_certificate(ke.FEATHER, cert.maximal_hausdorff(x, handle, tuple(samples)))
+    for basic in (fe.fp_chart(x, F(1)), fe.fp_chart(x, F(1, 8)),
+                  ke.FEATHER.parse_basic("FI[(0,0);(0,5)]")):
+        assert ke.FEATHER.member(x, basic)
+        for adjoin in ((), tuple(samples)):
+            c = cert.maximal_hausdorff(x, basic, adjoin)
+            assert ke.verify_certificate(ke.FEATHER, c) is False, (basic, adjoin)
+
+
+def test_a_skeleton_handle_whose_flip_is_not_a_flip_is_rejected_not_raised_on():
+    # the schema walk checks only the handle's type; a handle holds no flip
+    # or a FlipGen, and anything else in its place used to raise or verify
+    x = fe.fp_validate((F(0), F(1), F(1)))
+    handle, samples = ke.FEATHER.maximal_hausdorff(x)
+    assert handle.flip is not None
+    for flip in (fe.StraightenGen(handle.flip.pivot), "flip", ml.TranslateGen(F(1))):
+        c = cert.maximal_hausdorff(x, fe.SkeletonHandle(flip), tuple(samples))
+        assert ke.verify_certificate(ke.FEATHER, c) is False, flip
+
+
+def test_a_wave_of_another_spec_is_rejected():
+    # lifting 0 to level 1 on the doubled line; read on the line, it is R - {0}
+    wave = ke.space_of("doubled").parse_basic("W[(-inf,inf)-{0^1}]")
+    line = ke.space_of("line")
+    x = ml.MultiLinePoint(F(1), 0)
+    assert line.member(x, wave) and not line.is_maximal_hausdorff(wave)
+    assert ke.verify_certificate(line, cert.maximal_hausdorff(x, wave, ())) is False
+
+
+@pytest.mark.parametrize("name,x,handle", [("branch", "B(0,L)", "BI[(-1,1)@L]"),
+                                           ("cofinite", "N(0)", "cofinite-excl{}")])
+def test_a_maximal_payload_on_a_space_without_maximal_handles_is_rejected(name, x, handle):
+    space = ke.space_of(name)
+    x, handle = space.parse_point(x), space.parse_basic(handle)
+    with pytest.raises(ke.PreconditionError, match="is_maximal_hausdorff is not implemented"):
+        space.is_maximal_hausdorff(handle)
+    assert ke.verify_certificate(space, cert.maximal_hausdorff(x, handle, ())) is False
+
+
+def _bench_pool(workload, seed):
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [op for rnd in gen.pool(workload, seed) for op in rnd]
+
+
+def _maximal_points():
+    """(space, point) pairs the engine builds maximal handles at: the
+    lemma-zorn demo's, every pipeline sample, and the seeded wave-wide
+    pipeline samples and feather-deep maximal points."""
+    pairs = [(ke.space_of(name), ke.space_of(name).parse_point(p))
+             for name, p in [("doubled", "D(0 @1)"), ("feather", "F(0,0)"),
+                             ("two-origins", "D(0 @0)")]]
+    for name in ("feather",) + MULTILINE:
+        space = ke.space_of(name)
+        pairs += [(space, p) for p in space.pipeline_sample()[0]]
+    for op in _bench_pool("wave-wide", 7):
+        if op["kind"] == "pipeline":
+            space = ke.space_of(op["space"])
+            pairs += [(space, space.parse_point(p)) for p in op["samples"]]
+    pairs += [(ke.FEATHER, ke.FEATHER.parse_point(op["x"]))
+              for op in _bench_pool("feather-deep", 7) if op["kind"] == "maximal"]
+    return pairs
+
+
+def test_engine_maximal_certificates_verify_without_twin_scan_or_density(monkeypatch):
+    def raising(self, *args):
+        raise RuntimeError("the verifier called %s" % type(self).__name__)
+    for cls in (ke.Space, *ke.Space.__subclasses__()):
+        monkeypatch.setattr(cls, "union_twin_pair", raising)
+        monkeypatch.setattr(cls, "dense", raising)
+    pairs = _maximal_points()
+    assert len(pairs) > 100 and {s.tag for s, _ in pairs} == {"feather", "multiline"}
+    for space, x in pairs:
+        handle, c = sp.maximal_hausdorff_at(space, x)
+        assert space.is_maximal_hausdorff(handle)
+        assert ke.verify_certificate(space, c) is True, (space.tag, x)
+
+
+# The line family by cells: a wave's open set and lifts are finitely many
+# rational ends, so its points over every abscissa are known from the
+# counts at the ends, the lifted abscissae, a midpoint between each pair of
+# neighbours and one point beyond each extreme.
+
+
+def _points_over(wave, x) -> int:
+    lifted = {a for a, _ in wave.lift}
+    down = any(lo < x < hi for lo, hi in wave.parts.intervals) and x not in lifted
+    return int(down) + int(x in lifted)
+
+
+def _test_abscissae(wave) -> list:
+    ends = sorted({e for iv in wave.parts.intervals for e in iv if type(e) is Fraction}
+                  | {a for a, _ in wave.lift})
+    if not ends:
+        return [F(0)]
+    return ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])] + [ends[0] - 1, ends[-1] + 1]
+
+
+def _oracle_maximal(wave) -> bool:
+    """Whether the wave holds one point over every abscissa, read off the
+    counts at its test abscissae; it never holds two (it is Hausdorff)."""
+    counts = [_points_over(wave, x) for x in _test_abscissae(wave)]
+    assert max(counts) <= 1
+    return min(counts) == 1
+
+
+ends = st.one_of(st.sampled_from([NEG_INF, POS_INF, F(0)]), rationals)
+
+
+@st.composite
+def line_waves(draw, name):
+    """A wave of the named space from random rational parts, often two rays
+    that overlap, touch or leave a gap, and random legal lifts."""
+    space = ke.space_of(name)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3))
+    if draw(st.booleans()):
+        a = draw(rationals)
+        pairs += [(NEG_INF, a), (a + draw(st.sampled_from([F(-1), F(0), F(1, 3)])), POS_INF)]
+    parts = IntervalSet.of(*pairs)
+    lift = {}
+    for x in draw(st.lists(st.one_of(st.just(F(0)), rationals), max_size=4)):
+        level = draw(st.integers(1, 2))
+        if parts.contains(x) and space.is_point(ml.MultiLinePoint(x, level)):
+            lift.setdefault(x, level)
+    return space, ml.Wave(space.spec, parts, tuple(lift.items()))
+
+
+@pytest.mark.parametrize("name", MULTILINE)
+@given(data=st.data())
+def test_line_family_maximality_agrees_with_the_cell_oracle(name, data):
+    space, wave = data.draw(line_waves(name))
+    maximal = _oracle_maximal(wave)
+    assert space.is_maximal_hausdorff(wave) is maximal
+    inside = [ml.MultiLinePoint(x, level) for x in _test_abscissae(wave)
+              for level in range(space.spec.k) if wave.contains(ml.MultiLinePoint(x, level))]
+    if inside:
+        c = cert.maximal_hausdorff(inside[0], wave, ())
+        assert ke.verify_certificate(space, c) is maximal
+
+
+# ---------------------------------------------------------------------------
+# The verifier's space calls, read off the source: a check that starts to
+# ask the space something new shows up here.
+
+
+VERIFIER_SPACE_CALLS = {
+    "member", "meet_is_empty", "is_point", "basic_kind", "generators", "spec", "connected",
+    "replay", "chart_form", "common_point", "canonical_neighborhood", "covered_by",
+    "basic_subset", "union_twin_pair", "is_maximal_hausdorff",
+}
+
+
+def _verifier_functions():
+    """The top-level statements of `kernel` that make up the verifier:
+    `_CHECKS`, `_SHAPES` and `verify_certificate`, and every module function
+    they reach by name."""
+    tree = ast.parse(inspect.getsource(ke))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo = [n for n in tree.body if isinstance(n, (ast.Assign, ast.Expr)) and any(
+        isinstance(a, ast.Name) and a.id in ("_CHECKS", "_SHAPES") for a in ast.walk(n))]
+    todo.append(defs["verify_certificate"])
+    reached = {}
+    while todo:
+        node = todo.pop()
+        reached[getattr(node, "name", id(node))] = node
+        todo += [defs[a.id] for a in ast.walk(node) if isinstance(a, ast.Name)
+                 and a.id in defs and a.id not in reached]
+    return reached
+
+
+def _space_reads(node) -> set:
+    return {a.attr for a in ast.walk(node) if isinstance(a, ast.Attribute)
+            and isinstance(a.value, ast.Name) and a.value.id == "space"}
+
+
+def test_the_verifier_asks_the_space_only_the_declared_operations():
+    reached = _verifier_functions()
+    assert {"_fits_schema", "_verify_maximal", "_verify_chain", "_verify_word",
+            "_verify_compact", "_maps_onto_itself", "_non_separable_at_every_scale",
+            "_in_both_charts", "_in_chart_form", "_above"} <= set(reached)
+    assert not any(name in reached for name in ("_separate", "bounded_refuter", "_down_union"))
+    assert set().union(*map(_space_reads, reached.values())) == VERIFIER_SPACE_CALLS
+    assert _space_reads(reached["_verify_maximal"]) == {"is_maximal_hausdorff", "member"}
