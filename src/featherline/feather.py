@@ -34,9 +34,9 @@ O(len(s) + len(p)).  Each flip keeps the two cases of `_flip`, in their order,
 and its seam check, which compares only the two coordinates that meet at the
 seam; which case holds is read off a common-prefix length (or, for the
 inverse, a running flag) in O(1), and the image is built once.  `fp_chart`
-builds its interval with `FeatherInterval.trusted`, since both endpoints come
-from the checked centre and the clamped radius keeps them valid and ordered;
-the radius is checked and clamped with exact comparisons.
+and `arms_to_intervals` build intervals with `FeatherInterval.trusted`: a
+chart's ends come from the checked centre and the radius, clamped by exact
+comparisons; a meet's ends are arm prefixes plus arm ends of valid intervals.
 
 Exact comparisons.  Every coordinate comparison goes through `rationals`,
 never a `Fraction` operator: arm ends and chart radii by `lt` and `eq` (`_min`
@@ -292,26 +292,8 @@ def arms_to_intervals(arms) -> list:
     out = []
     for chain in chains:
         head, tail = chain[0], chain[-1]
-        out.append(FeatherInterval(head.prefix + (head.lo,), tail.prefix + (tail.hi,)))
+        out.append(FeatherInterval.trusted(head.prefix + (head.lo,), tail.prefix + (tail.hi,)))
     return out
-
-
-def arms_twin_pair(arms):
-    """Search an arm union for a twin pair {(q,r), (q,r,r)}.  Returns the
-    pair or None.  The longer twin can only sit at the closed lower end of
-    an arm one level above the shorter one."""
-    arms = normalize_arms(arms)
-    for a2 in arms:
-        if not a2.lo_closed:
-            continue
-        r = a2.lo
-        if a2.prefix and not eq(a2.prefix[-1], r):
-            continue
-        q = a2.prefix[:-1]
-        for a1 in arms:
-            if same(a1.prefix, q) and a1.contains_coord(r):
-                return (q + (r,), q + (r, r))
-    return None
 
 
 # ---------------------------------------------------------------------------

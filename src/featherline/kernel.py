@@ -33,6 +33,19 @@ stub, generated once on `Space`, that raises
 times only the methods a space class defines itself, so the table's methods
 stay on each class.
 
+The separation rule.  `_separate` is every `separable`: a non-separable
+pair is cross-checked by the refuter and certified as a twin pair; any
+other is separated by the canonical charts of p and q at the first radius
+among scale, scale/2, ... at which they are disjoint.  The start radius is
+1 on the feather and |p.x - q.x|/2 elsewhere (|x|/2 for the branching
+line's two sheets over one x), where the first probe succeeds.
+
+The upper-twin rule.  Each twin pair holds one upper twin u = (q, r, r), so
+a feather union holds a pair exactly when it holds some u and u[:-1].  Its
+upper twins are finitely many: its upper extra points, the closed lower end
+prefix + (lo,) of each arm (the only one an arm holds), and pivot[:-1] +
+(pivot[-2],) of a skeleton flipped at pivot; the plain skeleton holds none.
+
 The probe contract.  `meet_is_empty(b1, b2)` gives the verdict of
 `not meet(b1, b2)` without building the meet: the refuter makes 16 such
 probes per call, so each is one early-exit overlap test (`arms_meet` on the
@@ -256,20 +269,7 @@ class FeatherSpace(Space):
         # a twin q equals fp_twin(p), which is built from p's own coordinate
         # objects, so the refuter's prefix tests on it settle by identity; it
         # is checked once, here, not by each of its four charts
-        return _separate(self, p, q, self._separating_charts,
-                         lambda p: fe.fp_validate(fe.fp_twin(p)))
-
-    def _separating_charts(self, p, q):
-        # distinct coordinates differ by at least 1/(den_a*den_b), so this
-        # many halvings always reach a separating scale
-        rounds = 64 + denominator_bits(p + q)
-        eps = Fraction(1)
-        for _ in range(rounds):
-            c1, c2 = fe.fp_chart(p, eps), fe.fp_chart(q, eps)
-            if self.meet_is_empty(c1, c2):
-                return c1, c2
-            eps /= 2
-        raise AssertionError("no separating charts found for a non-twin pair")
+        return _separate(self, p, q, _ONE, lambda p: fe.fp_validate(fe.fp_twin(p)))
 
     def descriptor(self, base, index, limit, direction) -> SeqDescriptor:
         """The sequence moving coordinate `index` of `base` (by default the
@@ -314,32 +314,25 @@ class FeatherSpace(Space):
         return fe.homotopy_eval(t, s)
 
     def union_twin_pair(self, basics, extra_points=()):
-        """A non-separable pair in the union of `basics` (skeleton handles
-        allowed) and `extra_points`, or None."""
+        """A twin pair (lower, upper) in the union of `basics` and
+        `extra_points`, or None, found by the upper-twin rule."""
         extra_points = [fe.fp_validate(w) for w in extra_points]
-        arms = []
-        handles = []
+        candidates = [w for w in extra_points if not fe.fp_is_strict(w)]
         for b in basics:
-            if isinstance(b, fe.SkeletonHandle):
-                handles.append(b)
-            else:
-                arms.extend(b.arms())
-        pair = fe.arms_twin_pair(arms)
-        if pair:
-            return pair
+            if b.__class__ is not fe.SkeletonHandle:
+                candidates.extend(a.prefix + (a.lo,) for a in b.arms() if a.lo_closed)
+            elif b.flip is not None:
+                if b.flip.__class__ is not fe.FlipGen:
+                    raise PreconditionError("a skeleton handle is conjugated by a flip")
+                pivot = b.flip.pivot
+                candidates.append(pivot[:-1] + (pivot[-2],))
 
         def in_union(w):
-            return any(h.contains(w) for h in handles) or any(a.contains(w) for a in arms)
-        for w in extra_points:
-            partner = fe.fp_twin(w)
-            if in_union(partner) or any(same(partner, e) for e in extra_points):
-                return (w, partner)
-        # a handle plus an explicit arm may overlap in twins
-        for h in handles:
-            for a in arms:
-                tw = _arm_twin_inside_handle(h, a)
-                if tw:
-                    return tw
+            return any(b.contains(w) for b in basics) or any(same(w, e) for e in extra_points)
+        for u in candidates:
+            lower = u[:-1]
+            if in_union(u) and in_union(lower):
+                return lower, u
         return None
 
     def basic_subset(self, small, big) -> bool:
@@ -366,7 +359,7 @@ class FeatherSpace(Space):
             c = x[0] + shift
             tw = (c, c)
             candidates.append(fe.fp_validate(handle.flip.apply(tw) if handle.flip else tw))
-        return handle, [handle.adjoin_witness(w) for w in candidates if not handle.contains(w)]
+        return x, handle, [handle.adjoin_witness(w) for w in candidates if not handle.contains(w)]
 
     def cover_admits(self, b) -> bool:
         """Whether `b` is in the canonical cover: the charts."""
@@ -441,7 +434,7 @@ class MultiLineSpace(Space):
         return p.x == q.x and p.level != q.level
 
     def separable(self, p, q):
-        return _separate(self, p, q, lambda p, q: ml.separating_waves(self.spec, p, q))
+        return _separate(self, p, q, abs(p.x - q.x) / 2)
 
     def descriptor(self, base, index, limit, direction) -> SeqDescriptor:
         """The sequence moving the abscissa of `base` at its level, which
@@ -509,7 +502,7 @@ class MultiLineSpace(Space):
         if spec.everywhere:
             y = x.x + 1
             samples.append((ml.MultiLinePoint(y, 1), ml.MultiLinePoint(y, 0)))
-        return handle, samples
+        return x, handle, samples
 
     def is_maximal_hausdorff(self, w) -> bool:
         # a wave of this spec holds at most one point over each abscissa; it
@@ -621,7 +614,8 @@ class BranchSpace(Space):
         return p.x == q.x == 0 and p.side != q.side
 
     def separable(self, p, q):
-        return _separate(self, p, q, ml.branch_separating)
+        # two sheets over one x != 0 are |x| from the shared negatives
+        return _separate(self, p, q, abs(p.x if p.x == q.x else p.x - q.x) / 2)
 
 
 class CofiniteSpace(Space):
@@ -656,7 +650,7 @@ class CofiniteSpace(Space):
         return p != q  # any two nonempty opens intersect
 
     def separable(self, p, q):
-        return _separate(self, p, q, None)  # every pair of points is non-separable
+        return _separate(self, p, q, _ONE)  # every pair of points is non-separable
 
     def dense(self, basics) -> bool:
         return any(not b.empty_set for b in basics)
@@ -703,19 +697,25 @@ def space_of(name: str):
     return _SPACES[name]
 
 
-def _separate(space, p, q, separating, partner=None):
-    """Every `separable`: the space's non-separable pairs, cross-checked by
-    the refuter, else the disjoint basics `separating(p, q)` builds.  Where
-    given, the refuter probes p against `partner(p)`, a point equal to q
-    once the pair is non-separable."""
+def _separate(space, p, q, scale, partner=None):
+    """Every `separable`, by the separation rule.  Where given, the refuter
+    probes p against `partner(p)`, a point equal to q once the pair is
+    non-separable."""
     if _equal(p, q):
         raise PreconditionError("separable needs two distinct points")
     if space.non_separable_pair(p, q):
         if bounded_refuter(space, p, q if partner is None else partner(p)) is not None:
             raise AssertionError("refuter contradicts the %s characterization" % space.tag)
         return False, cert.twin_pair(p, q)
-    b1, b2 = separating(p, q)
-    return True, cert.separated_by(p, q, b1, b2)
+    # distinct coordinates differ by at least 1/(den_a*den_b), so this many
+    # halvings always reach a separating radius
+    eps = fe.chart_radius(scale)
+    for _ in range(64 + denominator_bits(p + q)):
+        b1, b2 = space.canonical_neighborhood(p, eps), space.canonical_neighborhood(q, eps)
+        if space.meet_is_empty(b1, b2):
+            return True, cert.separated_by(p, q, b1, b2)
+        eps /= 2
+    raise AssertionError("no separating charts found for a separable %s pair" % space.tag)
 
 
 def bounded_refuter(space, p, q):
@@ -728,18 +728,6 @@ def bounded_refuter(space, p, q):
         for b2 in qs:
             if space.meet_is_empty(b1, b2):
                 return b1, b2
-    return None
-
-
-def _arm_twin_inside_handle(handle, arm):
-    # an arm's twin partners: for (q, r) the partner (q, r, r) or q; the
-    # skeleton contains exactly the strict points (up to the conjugating
-    # flip), so only the closed lower end of the arm can pair up
-    if arm.lo_closed and arm.prefix and eq(arm.prefix[-1], arm.lo):
-        upper = arm.prefix + (arm.lo,)
-        lower = fe.fp_twin(upper)
-        if handle.contains(upper) and handle.contains(lower):
-            return (lower, upper)
     return None
 
 

@@ -260,19 +260,6 @@ def ml_replay(word, p: MultiLinePoint) -> MultiLinePoint:
 # Witness generators.
 
 
-def separating_waves(spec: SpaceSpec, p: MultiLinePoint, q: MultiLinePoint):
-    """Disjoint waves around two points with distinct abscissae (or distinct
-    levels at an undoubled abscissa never happens: such points coincide)."""
-    if p.x == q.x:
-        raise PreconditionError("same abscissa: not separable")
-    d = abs(p.x - q.x) / 2
-    wp = Wave(spec, IntervalSet.of((p.x - d, p.x + d)),
-              ((p.x, p.level),) if p.level > 0 else ())
-    wq = Wave(spec, IntervalSet.of((q.x - d, q.x + d)),
-              ((q.x, q.level),) if q.level > 0 else ())
-    return wp, wq
-
-
 def rational_down_witness(w: Wave) -> MultiLinePoint:
     """A rational down point inside a nonempty wave (the down rationals are
     dense)."""
@@ -427,11 +414,3 @@ def branch_meet(b1: BranchInterval, b2: BranchInterval) -> list:
     hi = min(hi, Fraction(0))  # different sides only share the negatives
     return [BranchInterval(lo, hi, "L")] if lo < hi else []
 
-
-def branch_separating(p: BranchPoint, q: BranchPoint):
-    """Disjoint basic opens around two separable branch points."""
-    if p.x == q.x == 0:
-        raise PreconditionError("the two origins are not separable")
-    d = abs(p.x if p.x == q.x else p.x - q.x) / 2
-    return (BranchInterval(p.x - d, p.x + d, p.side),
-            BranchInterval(q.x - d, q.x + d, q.side))

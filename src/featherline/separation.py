@@ -30,8 +30,9 @@ from .rationals import PreconditionError, denominator_bits, lt
 def maximal_hausdorff_at(space, x):
     """A Hausdorff dense open set containing x, maximal in the sense that
     adjoining any outside point creates a non-separable pair inside the
-    union.  Returns (handle, certificate)."""
-    handle, samples = space.maximal_hausdorff(x)
+    union.  Returns (handle, certificate); the certificate carries x as
+    the space checked it."""
+    x, handle, samples = space.maximal_hausdorff(x)
     return handle, cert.maximal_hausdorff(x, handle, samples)
 
 

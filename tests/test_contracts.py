@@ -9,6 +9,7 @@ the semantics of the frozen dataclasses they replaced, and importing the CLI
 loads no dataclass or typing machinery."""
 
 import ast
+import collections
 import pathlib
 import pickle
 import subprocess
@@ -63,6 +64,68 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, "%s has assert statements at lines %s" % (path.name, lines)
+
+
+# ---------------------------------------------------------------------------
+# No dead helpers: every function the package defines is named elsewhere in it.
+
+# reached from outside the package: `bench/ops.py` formats with these
+OUTSIDE_CALLERS = {"fmt_point", "fmt_basic"}
+
+
+def _dead_helpers(trees):
+    """The (module, name) of each function or method in `trees` (module
+    name -> parsed source) that no node outside its own body names, other
+    than dunders, the CLI's `cmd_*` verbs and the demos `@_demo` registers,
+    which the CLI reaches by string."""
+    named = collections.Counter()
+    defs = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((module, node))
+            named.update(_named_in(node))
+    dead = []
+    for module, node in defs:
+        name = node.name
+        registered = any(getattr(getattr(d, "func", None), "id", None) == "_demo"
+                         for d in node.decorator_list)
+        if (name.startswith("__") or name.startswith("cmd_") or registered
+                or name in OUTSIDE_CALLERS):
+            continue
+        own = sum(_named_in(n)[name] for n in ast.walk(node))
+        if named[name] == own:
+            dead.append((module, name))
+    return dead
+
+
+def _named_in(node) -> collections.Counter:
+    """The names one node refers to: a name, an attribute or an import."""
+    if isinstance(node, ast.Name):
+        return collections.Counter((node.id,))
+    if isinstance(node, ast.Attribute):
+        return collections.Counter((node.attr,))
+    if isinstance(node, ast.alias):
+        return collections.Counter((node.asname or node.name,))
+    return collections.Counter()
+
+
+def test_every_function_in_the_package_is_named_elsewhere_in_it():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _dead_helpers(trees) == []
+
+
+def test_dead_helper_guard_sees_unnamed_and_self_named_functions():
+    tree = ast.parse("def used():\n    return 1\n"
+                     "def unused():\n    return used()\n"
+                     "def recursive(n):\n    return recursive(n - 1)\n"
+                     "class C:\n    def method(self):\n        pass\n"
+                     "    def __str__(self):\n        return 'c'\n"
+                     "def cmd_verb():\n    pass\n"
+                     "@_demo('x')\ndef demo_x():\n    pass\n"
+                     "def fmt_point():\n    pass\n")
+    assert _dead_helpers({"m": tree}) == [("m", "unused"), ("m", "recursive"), ("m", "method")]
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +577,20 @@ def test_separable_checks_only_the_twin_it_builds(monkeypatch, p, q):
 def test_maximal_hausdorff_checks_each_point_it_builds_once(monkeypatch, x):
     x = ke.FEATHER.parse_point(x)
     full = _count_full_checks(monkeypatch)
-    handle, samples = ke.FEATHER.maximal_hausdorff(x)
+    _, handle, samples = ke.FEATHER.maximal_hausdorff(x)
     # three candidates, each sample's partner, and the pivot of the flip
     # that conjugates the skeleton through an upper twin
     assert len(full) == 3 + len(samples) + (handle.flip is not None)
+
+
+def test_a_maximal_certificate_carries_the_point_its_space_checked(monkeypatch):
+    x = (F(0), F(1), F(1))
+    _, c = sp.maximal_hausdorff_at(ke.FEATHER, x)
+    assert type(c.payload["x"]) is fe.FeatherPoint and c.payload["x"] == x
+    full = _count_full_checks(monkeypatch)
+    assert ke.verify_certificate(ke.FEATHER, c) is True
+    # the walk checks the payload; nothing after it checks x again
+    assert full == []
 
 
 def _feather_certificates():
@@ -908,6 +981,16 @@ def feather_interval_pairs(draw):
 def test_arms_meet_matches_meet_arms_on_intervals(pair):
     x, y = pair
     assert fe.arms_meet(x.arms(), y.arms()) == bool(fe.meet_arms(x.arms(), y.arms()))
+
+
+@given(feather_interval_pairs() | st.tuples(
+    *[st.builds(fe.fp_chart, feather_points(max_len=3, coords=small_rationals),
+                st.sampled_from(ke.REFUTER_SCALES))] * 2))
+def test_feather_meet_builds_what_the_checking_constructor_builds(pair):
+    # `arms_to_intervals` trusts the ends it reads off the arms of valid
+    # intervals; the checking constructor accepts each of them unchanged
+    meet = ke.FEATHER.meet(*pair)
+    assert meet == [fe.FeatherInterval(m.lower, m.upper) for m in meet]
 
 
 coarse_feather_points = feather_points(max_len=3, coords=small_rationals)

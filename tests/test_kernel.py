@@ -1,14 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from featherline import certificates as cert
 from featherline import feather as fe
 from featherline import kernel as ke
 from featherline import multiline as ml
+from featherline import separation as sp
 from featherline.intervals import CofiniteSet, IntervalSet
-from featherline.rationals import POS_INF, PreconditionError
+from featherline.rationals import POS_INF, PreconditionError, denominator_bits
 
 F = Fraction
 
@@ -16,9 +18,9 @@ rationals = st.fractions(min_value=-10, max_value=10)
 
 
 @st.composite
-def feather_points(draw, max_len=4):
+def feather_points(draw, max_len=4, coords=rationals):
     n = draw(st.integers(1, max_len))
-    coords = sorted(draw(st.lists(rationals, min_size=n, max_size=n, unique=True)))
+    coords = sorted(draw(st.lists(coords, min_size=n, max_size=n, unique=True)))
     p = tuple(coords)
     if draw(st.booleans()):
         p = p + (p[-1],)
@@ -113,6 +115,64 @@ def test_cofinite_nothing_separable():
     n = ke.COFINITE
     ok, c = n.separable(3, 7)
     assert not ok and ke.verify_certificate(n, c)
+
+
+# The separation rule: a separable pair is certified by the canonical charts
+# of its points at the first disjoint radius among scale, scale/2, ...; off
+# the feather the start radius already separates.
+
+
+@st.composite
+def line_family_pairs(draw):
+    name = draw(st.sampled_from(["line", "two-origins", "doubled", "tripled", "branch"]))
+    space = ke.space_of(name)
+    xs = st.one_of(st.sampled_from([F(0), F(1), F(-1)]), rationals)
+    if name == "branch":
+        point = st.builds(ml.branch_point, xs, st.sampled_from("LR"))
+    else:
+        point = st.builds(ml.MultiLinePoint, xs, st.integers(0, space.spec.k - 1))
+    p, q = draw(point), draw(point)
+    assume(space.is_point(p) and space.is_point(q) and p != q)
+    return space, p, q
+
+
+def _start_radius(space, p, q):
+    if space is ke.BRANCH and p.x == q.x:
+        return abs(p.x) / 2  # two sheets over one x != 0
+    return abs(p.x - q.x) / 2
+
+
+@example((ke.BRANCH, ml.branch_point(1, "L"), ml.branch_point(1, "R")))
+@given(line_family_pairs())
+def test_line_family_separation_is_the_canonical_charts_at_the_start_radius(pair):
+    space, p, q = pair
+    ok, c = space.separable(p, q)
+    if ok:
+        r = _start_radius(space, p, q)
+        assert (c.payload["b1"], c.payload["b2"]) == (space.canonical_neighborhood(p, r),
+                                                      space.canonical_neighborhood(q, r))
+    assert ke.verify_certificate(space, c)
+
+
+def _reference_separating_charts(p, q):
+    """The feather's former separation search, kept as the reference: charts
+    at radii 1, 1/2, ... until they are disjoint."""
+    eps = F(1)
+    for _ in range(64 + denominator_bits(p + q)):
+        c1, c2 = fe.fp_chart(p, eps), fe.fp_chart(q, eps)
+        if ke.FEATHER.meet_is_empty(c1, c2):
+            return c1, c2
+        eps /= 2
+    raise AssertionError("no separating charts")
+
+
+@given(feather_points(), feather_points())
+def test_feather_separation_matches_the_reference_search(p, q):
+    assume(p != q)
+    ok, c = ke.FEATHER.separable(p, q)
+    if ok:
+        assert (c.payload["b1"], c.payload["b2"]) == _reference_separating_charts(p, q)
+    assert ke.verify_certificate(ke.FEATHER, c)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +322,95 @@ def test_union_twin_pair_feather():
     assert f.union_twin_pair([fe.strict_skeleton()]) is None
     pair = f.union_twin_pair([fe.strict_skeleton()], ((F(0), F(0)),))
     assert set(pair) == {(F(0), F(0)), (F(0),)}
+
+
+# unions whose twin pair F(0), F(0,0) is split between a skeleton handle
+# and an interval or chart
+SPLIT_UNIONS = [("strict-skeleton", lambda: fe.fp_chart(fe.FeatherPoint((0, 0)), 1)),
+                ("strict-skeleton", lambda: ke.FEATHER.parse_basic("FI[(-1);(0,1)]")),
+                ("strict-skeleton*flip(0,1)", lambda: ke.FEATHER.parse_basic("FI[(-1);(1)]"))]
+
+
+@pytest.mark.parametrize("handle,basic", SPLIT_UNIONS, ids=["chart", "interval", "flipped"])
+def test_a_twin_pair_split_between_a_handle_and_an_interval_is_found(handle, basic):
+    f = ke.FEATHER
+    basics = [f.parse_basic(handle), basic()]
+    hausdorff, c = sp.hausdorff_open(f, basics)
+    assert hausdorff is False and c.kind == "twin-pair"
+    assert (c.payload["p"], c.payload["q"]) == ((F(0),), (F(0), F(0)))
+    assert ke.verify_certificate(f, c) is True
+    assert ke.verify_certificate(f, cert.hausdorff_open(basics, ())) is False
+
+
+@pytest.mark.parametrize("flip", [fe.StraightenGen((F(0), F(1))), "flip"])
+def test_a_hausdorff_open_handle_whose_flip_is_not_a_flip_is_rejected(flip):
+    c = cert.hausdorff_open([fe.SkeletonHandle(flip)], ())
+    assert ke.verify_certificate(ke.FEATHER, c) is False
+
+
+INTS = st.integers(-2, 2).map(F)
+
+
+@st.composite
+def feather_intervals(draw):
+    """An interval (u, v): v rises above u at u's last coordinate and may
+    go on."""
+    u = draw(feather_points(max_len=3, coords=INTS))
+    v = u[:-1] + (u[-1] + draw(st.sampled_from([F(1), F(2)])),)
+    for _ in range(draw(st.integers(0, 2))):
+        v += (v[-1] + 1,)
+    if draw(st.booleans()):
+        v += (v[-1],)
+    return fe.FeatherInterval(u, v)
+
+
+feather_basics = st.one_of(
+    feather_intervals(),
+    st.builds(fe.fp_chart, feather_points(max_len=3, coords=INTS),
+              st.sampled_from([F(1), F(1, 2)])),
+    st.just(fe.strict_skeleton()),
+    st.builds(lambda p: fe.SkeletonHandle(fe.FlipGen(p)),
+              feather_points(max_len=3, coords=INTS).filter(lambda p: len(p) >= 2)))
+
+
+def _brute_twin_pair(basics, extra_points):
+    """Whether some upper twin and its lower twin both lie in the union,
+    over every feather point whose coordinates are the union's own: the
+    ends of its intervals and charts, its pivots and its extra points."""
+    named = list(extra_points)
+    for b in basics:
+        if isinstance(b, fe.SkeletonHandle):
+            named += [b.flip.pivot] if b.flip else []
+        else:
+            itv = b.interval if isinstance(b, fe.Chart) else b
+            named += [itv.lower, itv.upper]
+    coords = sorted({c for w in named for c in w})
+
+    def in_union(w):
+        return any(b.contains(w) for b in basics) or w in extra_points
+    # an interval holds no point longer than its upper end; one length more
+    # lets a flipped skeleton show upper twins past its pivot
+    longest = max(map(len, named), default=0) + 1
+    for n in range(1, min(longest, len(coords)) + 1):
+        for lower in itertools.combinations(coords, n):
+            if in_union(lower + (lower[-1],)) and in_union(lower):
+                return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(feather_basics, min_size=1, max_size=3),
+       st.lists(feather_points(max_len=3, coords=INTS), max_size=1))
+def test_feather_union_twin_pair_agrees_with_brute_force(basics, extra_points):
+    pair = ke.FEATHER.union_twin_pair(basics, extra_points)
+    assert (pair is not None) is _brute_twin_pair(basics, extra_points)
+    if pair is not None:
+        lower, upper = pair
+        assert upper == lower + (lower[-1],)
+        c = cert.twin_pair(lower, upper)
+        assert ke.verify_certificate(ke.FEATHER, c)
+        for w in pair:
+            assert any(b.contains(w) for b in basics) or w in extra_points
 
 
 # ---------------------------------------------------------------------------

@@ -140,14 +140,6 @@ def test_involutive_move_swaps(p, q):
         assert ml.ml_replay(word, ml.ml_replay(word, x)) == x
 
 
-def test_separating_waves():
-    b1, b2 = ml.separating_waves(ml.DOUBLED, ml.MultiLinePoint(F(0), 0),
-                                 ml.MultiLinePoint(F(1), 1))
-    assert b1.contains(ml.MultiLinePoint(F(0), 0))
-    assert b2.contains(ml.MultiLinePoint(F(1), 1))
-    assert ml.wave_meet(b1, b2).is_empty()
-
-
 def test_rational_down_witness():
     w = ml.Wave(ml.DOUBLED, IntervalSet.of((0, 1)), ((F(1, 2), 1),))
     p = ml.rational_down_witness(w)
@@ -230,9 +222,3 @@ def test_branch_meet_shares_negatives_only():
     probe_pos = ml.branch_point(F(1, 2), "L")
     assert any(m.contains(probe_neg) for m in parts)
     assert not any(m.contains(probe_pos) for m in parts)
-
-
-def test_branch_separating():
-    b1, b2 = ml.branch_separating(ml.branch_point(F(1), "L"),
-                                  ml.branch_point(F(1), "R"))
-    assert not ml.branch_meet(b1, b2)

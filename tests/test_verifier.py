@@ -575,7 +575,7 @@ def test_a_handle_that_is_not_maximal_is_rejected(name, x, handle):
 
 def test_a_feather_chart_or_interval_handle_is_rejected():
     x = fe.fp_validate((F(0), F(1)))
-    handle, samples = ke.FEATHER.maximal_hausdorff(x)
+    _, handle, samples = ke.FEATHER.maximal_hausdorff(x)
     assert ke.verify_certificate(ke.FEATHER, cert.maximal_hausdorff(x, handle, tuple(samples)))
     for basic in (fe.fp_chart(x, F(1)), fe.fp_chart(x, F(1, 8)),
                   ke.FEATHER.parse_basic("FI[(0,0);(0,5)]")):
@@ -589,7 +589,7 @@ def test_a_skeleton_handle_whose_flip_is_not_a_flip_is_rejected_not_raised_on():
     # the schema walk checks only the handle's type; a handle holds no flip
     # or a FlipGen, and anything else in its place used to raise or verify
     x = fe.fp_validate((F(0), F(1), F(1)))
-    handle, samples = ke.FEATHER.maximal_hausdorff(x)
+    _, handle, samples = ke.FEATHER.maximal_hausdorff(x)
     assert handle.flip is not None
     for flip in (fe.StraightenGen(handle.flip.pivot), "flip", ml.TranslateGen(F(1))):
         c = cert.maximal_hausdorff(x, fe.SkeletonHandle(flip), tuple(samples))
