@@ -3,7 +3,9 @@ scripted demos with deterministic JSON output.
 
 Each verb is one row of `VERBS`: help text, arguments and form.  An
 argument is a name, a parse kind and argparse `add_argument` keywords.
-`main` is the one parse boundary: it resolves the space, then parses each
+Only the verb that runs gets a parser: the top-level `verb` positional
+builds it from the verb's row and parses the rest of argv with it.  `main`
+is the one parse boundary: it resolves the space, then parses each
 argument in declared order by its kind: "space" (`kernel.space_of`),
 "point", "basic" or "basics" (a list) of that space, "feather point"
 (whatever the space), "rational" (finite) or "raw" (the argparse value).
@@ -50,8 +52,7 @@ EXIT_NEGATIVE = 3
 
 def _render(report, fmt, out):
     if fmt == "json":
-        out.write(json.dumps(jsonable(report), indent=2))
-        out.write("\n")
+        out.write(json.dumps(jsonable(report), indent=2) + "\n")
         return
     out.write("verdict: %s\n" % jsonable(report["verdict"]))
     for key, value in report.items():
@@ -536,21 +537,26 @@ VERBS = {
 }
 
 
+class _VerbAction(argparse.Action):
+    """Builds only the named verb's parser, which parses the rest of argv."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name, verb = values[0], VERBS[values[0]]
+        namespace.verb = name
+        sub = argparse.ArgumentParser(prog="featherline " + name, description=verb.help)
+        sub.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
+        for arg, _kind, keywords in verb.args:
+            sub.add_argument(arg, **keywords)
+        sub.parse_args(values[1:], namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="featherline",
-        description="exact symbolic engine for non-Hausdorff 1-manifolds")
+        prog="featherline", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="exact symbolic engine for non-Hausdorff 1-manifolds",
+        epilog="verbs:\n" + "".join("  %-20s%s\n" % (n, v.help) for n, v in VERBS.items()))
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"),
-                        default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="verb", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
-    for name, verb in VERBS.items():
-        p = sub.add_parser(name, help=verb.help)
-        for arg, _kind, keywords in verb.args:
-            p.add_argument(arg, **keywords)
+    parser.add_argument("verb", nargs=argparse.PARSER, choices=VERBS, action=_VerbAction)
     return parser
 
 

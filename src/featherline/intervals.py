@@ -142,10 +142,7 @@ def iset_complement_is_finite(a: IntervalSet) -> bool:
     iv = a.intervals
     if not iv or lt(NEG_INF, iv[0][0]) or lt(iv[-1][1], POS_INF):
         return False
-    for k in range(len(iv) - 1):
-        if not eq(iv[k][1], iv[k + 1][0]):
-            return False
-    return True
+    return all(eq(iv[k][1], iv[k + 1][0]) for k in range(len(iv) - 1))
 
 
 def iset_covers_line(a: IntervalSet) -> bool:

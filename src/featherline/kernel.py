@@ -18,7 +18,7 @@ class defines:
                          basic_subset maximal_hausdorff is_maximal_hausdorff
                          cover_admits cover_member uncovered_point
                          default_subfamily baire_point chart_sample
-                         pipeline_sample
+                         pipeline_sample checked_point
     feather only         homotopy density_witness
     multiline only       chain connected cover_probes covered_by
 
@@ -313,6 +313,9 @@ class FeatherSpace(Space):
     def homotopy(self, t, s):
         return fe.homotopy_eval(t, s)
 
+    def checked_point(self, x):
+        return fe.fp_validate(x)
+
     def union_twin_pair(self, basics, extra_points=()):
         """A twin pair (lower, upper) in the union of `basics` and
         `extra_points`, or None, found by the upper-twin rule."""
@@ -339,10 +342,7 @@ class FeatherSpace(Space):
         """small subset-of big, decided symbolically."""
         small_arms = fe.normalize_arms(self._basic_arms(small))
         big_arms = fe.normalize_arms(self._basic_arms(big))
-        for a in small_arms:
-            if not any(_arm_subset(a, b) for b in big_arms):
-                return False
-        return True
+        return all(any(_arm_subset(a, b) for b in big_arms) for a in small_arms)
 
     def is_maximal_hausdorff(self, b) -> bool:
         # the strict skeleton, or its conjugate by a flip (a homeomorphism):
@@ -467,6 +467,10 @@ class MultiLineSpace(Space):
 
     def connected(self, w) -> bool:  # one interval of its canonical open set
         return len(w.parts.intervals) == 1
+
+    def checked_point(self, x):
+        self._check_points(x)
+        return x
 
     def union_twin_pair(self, basics, extra_points=()):
         waves = list(basics)
@@ -892,10 +896,7 @@ def _verify_chain(space, pl) -> bool:
             return False
     if not space.member(pl["src"], links[0]) or not space.member(pl["dst"], links[-1]):
         return False
-    for a, b in zip(links, links[1:]):
-        if space.meet_is_empty(a, b):
-            return False
-    return True
+    return not any(space.meet_is_empty(a, b) for a, b in zip(links, links[1:]))
 
 
 def _verify_word(space, pl) -> bool:

@@ -38,8 +38,8 @@ def maximal_hausdorff_at(space, x):
 
 def hausdorff_open(space, basics, extra_points=()):
     """(verdict, certificate): True iff the union of the list `basics` and
-    `extra_points` holds no non-separable pair."""
-    extra_points = tuple(extra_points)
+    `extra_points`, as the space checked them, holds no non-separable pair."""
+    extra_points = tuple(map(space.checked_point, extra_points))
     pair = space.union_twin_pair(basics, extra_points)
     if pair is None:
         return True, cert.hausdorff_open(basics, extra_points)

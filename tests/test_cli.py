@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -260,6 +261,81 @@ def test_report_echoes_the_command(argv, command):
     code, out, err = main_in_process(argv + ["--format", "json"])
     assert code in (0, 3), err
     assert json.loads(out)["command"] == command
+
+
+# ---------------------------------------------------------------------------
+# The parse boundary: only the verb that runs gets a parser.
+
+
+def test_every_verb_and_demo_has_a_count_case():
+    assert {argv[0] for argv, _ in COMMAND_CASES} == set(cli.VERBS)
+    assert {args[1] for _, args, _ in DEMO_CASES} == set(cli.DEMOS)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in COMMAND_CASES]
+                         + [args for _, args, _ in DEMO_CASES],
+                         ids=[c[1] for c in COMMAND_CASES] + [c[0][:-5] for c in DEMO_CASES])
+def test_main_builds_the_top_level_and_the_verb_parser_only(monkeypatch, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, _, err = main_in_process(argv)
+    assert code in (0, 3), err
+    # the top level and the verb that runs
+    assert built == ["featherline", "featherline " + argv[0]]
+
+
+def test_help_lists_every_verb_with_its_help_line():
+    code, out, err = main_in_process(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: featherline ")
+    for name, verb in cli.VERBS.items():
+        assert re.search(r"^ +%s +%s$" % (re.escape(name), re.escape(verb.help)), out, re.M), name
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("name", list(cli.VERBS))
+def test_verb_help_shows_the_verb_usage(name, flag):
+    code, out, err = main_in_process([name, flag])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: featherline %s " % name)
+    assert cli.VERBS[name].help in out
+
+
+@pytest.mark.parametrize("argv,command", COMMAND_CASES, ids=[c[1] for c in COMMAND_CASES])
+def test_format_before_and_after_the_verb_gives_the_same_bytes(argv, command):
+    before = main_in_process(["--format", "json"] + argv)
+    after = main_in_process(argv + ["--format", "json"])
+    assert before == after
+    assert json.loads(before[1])["command"] == command
+
+
+def test_format_after_the_verb_wins_over_the_one_before():
+    code, out, _ = main_in_process(["--format", "json", "twin", "F(0,1)", "--format", "text"])
+    assert (code, out.splitlines()[0]) == (0, "verdict: F(0,1,1)")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["frobnicate"], "featherline: error: argument verb: invalid choice: 'frobnicate'"),
+    ([], "featherline: error: the following arguments are required: verb"),
+    (["--format", "json"], "featherline: error: the following arguments are required: verb"),
+], ids=["unknown", "none", "format-only"])
+def test_unknown_or_missing_verb_is_an_argparse_error(argv, message):
+    code, out, err = main_in_process(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: featherline ") and message in err
+
+
+def test_missing_verb_arguments_show_the_verb_usage():
+    proc = run_cli(["separate", "F"])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("usage: featherline separate ")
+    assert "featherline separate: error: the following arguments are required: p, q" in proc.stderr
 
 
 @st.composite
@@ -543,7 +619,7 @@ OPTIONS = st.one_of(
 ).map("=".join) | st.just("--involutive")
 
 
-ARGVS = st.one_of(
+VERB_ARGVS = st.one_of(
     st.builds(lambda verb, first, rest, options: [verb, first] + rest + options,
               st.sampled_from(VERBS),
               st.one_of(st.sampled_from(SPACE_NAMES),
@@ -560,6 +636,23 @@ ARGVS = st.one_of(
               st.sampled_from(SPACE_NAMES), st.sampled_from(["0", "1/2", ""]),
               st.lists(small, min_size=2, max_size=3), tokens()),
 )
+
+
+@st.composite
+def argvs(draw):
+    """A verb's argv, at times with `--format` before the verb and `-h` or
+    `--help` at any position."""
+    argv = draw(VERB_ARGVS)
+    if draw(st.booleans()):
+        fmt = draw(st.sampled_from(["text", "json", "yaml"]))
+        argv = draw(st.sampled_from([["--format", fmt], ["--format=" + fmt]])) + argv
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(argv)))
+        argv = argv[:i] + [draw(st.sampled_from(["-h", "--help"]))] + argv[i:]
+    return argv
+
+
+ARGVS = argvs()
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)

@@ -593,6 +593,25 @@ def test_a_maximal_certificate_carries_the_point_its_space_checked(monkeypatch):
     assert full == []
 
 
+def test_a_hausdorff_open_certificate_carries_the_points_its_space_checked(monkeypatch):
+    extra = (F(2), F(5, 2))
+    ok, c = sp.hausdorff_open(ke.FEATHER, [fe.fp_chart((F(0), F(1)), F(1, 2))], [extra])
+    assert ok and c.kind == "hausdorff-open"
+    (carried,) = c.payload["extra_points"]
+    assert type(carried) is fe.FeatherPoint and carried == extra
+    full = _count_full_checks(monkeypatch)
+    assert ke.verify_certificate(ke.FEATHER, c) is True
+    # the walk checks the payload; nothing after it checks the extra point again
+    assert full == []
+
+
+def test_hausdorff_open_rejects_an_extra_point_outside_the_line_family_space():
+    two = ke.space_of("two-origins")
+    handle = ml.full_wave(two.spec)
+    with pytest.raises(PreconditionError, match="not a line point of this space"):
+        sp.hausdorff_open(two, [handle], [ml.MultiLinePoint(F(1), 1)])
+
+
 def _feather_certificates():
     """Certificates the engine builds from checked (parsed) points, one or
     more of each kind the feather issues."""
