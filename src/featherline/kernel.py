@@ -454,7 +454,9 @@ class MultiLineSpace(Space):
         return descr.base.level == 0 and p.x == descr.limit
 
     def dense(self, basics) -> bool:
-        return iset_complement_is_finite(_down_union(basics))
+        # a wave over the whole line misses only its finitely many lifts
+        return (any(iset_covers_line(w.parts) for w in basics)
+                or iset_complement_is_finite(_down_union(basics)))
 
     def move(self, p, q, involutive=False):
         return ml.ml_move(self.spec, p, q, involutive=involutive)
@@ -766,7 +768,10 @@ def _down_union(waves) -> IntervalSet:
 
 def _down_gaps(member) -> set:
     """Finite set of abscissae whose down point is missed by a dense wave
-    (the zero-width gaps of its down projection)."""
+    (the zero-width gaps of its down projection): over the whole line,
+    its lifted abscissae."""
+    if iset_covers_line(member.parts):
+        return {x for x, _ in member.lift}
     iv = _down_union([member]).intervals
     return {iv[k][1] for k in range(len(iv) - 1) if iv[k][1] == iv[k + 1][0]}
 

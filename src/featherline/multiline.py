@@ -65,7 +65,12 @@ class MultiLinePoint(namedtuple("MultiLinePoint", "x level")):
     __slots__ = ()
 
     def __str__(self):
-        return "D(%s @%d)" % (fmt_ext(self.x), self.level)
+        x, level = self
+        if x.__class__ is Fraction:  # lowest terms: the slots print as fmt_ext does
+            if x._denominator == 1:
+                return "D(%d @%d)" % (x._numerator, level)
+            return "D(%d/%d @%d)" % (x._numerator, x._denominator, level)
+        return "D(%s @%d)" % (fmt_ext(x), level)
 
 
 def ml_point(spec: SpaceSpec, x, level: int) -> MultiLinePoint:
@@ -82,15 +87,16 @@ class Wave(Value):
     """Basic open: (O minus lifted abscissae) downstairs, lifted points
     upstairs at their assigned levels.  `lift` is a sorted tuple of
     (abscissa, level) with level >= 1, and `_levels` maps `key(abscissa)` ->
-    level."""
+    level.  `_text` keeps the text the first `str` builds."""
 
-    __slots__ = ("spec", "parts", "lift", "_levels")
+    __slots__ = ("spec", "parts", "lift", "_levels", "_text")
     _fields = ("spec", "parts", "lift")
 
     def __init__(self, spec, parts, lift=()):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "_text", None)
         self.__post_init__()
 
     def __post_init__(self):
@@ -134,8 +140,10 @@ class Wave(Value):
         return iset_remove_points(self.parts, (x for x, _ in self.lift))
 
     def __str__(self):
-        lifts = ",".join(["%s^%d" % (fmt_ext(x), j) for x, j in self.lift]) if self.lift else ""
-        return "W[%s-{%s}]" % (self.parts, lifts)
+        if self._text is None:
+            lifts = ",".join(["%s^%d" % (fmt_ext(x), j) for x, j in self.lift])
+            object.__setattr__(self, "_text", "W[%s-{%s}]" % (self.parts, lifts))
+        return self._text
 
 
 def full_wave(spec: SpaceSpec, lift=()) -> Wave:

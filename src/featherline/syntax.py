@@ -16,6 +16,8 @@ the golden files.
 Every value type prints itself in this syntax with `str`, except the feather
 point, a tuple of Fractions printed by `feather.fp_str`.
 `jsonable` renders a report by one lookup on the exact type of each value.
+A wave builds its text once and keeps it, so a wave named twice in a report
+(a stage's handle and its certificate) is rendered once.
 A feather point is a `feather.FeatherPoint`, or a plain tuple of Fractions
 that the engine derived from one; both print alike.  Any other sequence of
 rationals in a report must be a list, and renders as a list of rationals.

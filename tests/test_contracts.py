@@ -2,8 +2,9 @@
 validated once at the boundary, a homeomorphism word stores each straightened
 point once and replays exactly its flips, the refuter's strength is fixed,
 formatting matches its reference, the wave algebra is near-linear with the
-answers of its per-point references, each refuter probe is an overlap test
-with the verdict of the meet it replaces, no check lives in an `assert` statement,
+answers of its per-point references, a report builds each wave's text once,
+each refuter probe is an overlap test with the verdict of the meet it
+replaces, no check lives in an `assert` statement,
 only the space classes ask which space they are, the slotted value types keep
 the semantics of the frozen dataclasses they replaced, and importing the CLI
 loads no dataclass or typing machinery."""
@@ -21,6 +22,7 @@ from hypothesis import given, strategies as st
 
 import featherline
 from featherline import certificates as cert
+from featherline import cli
 from featherline import feather as fe
 from featherline import kernel as ke
 from featherline import multiline as ml
@@ -949,6 +951,39 @@ def test_wave_contains_reads_the_stored_map(monkeypatch):
     assert not w.contains(ml.MultiLinePoint(F(0), 0))
     assert w.contains(ml.MultiLinePoint(F(1), 0))
     assert ml.wave_member_levels(w, F(0)) == {1}
+
+
+def _waves_in(value, found):
+    """Every `Wave` object reachable from a report, keyed by id."""
+    if type(value) is ml.Wave:
+        found[id(value)] = value
+    elif type(value) is cert.Certificate:
+        _waves_in(value.payload, found)
+    elif type(value) is dict:
+        for item in value.items():
+            _waves_in(item, found)
+    elif type(value) in (list, tuple, frozenset):
+        for item in value:
+            _waves_in(item, found)
+    return found
+
+
+@pytest.mark.parametrize("space_name", ["line", "two-origins", "doubled"])
+def test_a_report_builds_each_wave_text_once(monkeypatch, space_name):
+    # each stage's handle is in the stage and in its certificate
+    _, report, _ = cli.demo_theorem2(space_name)
+    waves = _waves_in(report, {})
+    builds = []
+    original = IntervalSet.__str__
+
+    def counting(self):
+        builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(IntervalSet, "__str__", counting)
+    rendered = syntax.jsonable(report)
+    assert waves and len(builds) <= len(waves)
+    assert syntax.jsonable(report) == rendered and len(builds) <= len(waves)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from featherline import certificates as cert
 from featherline import kernel as ke
 from featherline import multiline as ml
-from featherline.intervals import FinSet, IntervalSet
-from featherline.rationals import PreconditionError
+from featherline.intervals import FinSet, IntervalSet, iset_complement_is_finite
+from featherline.rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext
 
 F = Fraction
 
@@ -71,6 +71,78 @@ def test_wave_meet_examples():
 def test_wave_meet_pointwise(w1, w2, p):
     m = ml.wave_meet(w1, w2)
     assert m.contains(p) == (w1.contains(p) and w2.contains(p))
+
+
+SPECS = {"line": ml.LINE, "two-origins": ml.TWO_ORIGINS, "doubled": ml.DOUBLED,
+         "tripled": ml.TRIPLED}
+
+
+@st.composite
+def spec_waves(draw, spec):
+    """A wave of `spec` over the whole line or over some of the gaps between
+    sorted cut points (all of them: the line minus the cuts), lifting some
+    doubled abscissae inside it."""
+    cuts = [] if draw(st.booleans()) else sorted(draw(st.sets(rationals, max_size=4)))
+    ends = [NEG_INF] + cuts + [POS_INF]
+    gaps = [(lo, hi) for lo, hi in zip(ends, ends[1:]) if not cuts or draw(st.booleans())]
+    parts = IntervalSet.of(*gaps)
+    lift = [(x, draw(st.integers(1, spec.k - 1)))
+            for x in sorted(draw(st.sets(rationals | st.just(F(0)), max_size=4)))
+            if spec.is_doubled(x) and parts.contains(x) and draw(st.booleans())]
+    return ml.Wave(spec, parts, tuple(lift))
+
+
+@st.composite
+def spec_wave_families(draw):
+    name = draw(st.sampled_from(sorted(SPECS)))
+    return name, draw(st.lists(spec_waves(SPECS[name]), min_size=1, max_size=3))
+
+
+def _wave_text(w) -> str:
+    # the formula `Wave.__str__` ran on every call before it kept its text
+    lifts = ",".join(["%s^%d" % (fmt_ext(x), j) for x, j in w.lift]) if w.lift else ""
+    return "W[%s-{%s}]" % (w.parts, lifts)
+
+
+@given(spec_wave_families())
+def test_a_wave_keeps_the_text_of_the_old_formula(case):
+    _, family = case
+    for w in family:
+        twin = ml.Wave(w.spec, w.parts, tuple(reversed(w.lift)))
+        before = (repr(w), hash(w))
+        assert w._text is None and "_text" not in before[0]
+        assert twin == w and (repr(twin), hash(twin)) == before
+        assert str(w) == _wave_text(w) == w._text  # the first call fills the slot
+        assert twin == w and (repr(twin), hash(twin)) == (repr(w), hash(w)) == before
+        assert str(w) == _wave_text(w) and str(twin) == str(w)
+        assert twin == w and (repr(twin), hash(twin)) == (repr(w), hash(w)) == before
+
+
+@given(st.fractions() | st.integers(-2**70, 2**70)
+       | st.integers(-2**70, 2**70).map(lambda n: F(n, 3**40)),
+       st.integers(0, 2))
+@example(F(7), 1)
+@example(F(-7, 2), 0)
+@example(F(-2**70 - 1, 3), 2)
+@example(5, 1)
+def test_a_line_point_prints_as_the_old_formula(x, level):
+    p = ml.MultiLinePoint(x, level)
+    assert str(p) == "D(%s @%d)" % (fmt_ext(x), level)
+
+
+def _gap_scan(w) -> set:
+    # the zero-width gaps of the down projection, as `_down_gaps` scans them
+    iv = w.down_projection().intervals
+    return {iv[k][1] for k in range(len(iv) - 1) if iv[k][1] == iv[k + 1][0]}
+
+
+@given(spec_wave_families())
+def test_density_and_gaps_match_the_down_union(case):
+    name, family = case
+    space = ke.space_of(name)
+    assert space.dense(family) == iset_complement_is_finite(ke._down_union(family))
+    for w in family:
+        assert ke._down_gaps(w) == _gap_scan(w)
 
 
 # ---------------------------------------------------------------------------
