@@ -11,8 +11,10 @@ It builds the workload's op pool with `bench/gen.py` and `bench/ops.py`,
 runs one untimed pass to warm caches, one timed pass without the profiler,
 then one pass under cProfile.  It prints the top K functions by self time
 and the share of all self time spent in the standard library's
-`fractions.py`, then a table of op kinds from the timed pass: each kind's
-op count, mean wall time per op and share of the pass.  With `--callers
+`fractions.py`, with the number of `Fraction` arithmetic operator calls in
+the pass (`+`, `-`, `*`, `/` and the rest, which the stdlib builds as
+`forward` and `reverse`), then a table of op kinds from the timed pass:
+each kind's op count, mean wall time per op and share of the pass.  With `--callers
 PATTERN` it then prints, for every function whose `file:line(name)` matches
 the regular expression PATTERN, the functions that called it and how often.
 """
@@ -77,12 +79,17 @@ def main(argv=None) -> int:
     total = sum(row[2] for row in stats.values())
     in_fractions = sum(row[2] for key, row in stats.items()
                        if os.path.basename(key[0]) == "fractions.py")
+    # the stdlib builds every binary operator of Fraction as `forward` or `reverse`
+    arithmetic = sum(row[1] for key, row in stats.items()
+                     if os.path.basename(key[0]) == "fractions.py"
+                     and key[2] in ("forward", "reverse"))
     rows = sorted(stats.items(), key=lambda item: item[1][2], reverse=True)[:args.top]
     print("%s seed %d: one pass, %.3f s of self time" % (args.workload, args.seed, total))
     print("%8s %6s %9s  %s" % ("self_s", "share", "calls", "function"))
     for func, (_, calls, tt, _, _) in rows:
         print("%8.3f %5.1f%% %9d  %s" % (tt, 100 * tt / total, calls, label(func)))
-    print("fractions.py share of self time: %.1f%%" % (100 * in_fractions / total))
+    print("fractions.py share of self time: %.1f%%, %d Fraction arithmetic calls"
+          % (100 * in_fractions / total, arithmetic))
     print_kinds(kinds)
     if callers_re is not None:
         print_callers(stats, callers_re)

@@ -9,10 +9,10 @@ space carries the order topology of the tree order
 Basic opens are order intervals {w : u < w < v}.  Internally every interval
 is decomposed into "arms": sets of the form {prefix + (r,) : r in range},
 which make meets, twin detection and chart reasoning finite case analyses.
-An interval decomposes its arms once, on first use, and keeps them, so a
-chart probed many times is decomposed once.  Whether two arm unions meet is
-decided by `arms_meet`, which stops at the first overlapping pair and builds
-no meet.
+An interval decomposes its arms once, on first use, and keeps them; a chart
+is built with its arms, in the closed forms of `FeatherSpace.chart_form`.
+Whether two arm unions meet is decided by `arms_meet`, which stops at the
+first overlapping pair and builds no meet.
 
 Validation contract.  A point is checked once, where it is made, and the
 check is its type: `fp_validate` is the only maker of a `FeatherPoint`, a tuple
@@ -38,10 +38,11 @@ and `arms_to_intervals` build intervals with `FeatherInterval.trusted`: a
 chart's ends come from the checked centre and the radius, clamped by exact
 comparisons; a meet's ends are arm prefixes plus arm ends of valid intervals.
 
-Exact comparisons.  Every coordinate comparison goes through `rationals`,
-never a `Fraction` operator: arm ends and chart radii by `lt` and `eq` (`_min`
-and `_max` keep the first argument on a tie, as `min` and `max` do), points and
-prefixes by `same`, and the homotopy's t <= 1/k as t_num * k <= t_den.  The
+Exact comparisons.  Every coordinate comparison, and a chart's ends and
+clamp gaps (`add`, `sub`), go through `rationals`, never a `Fraction`
+operator: arm ends and chart radii by `lt` and `eq` (`_min` and `_max` keep
+the first argument on a tie, as `min` and `max` do), points and prefixes by
+`same`, and the homotopy's t <= 1/k as t_num * k <= t_den.  The
 kernel's refuter probes a twin pair's p against `fp_twin(p)`, whose prefixes
 share p's coordinate objects.
 """
@@ -49,10 +50,12 @@ share p's coordinate objects.
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .rationals import PreconditionError, Value, check_rational, eq, fmt_ext, lt, same
+from .rationals import PreconditionError, Value, add, check_rational, eq, lt, same, sub
 
 def _coords(p) -> str:
-    return ",".join(map(fmt_ext, p))
+    """`",".join(map(fmt_ext, p))` for a tuple of Fractions, read off the slots."""
+    return ",".join([str(x._numerator) if x._denominator == 1
+                     else "%d/%d" % (x._numerator, x._denominator) for x in p])
 
 
 def fp_str(p: tuple) -> str:
@@ -158,13 +161,13 @@ class FeatherInterval(Value):
         self.__post_init__()
 
     @classmethod
-    def trusted(cls, lower, upper):
+    def trusted(cls, lower, upper, arms=None):
         """The interval between two valid points with lower < upper, which the
-        caller guarantees; nothing is checked."""
+        caller guarantees, with its arms if given; nothing is checked."""
         itv = object.__new__(cls)
         object.__setattr__(itv, "lower", lower)
         object.__setattr__(itv, "upper", upper)
-        object.__setattr__(itv, "_arms", None)
+        object.__setattr__(itv, "_arms", arms)
         return itv
 
     def __post_init__(self):
@@ -342,16 +345,16 @@ def fp_chart(p: tuple, eps) -> Chart:
     one of the two canonical shapes (pure arm, or glued twin neighborhood)."""
     eps = chart_radius(eps)
     p = fp_validate(p)
-    if fp_is_strict(p):
-        if len(p) >= 2:
-            eps = _min(eps, p[-1] - p[-2])
-        itv = FeatherInterval.trusted(p[:-1] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
-    else:
-        # upper twin (q, a, a): glue the branch below a to the arm above it
-        if len(p) >= 3:
-            eps = _min(eps, p[-1] - p[-3])
-        itv = FeatherInterval.trusted(p[:-2] + (p[-1] - eps,), p[:-1] + (p[-1] + eps,))
-    return Chart(p, eps, itv)
+    a, k, n = p[-1], p[:-1], 2 if fp_is_strict(p) else 3  # the gap a - p[-n] clamps eps
+    if len(p) >= n:
+        eps = _min(eps, sub(a, p[-n]))
+    lo, hi = sub(a, eps), add(a, eps)
+    if n == 2:  # a lower twin: one open arm around a
+        return Chart(p, eps, FeatherInterval.trusted(k + (lo,), k + (hi,), (Arm(k, lo, hi),)))
+    # upper twin (q, a, a): glue the branch below a to the arm above it
+    q = p[:-2]
+    arms = (Arm(q, lo, a), Arm(k, a, hi, True))
+    return Chart(p, eps, FeatherInterval.trusted(q + (lo,), k + (hi,), arms))
 
 
 # ---------------------------------------------------------------------------

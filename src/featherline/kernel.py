@@ -118,7 +118,7 @@ from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
                         iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
 from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, check_rational,
-                        denominator_bits, eq, key, lt, same, sorted_by)
+                        denominator_bits, eq, key, lt, same, sorted_by, sub)
 from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
@@ -253,10 +253,10 @@ class FeatherSpace(Space):
         a = p[-1]
         if fe.fp_is_strict(p):  # one arm (p[:-1], a ± ρ)
             return ChartForm(((p[:-1], (a, -1), (a, 1), False),),
-                             a - p[-2] if len(p) >= 2 else None)
+                             sub(a, p[-2]) if len(p) >= 2 else None)
         # upper twin: the branch below a glued to the arm above it
         return ChartForm(((p[:-2], (a, -1), (a, 0), False), (p[:-1], (a, 0), (a, 1), True)),
-                         a - p[-3] if len(p) >= 3 else None)
+                         sub(a, p[-3]) if len(p) >= 3 else None)
 
     def common_point(self, p, q):
         # (q, a - δ/2): just below the branch point of the twins (q, a), (q, a, a)
@@ -932,10 +932,10 @@ def _maps_onto_itself(spec, gen) -> bool:
 
 def _verify_compact(space, pl) -> bool:
     radius, ends = pl["radius"], pl["closed_interval"]
-    if len(ends) != 2 or not -radius < ends[0] <= ends[1] < radius:
+    # [lo, hi] holds the centre inside it and lies in a slightly larger open
+    # chart, whose containment in the enclosing neighborhood certifies the nesting
+    if len(ends) != 2 or not -radius < ends[0] < 0 < ends[1] < radius:
         return False
-    # a slightly larger open chart contains the closed image; its containment
-    # in the enclosing neighborhood certifies the nesting
     probe = (max(map(abs, ends)) + radius) / 2
     small = space.canonical_neighborhood(pl["center"], probe)
     return space.basic_subset(small, pl["enclosing"])

@@ -6,9 +6,9 @@ correctly against Fraction.
 
 Exact primitives for the inner loops.  A Fraction is in lowest terms with a
 positive denominator, so its `_numerator`/`_denominator` slots decide order,
-equality and identity of value with integer arithmetic alone, without the
-operators' generic dispatch and without a float.  Nothing patches
-`Fraction`: every other caller keeps the stdlib operators.
+equality and identity of value, and give sums, with integer arithmetic
+alone, without the operators' generic dispatch and without a float.  Nothing
+patches `Fraction`: every other caller keeps the stdlib operators.
 
 - `lt(a, b)` is `a < b`: one integer cross-multiplication for a Fraction or
   int pair; a ±inf sentinel against a Fraction, an int or a sentinel is
@@ -17,6 +17,8 @@ operators' generic dispatch and without a float.  Nothing patches
 - `eq(a, b)` is `a == b`: the slots of a Fraction pair are compared, and an
   int equals a Fraction only with denominator 1.  Anything else falls back
   to the operator.
+- `add(a, b)` and `sub(a, b)` are `a + b` and `a - b`: a Fraction pair by one
+  cross-multiplication and one gcd, set into the slots; else the operator.
 - `same(p, q)` is `p == q` for tuples of scalars: equal lengths, then an
   identity pass (prefixes sliced from one point share their coordinate
   objects), and only if that fails, `eq` on each pair of coordinates.
@@ -35,6 +37,7 @@ operators' generic dispatch and without a float.  Nothing patches
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import groupby
+from math import gcd
 from operator import is_
 
 NEG_INF = float("-inf")
@@ -91,6 +94,30 @@ def eq(a, b) -> bool:
     elif a.__class__ is int and b.__class__ is Fraction:
         return b._denominator == 1 and b._numerator == a
     return a == b
+
+
+def _lowest(n: int, d: int) -> Fraction:
+    """n/d for d > 0, reduced by one gcd and set into the slots unchecked."""
+    g = gcd(n, d)
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = n // g, d // g
+    return x
+
+
+def add(a, b):
+    """Exactly `a + b`: a Fraction pair is summed on its slots."""
+    if a.__class__ is Fraction and b.__class__ is Fraction:
+        da, db = a._denominator, b._denominator
+        return _lowest(a._numerator * db + b._numerator * da, da * db)
+    return a + b
+
+
+def sub(a, b):
+    """Exactly `a - b`: a Fraction pair is subtracted on its slots."""
+    if a.__class__ is Fraction and b.__class__ is Fraction:
+        da, db = a._denominator, b._denominator
+        return _lowest(a._numerator * db - b._numerator * da, da * db)
+    return a - b
 
 
 def same(p, q) -> bool:

@@ -1,4 +1,5 @@
-"""The one-pass profiler's `--callers` listing and its table of op kinds."""
+"""The one-pass profiler's `--callers` listing, its count of `Fraction`
+arithmetic calls and its table of op kinds."""
 
 import importlib.util
 import pathlib
@@ -27,6 +28,17 @@ def test_callers_lists_each_matching_function_with_its_callers():
                             header)
         assert callers and all(re.fullmatch(r" *\d+  \S.*", line) for line in callers)
         assert sum(int(line.split()[0]) for line in callers) == int(header.split()[1])
+
+
+def test_the_fraction_arithmetic_count_is_the_operator_calls_listed():
+    proc = run_profile("--callers", r"fractions\.py:\d+\((forward|reverse)\)$")
+    assert proc.returncode == 0, proc.stderr
+    summary = re.search(r"^fractions\.py share of self time: [\d.]+%, (\d+) Fraction arithmetic"
+                        r" calls$", proc.stdout, re.M)
+    listed = re.findall(r"^callers of (?:forward|reverse)\(fractions\.py:\d+\): (\d+) calls",
+                        proc.stdout, re.M)
+    assert summary and listed
+    assert int(summary.group(1)) == sum(map(int, listed))
 
 
 def test_callers_reports_a_pattern_that_matches_nothing():

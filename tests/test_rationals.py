@@ -1,10 +1,11 @@
-"""The exact primitives `rationals.lt`, `eq`, `same`, `sorted_by` and `key`
-and the sites that use them: each agrees with the plain `Fraction`
-operators, the hot paths call no `Fraction` dunder, and nothing patches
-them."""
+"""The exact primitives `rationals.lt`, `eq`, `add`, `sub`, `same`,
+`sorted_by` and `key` and the sites that use them: each agrees with the
+plain `Fraction` operators, the hot paths call no `Fraction` dunder, and
+nothing patches them."""
 
 import cProfile
 import fractions
+import math
 import os
 import pstats
 from fractions import Fraction
@@ -18,8 +19,8 @@ from featherline import kernel as ke
 from featherline import multiline as ml
 from featherline import separation as sp
 from featherline.intervals import IntervalSet, canon_intervals, iset_meet, iset_meets
-from featherline.rationals import (NEG_INF, POS_INF, PreconditionError, _floor_key,
-                                   denominator_bits, eq, fmt_ext, key, lt, same, sorted_by)
+from featherline.rationals import (NEG_INF, POS_INF, PreconditionError, _floor_key, add,
+                                   denominator_bits, eq, fmt_ext, key, lt, same, sorted_by, sub)
 
 big = st.integers(-10**30, 10**30)
 fracs = st.builds(Fraction, big, st.integers(1, 10**30))
@@ -126,6 +127,42 @@ def test_nothing_patches_the_fraction_operators():
     for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__"):
         method = vars(Fraction)[name]
         assert (method.__module__, method.__qualname__) == ("fractions", "Fraction." + name)
+    # the arithmetic operators are made by the stdlib's `_operator_fallbacks`
+    for name in ("__add__", "__sub__"):
+        method = vars(Fraction)[name]
+        assert (method.__module__, method.__name__, method.__qualname__) == (
+            "fractions", name, "Fraction._operator_fallbacks.<locals>.forward")
+
+
+# ---------------------------------------------------------------------------
+# Sums and differences on the slots.
+
+
+def _alike(x, y) -> bool:
+    """Equal in value, type and hash, and for Fractions in the same slots:
+    lowest terms with a positive denominator."""
+    if type(x) is not type(y) or x != y or hash(x) != hash(y):
+        return False
+    return type(x) is not Fraction or (x._numerator, x._denominator) == (y._numerator,
+                                                                         y._denominator)
+
+
+@given(scalars, scalars)
+def test_add_and_sub_agree_with_the_operators(a, b):
+    for got, expected in ((add(a, b), a + b), (sub(a, b), a - b)):
+        if expected != expected:  # inf - inf is nan, which equals nothing
+            assert got != got
+        else:
+            assert _alike(got, expected), (a, b, got, expected)
+        if type(got) is Fraction:
+            assert got._denominator > 0 and math.gcd(got._numerator, got._denominator) == 1
+
+
+@given(fracs | small_fracs)
+def test_a_difference_of_equal_values_is_zero_over_one(a):
+    zero = sub(a, Fraction(a._numerator, a._denominator))
+    assert (zero._numerator, zero._denominator) == (0, 1) and hash(zero) == hash(0)
+    assert _alike(add(a, -a), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +380,20 @@ def test_arms_meet_on_separately_parsed_points_calls_no_fraction_equality():
     met = []
     assert _fraction_calls(lambda: met.append(fe.arms_meet(a1, a2)), "__eq__") == 0
     assert met == [True]
+
+
+def test_charts_and_the_feather_refuter_make_no_fraction_sum_or_difference():
+    p = ke.FEATHER.parse_point("F(0,1/3,5/7,5/2)")
+    for centre in (p, fe.fp_twin(p), p[:1], p[:1] + p[:1]):
+        charts = []
+        assert _fraction_calls(lambda: charts.extend(
+            fe.fp_chart(centre, e) for e in ke.REFUTER_SCALES), "forward") == 0
+        assert [c.arms() for c in charts] == [fe.interval_arms(c.interval.lower, c.interval.upper)
+                                              for c in charts]
+    refuted = []
+    assert _fraction_calls(lambda: refuted.append(
+        ke.bounded_refuter(ke.FEATHER, p, fe.fp_twin(p))), "forward") == 0
+    assert refuted == [None]
 
 
 def test_denominator_bits_sums_over_points_and_basics():

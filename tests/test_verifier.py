@@ -481,6 +481,25 @@ def test_a_covered_certificate_must_hold_every_upper_point():
 
 
 # ---------------------------------------------------------------------------
+# A compact neighbourhood: its closed interval holds the centre inside it.
+
+# (space, centre, enclosing basic); None encloses in the centre's unit chart
+COMPACT_CENTRES = [("line", "D(0)", "W[(-1,1)-{}]"), ("doubled", "D(0)", "W[(-1,1)-{}]"),
+                   ("feather", "F(0,1)", None)]
+
+
+@pytest.mark.parametrize("name, centre, enclosing", COMPACT_CENTRES)
+@pytest.mark.parametrize("ends", [(F(0), F(0)), (F(1, 4), F(1, 3)), (F(-1, 3), F(-1, 4))],
+                         ids=["the-centre-alone", "above-the-centre", "below-the-centre"])
+def test_a_compact_interval_must_hold_its_centre_inside(name, centre, enclosing, ends):
+    space = ke.space_of(name)
+    p = space.parse_point(centre)
+    v = space.parse_basic(enclosing) if enclosing else space.canonical_neighborhood(p, 1)
+    assert ke.verify_certificate(space, cert.compact_cert(p, F(1), (F(-1, 2), F(1, 2)), v))
+    assert not ke.verify_certificate(space, cert.compact_cert(p, F(1), ends, v))
+
+
+# ---------------------------------------------------------------------------
 # Homeomorphism words on the line family: each generator must map the space
 # onto itself.
 
