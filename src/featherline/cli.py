@@ -24,13 +24,19 @@ values in argument order and returns (verdict, fields, positive); the
 report is {"command", "verdict", **fields, "citations"}.  A demo returns
 the same triple, and `_demo` registers it in `DEMOS` with its citations.
 
+`main(argv)` runs one command in process.  `run()`, the process entry, runs
+`main()` and then `gc.freeze()`, so shutdown's collections skip every object
+already imported; the stdout flush and atexit handlers still run.
+
 Exit status encodes the verdict: 0 for positive verdicts, 1 for parse
 errors, 2 for precondition errors, 3 for expected negative verdicts
-(non-separable pairs, failed subcovers, EMPTY intersections, ...).
+(non-separable pairs, failed subcovers, EMPTY intersections, ...), and 120,
+silently, when the reader closed stdout early.
 """
 
 import argparse
-import json
+import gc
+import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
@@ -42,23 +48,24 @@ from . import multiline as ml
 from . import separation as sp
 from .intervals import CofiniteSet, FinSet, IntervalSet
 from .rationals import ParseError, PreconditionError, parse_rat
-from .syntax import jsonable
+from .syntax import jsonable, render
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_NEGATIVE = 3
+EXIT_BROKEN_PIPE = 120
 
 
 def _render(report, fmt, out):
     if fmt == "json":
-        out.write(json.dumps(jsonable(report), indent=2) + "\n")
+        out.write(render(report, indent=2) + "\n")
         return
     out.write("verdict: %s\n" % jsonable(report["verdict"]))
     for key, value in report.items():
         if key in ("command", "verdict"):
             continue
-        out.write("%s: %s\n" % (key, json.dumps(jsonable(value))))
+        out.write("%s: %s\n" % (key, render(value)))
 
 
 # ---------------------------------------------------------------------------
@@ -589,5 +596,18 @@ def main(argv=None) -> int:
     return EXIT_OK if positive else EXIT_NEGATIVE
 
 
+def run() -> int:
+    """Run `main()` as a process and return its exit status."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as in the SIGPIPE note of the Python docs: the shutdown flush must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -52,6 +52,9 @@ from functools import cmp_to_key
 
 from .rationals import PreconditionError, Value, add, check_rational, eq, lt, same, sub
 
+_ONE = Fraction(1)
+
+
 def _coords(p) -> str:
     """`",".join(map(fmt_ext, p))` for a tuple of Fractions, read off the slots."""
     return ",".join([str(x._numerator) if x._denominator == 1
@@ -120,7 +123,7 @@ def fp_twin(p: tuple) -> tuple:
 
 def fp_translate(t, p: tuple) -> tuple:
     t = Fraction(t)
-    return tuple(x + t for x in p)
+    return tuple([add(x, t) for x in p])
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +517,7 @@ def fp_move(p: tuple, q: tuple):
     wp, line_p = normalize_to_line(p)
     wq, line_q = normalize_to_line(q)
     word = list(wp)
-    shift = line_q[0] - line_p[0]
+    shift = sub(line_q[0], line_p[0])
     if not eq(shift, 0):
         word.append(FeatherTranslateGen(shift))
     word.extend(StraightenGen(gen.point, inverse=True) for gen in wq)
@@ -531,7 +534,7 @@ def replay(word, p: tuple) -> tuple:
 def twin_swap_flip(p: tuple) -> FlipGen:
     """A flip exchanging the twin pair through p (works for either twin)."""
     lower = p if fp_is_strict(p) else fp_twin(p)
-    return FlipGen(lower + (lower[-1] + 1,))
+    return FlipGen(lower + (add(lower[-1], _ONE),))
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ from . import feather as fe
 from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
                         iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
-from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, check_rational,
+from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, add, check_rational,
                         denominator_bits, eq, key, lt, same, sorted_by, sub)
 from .syntax import parse_basic, parse_point
 
@@ -355,8 +355,7 @@ class FeatherSpace(Space):
         handle = fe.skeleton_through(x)
         # each candidate is checked once, here; the handle's tests reuse the check
         candidates = [fe.fp_validate(fe.fp_twin(x))]
-        for shift in (1, -1):
-            c = x[0] + shift
+        for c in (add(x[0], _ONE), sub(x[0], _ONE)):
             tw = (c, c)
             candidates.append(fe.fp_validate(handle.flip.apply(tw) if handle.flip else tw))
         return x, handle, [handle.adjoin_witness(w) for w in candidates if not handle.contains(w)]

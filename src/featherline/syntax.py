@@ -16,6 +16,8 @@ the golden files.
 Every value type prints itself in this syntax with `str`, except the feather
 point, a tuple of Fractions printed by `feather.fp_str`.
 `jsonable` renders a report by one lookup on the exact type of each value.
+`render(value, indent)` is `json.dumps(jsonable(value), indent=indent)` in one
+walk over that lookup, escaping strings with json's C `encode_basestring_ascii`.
 A wave builds its text once and keeps it, so a wave named twice in a report
 (a stage's handle and its certificate) is rendered once.
 A feather point is a `feather.FeatherPoint`, or a plain tuple of Fractions
@@ -24,6 +26,7 @@ rationals in a report must be a list, and renders as a list of rationals.
 """
 
 import re
+from _json import encode_basestring_ascii as _quote
 from fractions import Fraction
 
 from . import certificates as cert
@@ -49,11 +52,13 @@ def fmt_basic(b) -> str:
     return str(b)
 
 
-def _tuple(value):
+def _is_point(value):
     # a tuple of points or pairs fails on its first entry, with no generator
-    if value and type(value[0]) is Fraction and all(type(c) is Fraction for c in value):
-        return fe.fp_str(value)
-    return [jsonable(v) for v in value]
+    return value and type(value[0]) is Fraction and all(type(c) is Fraction for c in value)
+
+
+def _tuple(value):
+    return fe.fp_str(value) if _is_point(value) else [jsonable(v) for v in value]
 
 
 # One encoder per type: containers recurse, values that print themselves in
@@ -87,20 +92,63 @@ def jsonable(value):
     return value if encode is None else encode(value)
 
 
+def render(value, indent=None) -> str:
+    """`json.dumps(jsonable(value), indent=indent)`, in one walk."""
+    out = []
+    _walk(value, out.append, None if indent is None else "\n", " " * (indent or 0))
+    return "".join(out)
+
+
+def _atom(value) -> str:
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def _walk(value, put, nl, step):
+    # nl: the newline and indentation of this value's line, None on one line
+    t = type(value)
+    if t is cert.Certificate:
+        value, t = {"kind": value.kind, "payload": value.payload}, dict
+    elif t is tuple and not _is_point(value):
+        t = list
+    elif t is not dict and t is not list and t in _ENCODERS:
+        value = _ENCODERS[t](value)
+        t = type(value)
+    if t is str:
+        return put(_quote(value))
+    if t is not dict and t is not list:
+        return put(_atom(value))
+    inner = nl and nl + step
+    put("{" if t is dict else "[")
+    if t is dict:  # jsonable's keys first: keys that print alike merge as there
+        value = {k if type(k) is str else jsonable(k): v for k, v in value.items()}.items()
+    for i, v in enumerate(value):
+        put((", " if nl is None else "," + inner) if i else inner or "")
+        if t is dict:
+            k, v = v
+            put((_quote(k) if type(k) is str else '"%s"' % _atom(k)) + ": ")
+        _walk(v, put, inner, step)
+    put((value and nl or "") + ("}" if t is dict else "]"))
+
+
 # ---------------------------------------------------------------------------
 # Parsing.
 
-_POINT_RE = re.compile(r"^([FDBN])\((.*)\)$")
-_WAVE_RE = re.compile(r"^W\[(.*)-\{(.*)\}\]$")
-_FI_RE = re.compile(r"^FI\[\((.*)\);\((.*)\)\]$")
-_BI_RE = re.compile(r"^BI\[\((.*),(.*)\)@([LR])\]$")
-_ISET_RE = re.compile(r"\(([^()]*),([^()]*)\)")
-_HANDLE_RE = re.compile(r"^strict-skeleton\*flip\((.*)\)$")
+# Strings, so that `re.match` compiles (and caches) only the patterns a run uses.
+_POINT_RE = r"^([FDBN])\((.*)\)$"
+_WAVE_RE = r"^W\[(.*)-\{(.*)\}\]$"
+_FI_RE = r"^FI\[\((.*)\);\((.*)\)\]$"
+_BI_RE = r"^BI\[\((.*),(.*)\)@([LR])\]$"
+_ISET_RE = r"\(([^()]*),([^()]*)\)"
+_HANDLE_RE = r"^strict-skeleton\*flip\((.*)\)$"
 
 
 def parse_point(text: str, spec: ml.SpaceSpec = None):
     text = text.strip()
-    m = _POINT_RE.match(text)
+    m = re.match(_POINT_RE, text)
     if not m:
         raise ParseError("cannot parse point %r" % text)
     tag, body = m.groups()
@@ -137,7 +185,7 @@ def parse_iset(text: str) -> IntervalSet:
     pairs = []
     rest = text
     for part in text.split("u"):
-        m = _ISET_RE.match(part.strip())
+        m = re.match(_ISET_RE, part.strip())
         if not m or m.group(0) != part.strip():
             raise ParseError("cannot parse interval set %r" % rest)
         pairs.append((parse_ext(m.group(1)), parse_ext(m.group(2))))
@@ -158,7 +206,7 @@ def parse_cofinite(text: str) -> CofiniteSet:
 
 def parse_basic(text: str, spec: ml.SpaceSpec = None):
     text = text.strip()
-    m = _WAVE_RE.match(text)
+    m = re.match(_WAVE_RE, text)
     if m:
         parts = parse_iset(m.group(1))
         lift = []
@@ -170,7 +218,7 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
                 xs, js = item.split("^")
                 lift.append((parse_rat(xs), parse_int(js)))
         return ml.Wave(spec or ml.DOUBLED, parts, tuple(lift))
-    m = _FI_RE.match(text)
+    m = re.match(_FI_RE, text)
     if m:
         lower = tuple(parse_rat(c) for c in m.group(1).split(","))
         upper = tuple(parse_rat(c) for c in m.group(2).split(","))
@@ -178,14 +226,14 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
             return fe.FeatherInterval(lower, upper)
         except Exception as exc:
             raise ParseError("invalid feather interval %r: %s" % (text, exc)) from exc
-    m = _BI_RE.match(text)
+    m = re.match(_BI_RE, text)
     if m:
         return ml.branch_interval(parse_ext(m.group(1)), parse_ext(m.group(2)), m.group(3))
     if text.startswith("cofinite"):
         return parse_cofinite(text)
     if text == "strict-skeleton":
         return fe.strict_skeleton()
-    m = _HANDLE_RE.match(text)
+    m = re.match(_HANDLE_RE, text)
     if m:
         return fe.SkeletonHandle(fe.FlipGen(tuple(parse_rat(c) for c in m.group(1).split(","))))
     raise ParseError("cannot parse basic open %r" % text)

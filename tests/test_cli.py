@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -15,8 +17,11 @@ from hypothesis import given, settings, strategies as st
 from featherline import cli
 from featherline import kernel as ke
 from featherline import multiline as ml
+from featherline import syntax
+from featherline.rationals import NEG_INF, POS_INF
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+ROOT = GOLDEN_DIR.parent.parent
 
 DEMO_CASES = [
     ("two-origins.json", ["demo", "two-origins"], 0),
@@ -662,3 +667,135 @@ def test_main_returns_an_exit_code_for_any_argv(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3), argv
+
+
+# ---------------------------------------------------------------------------
+# Rendering without the json package: `syntax.render(v, indent)` is
+# `json.dumps(jsonable(v), indent=indent)`.
+
+
+def assert_renders_as_json(value):
+    for indent in (2, None):
+        try:
+            expected = json.dumps(syntax.jsonable(value), indent=indent)
+        except TypeError:
+            with pytest.raises(TypeError):
+                syntax.render(value, indent)
+        else:
+            assert syntax.render(value, indent) == expected
+
+
+def test_every_demo_and_verb_report_renders_as_json_does(monkeypatch):
+    reports, render = [], cli._render
+
+    def recording(report, fmt, out):
+        reports.append(report)
+        render(report, fmt, out)
+
+    monkeypatch.setattr(cli, "_render", recording)
+    argvs = [args for _, args, _ in DEMO_CASES] + [argv for argv, _ in COMMAND_CASES]
+    argvs += [argv for argv, _, code in README_EXAMPLES if code in (0, 3)]
+    for argv in argvs:
+        code, _, err = main_in_process(argv)
+        assert code in (0, 3), (argv, err)
+    assert len(reports) == len(argvs)
+    for report in reports:
+        assert_renders_as_json(report)
+        for value in report.values():  # the text format renders each field
+            assert_renders_as_json(value)
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location("bench_" + name, ROOT / "bench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["feather-deep", "wave-wide"])
+def test_every_bench_op_report_renders_as_json_does(workload, seed):
+    gen, ops = _bench_module("gen"), _bench_module("ops")
+    for rnd in gen.pool(workload, seed):
+        for spec in rnd:
+            kind, args, expect = ops.build(spec)
+            report, _ok = ops.RUNNERS[kind](args, expect)
+            assert_renders_as_json(dict(report, op=kind))
+
+
+_fractions = st.fractions(max_denominator=50)
+_points = st.lists(_fractions, min_size=1, max_size=4).map(tuple)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), _fractions, st.sampled_from([POS_INF, NEG_INF]),
+    # non-ASCII and control characters, and lone surrogates
+    st.text(st.characters(blacklist_categories=()), max_size=8),
+    _points, st.lists(_points, max_size=3).map(tuple),
+    st.frozensets(_fractions | _points, max_size=3),
+    # values and keys json refuses
+    st.sampled_from([object(), b"bytes", {1, 2}]))
+_keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(), st.none(), _fractions,
+                  _points, st.sampled_from([(1, 2), frozenset([1])]))
+_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_keys, inner, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_drawn_values_render_as_json_does(value):
+    assert_renders_as_json(value)
+
+
+def test_render_refuses_what_json_refuses():
+    for value in (object(), {(1, 2): 0}, {frozenset([1]): 0}, [b"x"], {b"k": 1}, {1, 2}):
+        assert_renders_as_json(value)
+        with pytest.raises(TypeError):
+            syntax.render(value)
+
+
+# ---------------------------------------------------------------------------
+# The CLI process: `cli.run` is its entry.
+
+_RUNPY_CHILD = """
+import atexit, runpy, sys
+atexit.register(lambda: print("json modules:",
+                               sorted(m for m in sys.modules if m.partition(".")[0] == "json")))
+runpy.run_module("featherline", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [["separate", "F", "F(0,1)", "F(0,1,1)"],
+                                  ["demo", "lemma-zorn", "--format", "json"]])
+def test_a_cli_process_loads_no_json_module_and_runs_its_exit_handlers(argv):
+    proc = subprocess.run([sys.executable, "-c", _RUNPY_CHILD] + argv,
+                          capture_output=True, text=True)
+    code, out, err = main_in_process(argv)
+    assert (proc.returncode, proc.stderr) == (code, err)
+    # the hook's line comes after the report: shutdown still runs
+    assert proc.stdout == out + "json modules: []\n"
+
+
+def test_the_featherline_script_calls_run():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^featherline = "featherline\.cli:run"$', pyproject, re.M)
+
+
+_LARGE_SUBCOVER = ["subcover", "doubled", "W[(-inf,inf)-{}]"] + [
+    "W[(-inf,inf)-{%d/7^1}]" % i for i in range(3000)]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["flip", "F(0,1)", "F(0,2)"], _LARGE_SUBCOVER],
+                         ids=["small", "large"])
+def test_a_reader_that_closed_the_pipe_gets_exit_120_and_no_traceback(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: its first write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "featherline"] + argv, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (120, b"")

@@ -14,6 +14,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, strategies as st
 
+from featherline import certificates as cert
 from featherline import feather as fe
 from featherline import kernel as ke
 from featherline import multiline as ml
@@ -394,6 +395,24 @@ def test_charts_and_the_feather_refuter_make_no_fraction_sum_or_difference():
     assert _fraction_calls(lambda: refuted.append(
         ke.bounded_refuter(ke.FEATHER, p, fe.fp_twin(p))), "forward") == 0
     assert refuted == [None]
+
+
+def test_maximal_and_move_queries_and_the_twin_swap_flip_make_no_fraction_sum_or_difference():
+    x = ke.FEATHER.parse_point("F(0,1/3,5/7,5/2)")
+    p, q = ke.FEATHER.parse_point("F(-1,2/3,9/4)"), ke.FEATHER.parse_point("F(7/2,5)")
+
+    def maximal():  # as the feather-deep bench op: certify, then verify
+        handle, c = sp.maximal_hausdorff_at(ke.FEATHER, x)
+        assert ke.verify_certificate(ke.FEATHER, c) and handle.contains(x)
+
+    def move():
+        word = fe.fp_move(p, q)
+        out = fe.replay(word, p)
+        assert out == q and ke.verify_certificate(ke.FEATHER, cert.homeo_word(word, p, out))
+
+    for fn in (maximal, move, lambda: fe.twin_swap_flip(x),
+               lambda: fe.twin_swap_flip(fe.fp_twin(x))):
+        assert _fraction_calls(fn, "forward") == 0
 
 
 def test_denominator_bits_sums_over_points_and_basics():
