@@ -39,8 +39,8 @@ SCHEMA = {
     # (outside point, partner inside) pairs: adjoining the outside point
     # creates a non-separable pair
     "maximal-hausdorff": "x:point, handle:basic, adjoin_samples:point pairs",
-    # the union of `basics` and `extra_points` holds no non-separable pair
-    "hausdorff-open": "basics:basics, extra_points:points",
+    # the union of `basics` holds no non-separable pair
+    "hausdorff-open": "basics:basics",
     # `point` lies in the basic `probe` and in every dense member
     "baire-point": "point:point, probe:basic, members:basics",
 }

@@ -30,8 +30,9 @@ already imported; the stdout flush and atexit handlers still run.
 
 Exit status encodes the verdict: 0 for positive verdicts, 1 for parse
 errors, 2 for precondition errors, 3 for expected negative verdicts
-(non-separable pairs, failed subcovers, EMPTY intersections, ...), and 120,
-silently, when the reader closed stdout early.
+(non-separable pairs, failed subcovers, EMPTY intersections, ...), and 120
+when stdout fails: silently when the reader closed it early, with one line
+on stderr for any other output error, such as a full disk.
 """
 
 import argparse
@@ -54,7 +55,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_NEGATIVE = 3
-EXIT_BROKEN_PIPE = 120
+EXIT_OUTPUT = 120
 
 
 def _render(report, fmt, out):
@@ -601,10 +602,12 @@ def run() -> int:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:  # main reads no file: this is an output error
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write("output error: %s\n" % exc)
         # as in the SIGPIPE note of the Python docs: the shutdown flush must not fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_BROKEN_PIPE
+        code = EXIT_OUTPUT
     gc.freeze()
     return code
 

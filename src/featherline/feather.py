@@ -139,14 +139,6 @@ class Arm(Value):
     def __init__(self, prefix, lo, hi, lo_closed=False):
         Value.__init__(self, prefix, lo, hi, lo_closed)
 
-    def contains_coord(self, r) -> bool:
-        if self.lo_closed:
-            return not lt(r, self.lo) and lt(r, self.hi)
-        return lt(self.lo, r) and lt(r, self.hi)
-
-    def contains(self, p: tuple) -> bool:
-        return same(p[:-1], self.prefix) and self.contains_coord(p[-1])
-
     def is_empty(self) -> bool:
         return not lt(self.lo, self.hi)
 

@@ -197,14 +197,8 @@ class FinSet(Value):
     def of(*xs) -> "FinSet":
         return FinSet(tuple(sorted({Fraction(x) for x in xs})))
 
-    def __contains__(self, x):
-        return x in self.elements
-
     def __iter__(self):
         return iter(self.elements)
-
-    def __str__(self):
-        return "{%s}" % ",".join(fmt_ext(x) for x in self.elements)
 
 
 class CofiniteSet(Value):

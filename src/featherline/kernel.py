@@ -18,7 +18,7 @@ class defines:
                          basic_subset maximal_hausdorff is_maximal_hausdorff
                          cover_admits cover_member uncovered_point
                          default_subfamily baire_point chart_sample
-                         pipeline_sample checked_point
+                         pipeline_sample
     feather only         homotopy density_witness
     multiline only       chain connected cover_probes covered_by
 
@@ -42,9 +42,9 @@ line's two sheets over one x), where the first probe succeeds.
 
 The upper-twin rule.  Each twin pair holds one upper twin u = (q, r, r), so
 a feather union holds a pair exactly when it holds some u and u[:-1].  Its
-upper twins are finitely many: its upper extra points, the closed lower end
-prefix + (lo,) of each arm (the only one an arm holds), and pivot[:-1] +
-(pivot[-2],) of a skeleton flipped at pivot; the plain skeleton holds none.
+upper twins are finitely many: the closed lower end prefix + (lo,) of each
+arm (the only one an arm holds), and pivot[:-1] + (pivot[-2],) of a skeleton
+flipped at pivot; the plain skeleton holds none.
 
 The probe contract.  `meet_is_empty(b1, b2)` gives the verdict of
 `not meet(b1, b2)` without building the meet: the refuter makes 16 such
@@ -313,14 +313,10 @@ class FeatherSpace(Space):
     def homotopy(self, t, s):
         return fe.homotopy_eval(t, s)
 
-    def checked_point(self, x):
-        return fe.fp_validate(x)
-
-    def union_twin_pair(self, basics, extra_points=()):
-        """A twin pair (lower, upper) in the union of `basics` and
-        `extra_points`, or None, found by the upper-twin rule."""
-        extra_points = [fe.fp_validate(w) for w in extra_points]
-        candidates = [w for w in extra_points if not fe.fp_is_strict(w)]
+    def union_twin_pair(self, basics):
+        """A twin pair (lower, upper) in the union of `basics`, or None,
+        found by the upper-twin rule."""
+        candidates = []
         for b in basics:
             if b.__class__ is not fe.SkeletonHandle:
                 candidates.extend(a.prefix + (a.lo,) for a in b.arms() if a.lo_closed)
@@ -329,12 +325,9 @@ class FeatherSpace(Space):
                     raise PreconditionError("a skeleton handle is conjugated by a flip")
                 pivot = b.flip.pivot
                 candidates.append(pivot[:-1] + (pivot[-2],))
-
-        def in_union(w):
-            return any(b.contains(w) for b in basics) or any(same(w, e) for e in extra_points)
         for u in candidates:
             lower = u[:-1]
-            if in_union(u) and in_union(lower):
+            if any(b.contains(u) for b in basics) and any(b.contains(lower) for b in basics):
                 return lower, u
         return None
 
@@ -469,22 +462,13 @@ class MultiLineSpace(Space):
     def connected(self, w) -> bool:  # one interval of its canonical open set
         return len(w.parts.intervals) == 1
 
-    def checked_point(self, x):
-        self._check_points(x)
-        return x
-
-    def union_twin_pair(self, basics, extra_points=()):
+    def union_twin_pair(self, basics):
         waves = list(basics)
         lifted = {key(x): x for w in waves for x, _ in w.lift}
-        for p in extra_points:
-            lifted.setdefault(key(p.x), p.x)
         for x in sorted_by(lifted.values()):
             levels = set()
             for w in waves:
                 levels |= ml.wave_member_levels(w, x)
-            for p in extra_points:
-                if eq(p.x, x):
-                    levels.add(p.level)
             if len(levels) > 1:
                 js = sorted(levels)
                 return (ml.MultiLinePoint(x, js[0]), ml.MultiLinePoint(x, js[1]))
@@ -965,8 +949,7 @@ _CHECKS = {
     "homeo-word": _verify_word,
     "compact": _verify_compact,
     "maximal-hausdorff": _verify_maximal,
-    "hausdorff-open": lambda space, pl: space.union_twin_pair(pl["basics"],
-                                                              pl["extra_points"]) is None,
+    "hausdorff-open": lambda space, pl: space.union_twin_pair(pl["basics"]) is None,
     "baire-point": lambda space, pl: all(space.member(pl["point"], b)
                                          for b in (pl["probe"], *pl["members"])),
 }

@@ -36,13 +36,12 @@ def maximal_hausdorff_at(space, x):
     return handle, cert.maximal_hausdorff(x, handle, samples)
 
 
-def hausdorff_open(space, basics, extra_points=()):
-    """(verdict, certificate): True iff the union of the list `basics` and
-    `extra_points`, as the space checked them, holds no non-separable pair."""
-    extra_points = tuple(map(space.checked_point, extra_points))
-    pair = space.union_twin_pair(basics, extra_points)
+def hausdorff_open(space, basics):
+    """(verdict, certificate): True iff the union of the list `basics` holds
+    no non-separable pair."""
+    pair = space.union_twin_pair(basics)
     if pair is None:
-        return True, cert.hausdorff_open(basics, extra_points)
+        return True, cert.hausdorff_open(basics)
     return False, cert.twin_pair(*pair)
 
 

@@ -3,7 +3,6 @@ the golden files.
 
     rationals        3, -1/2, inf, -inf
     interval sets    (0,1)u(2,3)   (-inf,inf)   empty
-    finite sets      {0,1/2}
     cofinite sets    cofinite-excl{1,2}   cofinite-empty
     feather points   F(0,1,1)
     line points      D(3/2 @1)          (level after @, default 0)
@@ -16,8 +15,9 @@ the golden files.
 Every value type prints itself in this syntax with `str`, except the feather
 point, a tuple of Fractions printed by `feather.fp_str`.
 `jsonable` renders a report by one lookup on the exact type of each value.
-`render(value, indent)` is `json.dumps(jsonable(value), indent=indent)` in one
-walk over that lookup, escaping strings with json's C `encode_basestring_ascii`.
+`render(value, indent)` is `json.dumps(jsonable(value), indent=indent)`: it
+writes jsonable's plain data, escaping strings with json's C
+`encode_basestring_ascii`, so rendering never imports `json`.
 A wave builds its text once and keeps it, so a wave named twice in a report
 (a stage's handle and its certificate) is rendered once.
 A feather point is a `feather.FeatherPoint`, or a plain tuple of Fractions
@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import certificates as cert
 from . import feather as fe
 from . import multiline as ml
-from .intervals import CofiniteSet, FinSet, IntervalSet
+from .intervals import CofiniteSet, IntervalSet
 from .rationals import ParseError, fmt_ext, parse_ext, parse_int, parse_rat
 
 # ---------------------------------------------------------------------------
@@ -82,7 +82,7 @@ _ENCODERS = {
     ml.ReflectGen: lambda g: {"gen": "reflect", "about": fmt_ext(g.about)},
     **dict.fromkeys((ml.MultiLinePoint, ml.BranchPoint, ml.Wave, ml.BranchInterval,
                      fe.FeatherInterval, fe.Chart, fe.SkeletonHandle,
-                     IntervalSet, FinSet, CofiniteSet), str),
+                     IntervalSet, CofiniteSet), str),
 }
 
 
@@ -93,9 +93,9 @@ def jsonable(value):
 
 
 def render(value, indent=None) -> str:
-    """`json.dumps(jsonable(value), indent=indent)`, in one walk."""
+    """`json.dumps(jsonable(value), indent=indent)`."""
     out = []
-    _walk(value, out.append, None if indent is None else "\n", " " * (indent or 0))
+    _walk(jsonable(value), out.append, None if indent is None else "\n", " " * (indent or 0))
     return "".join(out)
 
 
@@ -108,23 +108,17 @@ def _atom(value) -> str:
 
 
 def _walk(value, put, nl, step):
+    # value: jsonable's output, dicts and lists of str, int, bool and None;
     # nl: the newline and indentation of this value's line, None on one line
     t = type(value)
-    if t is cert.Certificate:
-        value, t = {"kind": value.kind, "payload": value.payload}, dict
-    elif t is tuple and not _is_point(value):
-        t = list
-    elif t is not dict and t is not list and t in _ENCODERS:
-        value = _ENCODERS[t](value)
-        t = type(value)
     if t is str:
         return put(_quote(value))
     if t is not dict and t is not list:
         return put(_atom(value))
     inner = nl and nl + step
     put("{" if t is dict else "[")
-    if t is dict:  # jsonable's keys first: keys that print alike merge as there
-        value = {k if type(k) is str else jsonable(k): v for k, v in value.items()}.items()
+    if t is dict:
+        value = value.items()
     for i, v in enumerate(value):
         put((", " if nl is None else "," + inner) if i else inner or "")
         if t is dict:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import importlib.util
 import io
 import json
@@ -171,6 +172,16 @@ def test_theorem2_runs_on_every_space_with_a_pipeline(space):
     stages = json.loads(out)["certificate"]["stages"]
     assert all(stage.get("verified", True) for stage in stages)
     assert all(r["verified"] for stage in stages for r in stage.get("results", ()))
+
+
+def test_a_feather_interval_that_is_not_dense_names_a_chart_it_misses():
+    interval = "FI[(0,0);(0,2)]"
+    proc = run_cli(["dense", "F", interval, "--format", "json"])
+    assert proc.returncode == 3, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "not dense"
+    missed = ke.FEATHER.parse_basic(report["certificate"]["missed-by"])
+    assert ke.FEATHER.meet_is_empty(ke.FEATHER.parse_basic(interval), missed)
 
 
 @pytest.mark.parametrize("wave", ["W[(0,1)-{0^2^1}]", "W[(0,1)-{1/2^1^}]", "W[(0,1)-{^^}]"])
@@ -799,3 +810,18 @@ def test_a_reader_that_closed_the_pipe_gets_exit_120_and_no_traceback(argv, unbu
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (120, b"")
+
+
+@pytest.mark.skipif(not os.access("/dev/full", os.W_OK), reason="no writable /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["flip", "F(0,1)", "F(0,2)"], _LARGE_SUBCOVER],
+                         ids=["small", "large"])
+def test_a_full_disk_gets_exit_120_and_one_line_on_stderr(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "featherline"] + argv, env=env,
+                              stdout=full, stderr=subprocess.PIPE, timeout=120)
+    (line,) = proc.stderr.decode().splitlines()
+    assert proc.returncode == 120 and line.startswith("output error: [Errno %d] " % errno.ENOSPC)

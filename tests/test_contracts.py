@@ -305,8 +305,6 @@ PUBLIC_ENTRIES = {
     "FEATHER.replay": lambda: ke.FEATHER.replay((fe.FlipGen(PIVOT),), BAD),
     "maximal_hausdorff_at": lambda: sp.maximal_hausdorff_at(ke.FEATHER, BAD),
     "maximal_hausdorff_at-falling": lambda: sp.maximal_hausdorff_at(ke.FEATHER, FALLING),
-    "hausdorff_open-extra": lambda: sp.hausdorff_open(ke.FEATHER, [fe.fp_chart(GOOD, 1)],
-                                                      [FALLING]),
     "FeatherTranslateGen-text": lambda: fe.FeatherTranslateGen("x"),
     "ExchangeGen-one-level": lambda: ml.ExchangeGen(F(0), (1,)),
     "TranslateGen-text": lambda: ml.TranslateGen("x"),
@@ -610,28 +608,9 @@ def test_a_maximal_certificate_carries_the_point_its_space_checked(monkeypatch):
     assert full == []
 
 
-def test_a_hausdorff_open_certificate_carries_the_points_its_space_checked(monkeypatch):
-    extra = (F(2), F(5, 2))
-    ok, c = sp.hausdorff_open(ke.FEATHER, [fe.fp_chart((F(0), F(1)), F(1, 2))], [extra])
-    assert ok and c.kind == "hausdorff-open"
-    (carried,) = c.payload["extra_points"]
-    assert type(carried) is fe.FeatherPoint and carried == extra
-    full = _count_full_checks(monkeypatch)
-    assert ke.verify_certificate(ke.FEATHER, c) is True
-    # the walk checks the payload; nothing after it checks the extra point again
-    assert full == []
-
-
-def test_hausdorff_open_rejects_an_extra_point_outside_the_line_family_space():
-    two = ke.space_of("two-origins")
-    handle = ml.full_wave(two.spec)
-    with pytest.raises(PreconditionError, match="not a line point of this space"):
-        sp.hausdorff_open(two, [handle], [ml.MultiLinePoint(F(1), 1)])
-
-
 def _feather_certificates():
     """Certificates the engine builds from checked (parsed) points, one or
-    more of each kind the feather issues."""
+    more of each kind the feather issues with points in its payload."""
     pt = ke.FEATHER.parse_point
     p, twin, far, upper = pt("F(0,1)"), pt("F(0,1,1)"), pt("F(2,5/2)"), pt("F(0,1,2,2)")
     word = fe.fp_move(p, upper)
@@ -644,7 +623,7 @@ def _feather_certificates():
             cert.covered((p,), ke.FEATHER.meet(chart, fe.fp_chart(p, F(1, 4)))),
             sp.subcover_attempt(ke.FEATHER, ke.FEATHER.cover_admits, [chart])[1],
             sp.baire_intersect(ke.FEATHER, members, chart)[1],
-            sp.hausdorff_open(ke.FEATHER, [chart], [far])[1]]
+            sp.microcompact_neighborhood(ke.FEATHER, p, chart)[0]]
 
 
 _POINTS_IN = {"point": lambda x: 1, "points": len, "point set": len, "index map": len,

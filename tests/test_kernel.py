@@ -320,7 +320,9 @@ def test_union_twin_pair_multiline():
 def test_union_twin_pair_feather():
     f = ke.FEATHER
     assert f.union_twin_pair([fe.strict_skeleton()]) is None
-    pair = f.union_twin_pair([fe.strict_skeleton()], ((F(0), F(0)),))
+    twin_chart = fe.fp_chart(f.parse_point("F(0,0)"), F(1, 2))
+    assert f.union_twin_pair([twin_chart]) is None
+    pair = f.union_twin_pair([fe.strict_skeleton(), twin_chart])
     assert set(pair) == {(F(0), F(0)), (F(0),)}
 
 
@@ -339,12 +341,12 @@ def test_a_twin_pair_split_between_a_handle_and_an_interval_is_found(handle, bas
     assert hausdorff is False and c.kind == "twin-pair"
     assert (c.payload["p"], c.payload["q"]) == ((F(0),), (F(0), F(0)))
     assert ke.verify_certificate(f, c) is True
-    assert ke.verify_certificate(f, cert.hausdorff_open(basics, ())) is False
+    assert ke.verify_certificate(f, cert.hausdorff_open(basics)) is False
 
 
 @pytest.mark.parametrize("flip", [fe.StraightenGen((F(0), F(1))), "flip"])
 def test_a_hausdorff_open_handle_whose_flip_is_not_a_flip_is_rejected(flip):
-    c = cert.hausdorff_open([fe.SkeletonHandle(flip)], ())
+    c = cert.hausdorff_open([fe.SkeletonHandle(flip)])
     assert ke.verify_certificate(ke.FEATHER, c) is False
 
 
@@ -373,11 +375,11 @@ feather_basics = st.one_of(
               feather_points(max_len=3, coords=INTS).filter(lambda p: len(p) >= 2)))
 
 
-def _brute_twin_pair(basics, extra_points):
+def _brute_twin_pair(basics):
     """Whether some upper twin and its lower twin both lie in the union,
     over every feather point whose coordinates are the union's own: the
-    ends of its intervals and charts, its pivots and its extra points."""
-    named = list(extra_points)
+    ends of its intervals and charts and its pivots."""
+    named = []
     for b in basics:
         if isinstance(b, fe.SkeletonHandle):
             named += [b.flip.pivot] if b.flip else []
@@ -387,7 +389,7 @@ def _brute_twin_pair(basics, extra_points):
     coords = sorted({c for w in named for c in w})
 
     def in_union(w):
-        return any(b.contains(w) for b in basics) or w in extra_points
+        return any(b.contains(w) for b in basics)
     # an interval holds no point longer than its upper end; one length more
     # lets a flipped skeleton show upper twins past its pivot
     longest = max(map(len, named), default=0) + 1
@@ -399,18 +401,17 @@ def _brute_twin_pair(basics, extra_points):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(feather_basics, min_size=1, max_size=3),
-       st.lists(feather_points(max_len=3, coords=INTS), max_size=1))
-def test_feather_union_twin_pair_agrees_with_brute_force(basics, extra_points):
-    pair = ke.FEATHER.union_twin_pair(basics, extra_points)
-    assert (pair is not None) is _brute_twin_pair(basics, extra_points)
+@given(st.lists(feather_basics, min_size=1, max_size=3))
+def test_feather_union_twin_pair_agrees_with_brute_force(basics):
+    pair = ke.FEATHER.union_twin_pair(basics)
+    assert (pair is not None) is _brute_twin_pair(basics)
     if pair is not None:
         lower, upper = pair
         assert upper == lower + (lower[-1],)
         c = cert.twin_pair(lower, upper)
         assert ke.verify_certificate(ke.FEATHER, c)
         for w in pair:
-            assert any(b.contains(w) for b in basics) or w in extra_points
+            assert any(b.contains(w) for b in basics)
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,8 @@ def test_adjoining_breaks_hausdorffness():
     d = ke.space_of("doubled")
     handle, c = sp.maximal_hausdorff_at(d, ml.MultiLinePoint(F(0), 1))
     for outside, partner in c.payload["adjoin_samples"]:
-        ok, bad = sp.hausdorff_open(d, [handle], extra_points=[outside])
-        assert not ok and bad.kind == "twin-pair"
-        assert ke.verify_certificate(d, bad)
+        assert not d.member(outside, handle) and d.member(partner, handle)
+        assert ke.verify_certificate(d, cert.twin_pair(outside, partner))
 
 
 def test_hausdorff_open_union_with_both_levels():
@@ -74,15 +73,28 @@ def _with_point(c, key, value):
 def test_verify_certificate_checks_hausdorff_open():
     d = ke.space_of("doubled")
     handle, _ = sp.maximal_hausdorff_at(d, ml.MultiLinePoint(F(0), 1))
-    ok, c = sp.hausdorff_open(d, [handle], extra_points=[ml.MultiLinePoint(F(5), 0)])
+    ok, c = sp.hausdorff_open(d, [handle])
     assert ok and c.kind == "hausdorff-open" and ke.verify_certificate(d, c)
-    # the other level over 5 pairs up with the handle's own point there
-    assert not ke.verify_certificate(d, _with_point(c, "extra_points",
-                                                    (ml.MultiLinePoint(F(5), 1),)))
+    # a wave lifted at 5 pairs up with the handle's own point there
+    lifted = ml.Wave(d.spec, IntervalSet.of((4, 6)), ((F(5), 1),))
+    assert not ke.verify_certificate(d, _with_point(c, "basics", (handle, lifted)))
     f = ke.FEATHER
-    ok, c = sp.hausdorff_open(f, [fe.strict_skeleton()], extra_points=[(F(0), F(1))])
+    ok, c = sp.hausdorff_open(f, [fe.strict_skeleton()])
     assert ok and ke.verify_certificate(f, c)
-    assert not ke.verify_certificate(f, _with_point(c, "extra_points", ((F(0), F(0)),)))
+    twin = fe.fp_chart(f.parse_point("F(0,0)"), F(1))
+    assert not ke.verify_certificate(f, _with_point(c, "basics", (fe.strict_skeleton(), twin)))
+
+
+@pytest.mark.parametrize("name", ["doubled", "feather"])
+def test_a_hausdorff_open_certificate_with_extra_points_fails_the_schema(name):
+    space = ke.space_of(name)
+    handle, c = sp.maximal_hausdorff_at(space, space.chart_sample()[0])
+    ok, good = sp.hausdorff_open(space, [handle])
+    assert ok and cert.SCHEMA["hausdorff-open"] == (("basics", "basics"),)
+    assert ke.verify_certificate(space, good) is True
+    # a field the kind no longer has, even an empty one, is a rejection
+    for extra in ((), (c.payload["x"],)):
+        assert ke.verify_certificate(space, _with_point(good, "extra_points", extra)) is False
 
 
 def test_verify_certificate_checks_baire_point():
