@@ -6,6 +6,7 @@ Run from the repository root:
 
     python3 scripts/profile_pass.py --workload wave-wide --seed 7 --top 25
     python3 scripts/profile_pass.py --workload wave-wide --seed 7 --callers 'fractions.py:.*__hash__'
+    python3 scripts/profile_pass.py --workload feather-deep --seed 901 --phase setup
 
 It builds the workload's op pool with `bench/gen.py` and `bench/ops.py`,
 runs one untimed pass to warm caches, one timed pass without the profiler,
@@ -14,7 +15,10 @@ and the share of all self time spent in the standard library's
 `fractions.py`, with the number of `Fraction` arithmetic operator calls in
 the pass (`+`, `-`, `*`, `/` and the rest, which the stdlib builds as
 `forward` and `reverse`), then a table of op kinds from the timed pass:
-each kind's op count, mean wall time per op and share of the pass.  With `--callers
+each kind's op count, mean wall time per op and share of the pass.  With
+`--phase setup` it profiles building the pool instead, once, with
+`ops.build` parsing every op's text as the benchmark's set-up does, and
+prints the same self-time table and no op kinds.  With `--callers
 PATTERN` it then prints, for every function whose `file:line(name)` matches
 the regular expression PATTERN, the functions that called it and how often.
 """
@@ -32,6 +36,11 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import gen  # noqa: E402  (bench/, found through the path set above)
 import ops  # noqa: E402
+
+
+def build(specs) -> list:
+    """The pool's rounds of op specs, parsed into engine objects."""
+    return [[ops.build(spec) for spec in rnd] for rnd in specs]
 
 
 def one_pass(built):
@@ -58,6 +67,8 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", required=True, choices=sorted(gen.POOL_ROUNDS))
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--phase", choices=("pass", "setup"), default="pass",
+                        help="profile one pass of the ops (default) or building the pool")
     parser.add_argument("--top", type=int, default=20, help="functions to list (default 20)")
     parser.add_argument("--callers", metavar="PATTERN",
                         help="also list the callers of functions matching this regex")
@@ -69,11 +80,16 @@ def main(argv=None) -> int:
     except re.error as exc:
         parser.error("--callers: %s" % exc)
 
-    built = [[ops.build(spec) for spec in rnd] for rnd in gen.pool(args.workload, args.seed)]
-    one_pass(built)
-    kinds = timed_pass(built)
+    specs = gen.pool(args.workload, args.seed)
     prof = cProfile.Profile()
-    prof.runcall(one_pass, built)
+    if args.phase == "setup":
+        prof.runcall(build, specs)
+        kinds, phase = None, "building the pool"
+    else:
+        built = build(specs)
+        one_pass(built)
+        kinds, phase = timed_pass(built), "one pass"
+        prof.runcall(one_pass, built)
     stats = pstats.Stats(prof).stats  # (file, line, name) -> (cc, nc, tt, ct, callers)
 
     total = sum(row[2] for row in stats.values())
@@ -84,13 +100,14 @@ def main(argv=None) -> int:
                      if os.path.basename(key[0]) == "fractions.py"
                      and key[2] in ("forward", "reverse"))
     rows = sorted(stats.items(), key=lambda item: item[1][2], reverse=True)[:args.top]
-    print("%s seed %d: one pass, %.3f s of self time" % (args.workload, args.seed, total))
+    print("%s seed %d: %s, %.3f s of self time" % (args.workload, args.seed, phase, total))
     print("%8s %6s %9s  %s" % ("self_s", "share", "calls", "function"))
     for func, (_, calls, tt, _, _) in rows:
         print("%8.3f %5.1f%% %9d  %s" % (tt, 100 * tt / total, calls, label(func)))
     print("fractions.py share of self time: %.1f%%, %d Fraction arithmetic calls"
           % (100 * in_fractions / total, arithmetic))
-    print_kinds(kinds)
+    if kinds is not None:
+        print_kinds(kinds)
     if callers_re is not None:
         print_callers(stats, callers_re)
     return 0

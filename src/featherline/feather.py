@@ -15,10 +15,16 @@ Whether two arm unions meet is decided by `arms_meet`, which stops at the
 first overlapping pair and builds no meet.
 
 Validation contract.  A point is checked once, where it is made, and the
-check is its type: `fp_validate` is the only maker of a `FeatherPoint`, a tuple
-of Fractions that holds a valid point.  `fp_validate` checks anything else in
-full and returns a `FeatherPoint` passed back in at once, and
-`FeatherPoint(seq)` runs the same check, so no point of that type is unchecked.
+check is its type: a `FeatherPoint` is a tuple of Fractions that holds a valid
+point.  `fp_validate` checks anything else in full and returns a
+`FeatherPoint` passed back in at once, and `FeatherPoint(seq)` runs the same
+check.  The one other maker is `fp_twin`: the twin of a `FeatherPoint` is one,
+built unchecked, since every valid point's twin is valid (a slack last step
+or a truncation), as `FeatherInterval.trusted` builds intervals from valid
+ends.  So the refuter's partner in `FeatherSpace.separable`, the first
+candidate of `maximal_hausdorff` and the partner of
+`SkeletonHandle.adjoin_witness` are not checked again; the verifier's
+`is_point` still checks every payload point in full.
 `parse_point` returns one, as do the `FeatherInterval`, `FlipGen` and
 `StraightenGen` constructors for the points they store; the public operations
 `flip_apply`, `replay`, `normalize_to_line`, `fp_move`, `fp_chart`,
@@ -115,10 +121,11 @@ def fp_is_strict(p: tuple) -> bool:
 
 def fp_twin(p: tuple) -> tuple:
     """The unique partner with the same predecessors: append the last
-    coordinate if the last step is strict, drop it otherwise."""
-    if fp_is_strict(p):
-        return p + (p[-1],)
-    return p[:-1]
+    coordinate if the last step is strict, drop it otherwise.  The twin of a
+    `FeatherPoint` is one, unchecked: a slack last step or a truncation of a
+    valid point is valid."""
+    twin = p + (p[-1],) if fp_is_strict(p) else p[:-1]
+    return tuple.__new__(FeatherPoint, twin) if p.__class__ is FeatherPoint else twin
 
 
 def fp_translate(t, p: tuple) -> tuple:
@@ -605,9 +612,10 @@ class SkeletonHandle(Value):
     def adjoin_witness(self, p: tuple):
         """For p outside the handle, the twin pair created by adjoining it:
         (p, fp_twin(p)) with the partner already inside."""
+        p = fp_validate(p)
         if self.contains(p):
             raise PreconditionError("point already inside handle")
-        partner = fp_validate(fp_twin(p))
+        partner = fp_twin(p)
         if not self.contains(partner):
             raise AssertionError("twin partner %s outside the handle" % (partner,))
         return (p, partner)

@@ -267,9 +267,9 @@ class FeatherSpace(Space):
 
     def separable(self, p, q):
         # a twin q equals fp_twin(p), which is built from p's own coordinate
-        # objects, so the refuter's prefix tests on it settle by identity; it
-        # is checked once, here, not by each of its four charts
-        return _separate(self, p, q, _ONE, lambda p: fe.fp_validate(fe.fp_twin(p)))
+        # objects, so the refuter's prefix tests on it settle by identity; the
+        # twin of a checked p is checked, so its four charts check nothing
+        return _separate(self, p, q, _ONE, fe.fp_twin)
 
     def descriptor(self, base, index, limit, direction) -> SeqDescriptor:
         """The sequence moving coordinate `index` of `base` (by default the
@@ -346,8 +346,9 @@ class FeatherSpace(Space):
     def maximal_hausdorff(self, x):
         x = fe.fp_validate(x)
         handle = fe.skeleton_through(x)
-        # each candidate is checked once, here; the handle's tests reuse the check
-        candidates = [fe.fp_validate(fe.fp_twin(x))]
+        # each candidate is checked once, here, or is the twin of the checked
+        # x; the handle's tests reuse the check
+        candidates = [fe.fp_twin(x)]
         for c in (add(x[0], _ONE), sub(x[0], _ONE)):
             tw = (c, c)
             candidates.append(fe.fp_validate(handle.flip.apply(tw) if handle.flip else tw))
@@ -489,7 +490,7 @@ class MultiLineSpace(Space):
                 if level != inside_level:
                     samples.append((ml.MultiLinePoint(a, level), partner))
         if spec.everywhere:
-            y = x.x + 1
+            y = add(x.x, _ONE)
             samples.append((ml.MultiLinePoint(y, 1), ml.MultiLinePoint(y, 0)))
         return x, handle, samples
 
@@ -523,7 +524,7 @@ class MultiLineSpace(Space):
                         hi = x
                     elif lt(x, lo):
                         lo = x
-            return ml.MultiLinePoint((-lo if lt(hi, -lo) else hi) + 1, 1)
+            return ml.MultiLinePoint(add(-lo if lt(hi, -lo) else hi, _ONE), 1)
         for p in self._upper_points():
             if not any(w.contains(p) for w in chosen):
                 return p

@@ -74,7 +74,8 @@ class MultiLinePoint(namedtuple("MultiLinePoint", "x level")):
 
 
 def ml_point(spec: SpaceSpec, x, level: int) -> MultiLinePoint:
-    x = Fraction(x)
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
     level = int(level)
     if not 0 <= level < spec.k:
         raise PreconditionError("level %d out of range for k=%d" % (level, spec.k))

@@ -50,7 +50,7 @@ def as_ext(x):
         if x == POS_INF or x == NEG_INF:
             return x
         raise ValueError("non-infinite float endpoint: %r" % x)
-    return Fraction(x)
+    return x if x.__class__ is Fraction else Fraction(x)
 
 
 def check_rational(x, what: str):
@@ -207,21 +207,63 @@ def fmt_ext(x) -> str:
 
 
 def parse_ext(s: str):
+    """The rational or ±inf that `s` spells, read as `Fraction(s)` reads it,
+    with at most `sys.get_int_max_str_digits()` digits in its numerator and
+    denominator.  Plain `n` and `n/d` (signed decimal digits) are read by
+    `int` and reduced by one gcd; any other form goes through `Fraction`."""
     s = s.strip()
+    num, slash, den = s.partition("/")
+    if ((num.isdecimal() or num[1:].isdecimal() and num[0] in "+-")
+            and (not slash or den.isdecimal())):
+        try:
+            n, d = int(num), int(den) if slash else 1
+        except ValueError:  # more digits than `int` reads
+            raise _oversized(s, _digit_limit()) from None
+        if d == 0:
+            raise ParseError("cannot parse rational %r" % s)
+        return _lowest(n, d)
     if s in ("inf", "+inf", "oo", "+oo"):
         return POS_INF
     if s in ("-inf", "-oo"):
         return NEG_INF
+    limit = _digit_limit()
+    # `Fraction` builds 10**exp for an exponent form: a large one is refused first
+    if limit and _exponent(s) > limit:
+        raise _oversized(s, limit)
     try:
-        return Fraction(s)
+        x = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError("cannot parse rational %r" % s) from exc
+    big = max(abs(x._numerator), x._denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:  # `str` cannot print it
+        raise _oversized(s, limit)
+    return x
+
+
+def _digit_limit() -> int:
+    """The most digits `int` and `str` convert; 0 where there is no limit."""
+    import sys  # loaded with the interpreter; read only off the plain path
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _exponent(s: str) -> int:
+    """|exp| for text ending in an exponent `e<exp>` or `E<exp>`, else 0."""
+    _, e, exp = s.replace("E", "e").rpartition("e")
+    try:
+        return abs(int(exp)) if e else 0
+    except ValueError:  # not an exponent that `Fraction` reads either
+        return 0
+
+
+def _oversized(s: str, limit: int):
+    shown = s if len(s) <= 24 else s[:20] + "..."
+    return ParseError("rational %r has more than %d digits" % (shown, limit))
 
 
 def parse_rat(s: str) -> Fraction:
     """A finite rational; the infinities are rejected."""
     x = parse_ext(s)
-    if isinstance(x, float):
+    if x.__class__ is float:
         raise ParseError("expected a finite rational, got %r" % s.strip())
     return x
 

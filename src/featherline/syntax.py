@@ -12,6 +12,14 @@ the golden files.
     waves            W[(-1,1)-{0^1}]
     branch basics    BI[(0,2)@L]
 
+A rational is `n` or `n/d`, an optional sign and decimal digits, which
+`rationals.parse_ext` reads with `int` and reduces by one gcd.  Any other
+text that `Fraction(text)` reads (decimals, exponents, underscores, spaces
+around the slash) goes through `Fraction`, with the same value.  Its
+numerator and denominator have at most `sys.get_int_max_str_digits()`
+digits, and an exponent is at most that number, so that `Fraction` never
+builds 10**exp for a huge exponent; larger text is a `ParseError`.
+
 Every value type prints itself in this syntax with `str`, except the feather
 point, a tuple of Fractions printed by `feather.fp_str`.
 `jsonable` renders a report by one lookup on the exact type of each value.
@@ -131,24 +139,34 @@ def _walk(value, put, nl, step):
 # ---------------------------------------------------------------------------
 # Parsing.
 
-# Strings, so that `re.match` compiles (and caches) only the patterns a run uses.
+# Strings, compiled by `_match` on first use, so that a run compiles only the
+# patterns it uses.
 _POINT_RE = r"^([FDBN])\((.*)\)$"
 _WAVE_RE = r"^W\[(.*)-\{(.*)\}\]$"
 _FI_RE = r"^FI\[\((.*)\);\((.*)\)\]$"
 _BI_RE = r"^BI\[\((.*),(.*)\)@([LR])\]$"
 _ISET_RE = r"\(([^()]*),([^()]*)\)"
 _HANDLE_RE = r"^strict-skeleton\*flip\((.*)\)$"
+_COMPILED = {}
+
+
+def _match(pattern: str, text: str):
+    """`re.match(pattern, text)`, with the pattern compiled once and kept."""
+    compiled = _COMPILED.get(pattern)
+    if compiled is None:
+        compiled = _COMPILED[pattern] = re.compile(pattern)
+    return compiled.match(text)
 
 
 def parse_point(text: str, spec: ml.SpaceSpec = None):
     text = text.strip()
-    m = re.match(_POINT_RE, text)
+    m = _match(_POINT_RE, text)
     if not m:
         raise ParseError("cannot parse point %r" % text)
     tag, body = m.groups()
     if tag == "F":
         try:
-            return fe.fp_validate(tuple(parse_rat(c) for c in body.split(",")))
+            return fe.fp_validate(tuple(map(parse_rat, body.split(","))))
         except Exception as exc:
             raise ParseError("invalid feather point %r: %s" % (text, exc)) from exc
     if tag == "D":
@@ -179,7 +197,7 @@ def parse_iset(text: str) -> IntervalSet:
     pairs = []
     rest = text
     for part in text.split("u"):
-        m = re.match(_ISET_RE, part.strip())
+        m = _match(_ISET_RE, part.strip())
         if not m or m.group(0) != part.strip():
             raise ParseError("cannot parse interval set %r" % rest)
         pairs.append((parse_ext(m.group(1)), parse_ext(m.group(2))))
@@ -200,7 +218,7 @@ def parse_cofinite(text: str) -> CofiniteSet:
 
 def parse_basic(text: str, spec: ml.SpaceSpec = None):
     text = text.strip()
-    m = re.match(_WAVE_RE, text)
+    m = _match(_WAVE_RE, text)
     if m:
         parts = parse_iset(m.group(1))
         lift = []
@@ -212,22 +230,22 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
                 xs, js = item.split("^")
                 lift.append((parse_rat(xs), parse_int(js)))
         return ml.Wave(spec or ml.DOUBLED, parts, tuple(lift))
-    m = re.match(_FI_RE, text)
+    m = _match(_FI_RE, text)
     if m:
-        lower = tuple(parse_rat(c) for c in m.group(1).split(","))
-        upper = tuple(parse_rat(c) for c in m.group(2).split(","))
+        lower = tuple(map(parse_rat, m.group(1).split(",")))
+        upper = tuple(map(parse_rat, m.group(2).split(",")))
         try:
             return fe.FeatherInterval(lower, upper)
         except Exception as exc:
             raise ParseError("invalid feather interval %r: %s" % (text, exc)) from exc
-    m = re.match(_BI_RE, text)
+    m = _match(_BI_RE, text)
     if m:
         return ml.branch_interval(parse_ext(m.group(1)), parse_ext(m.group(2)), m.group(3))
     if text.startswith("cofinite"):
         return parse_cofinite(text)
     if text == "strict-skeleton":
         return fe.strict_skeleton()
-    m = re.match(_HANDLE_RE, text)
+    m = _match(_HANDLE_RE, text)
     if m:
-        return fe.SkeletonHandle(fe.FlipGen(tuple(parse_rat(c) for c in m.group(1).split(","))))
+        return fe.SkeletonHandle(fe.FlipGen(tuple(map(parse_rat, m.group(1).split(",")))))
     raise ParseError("cannot parse basic open %r" % text)

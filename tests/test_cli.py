@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -784,6 +785,55 @@ def test_a_cli_process_loads_no_json_module_and_runs_its_exit_handlers(argv):
     assert (proc.returncode, proc.stderr) == (code, err)
     # the hook's line comes after the report: shutdown still runs
     assert proc.stdout == out + "json modules: []\n"
+
+
+_COMPILE_CHILD = """
+import re, sys
+compiled = []
+_compile = re._compile  # what `re.compile` and `re.match` call
+
+
+def counting(pattern, flags):
+    frame = sys._getframe(1)
+    while frame.f_code.co_filename == re.__file__:
+        frame = frame.f_back
+    if "featherline" in frame.f_code.co_filename:
+        compiled.append(pattern)
+    return _compile(pattern, flags)
+
+
+re._compile = counting
+import featherline.cli
+from featherline import syntax
+print(len(compiled), len(syntax._COMPILED))
+syntax.parse_point("F(0,1)")
+syntax.parse_point("F(2)")
+print(compiled == [syntax._POINT_RE], list(syntax._COMPILED) == [syntax._POINT_RE])
+"""
+
+
+def test_importing_the_cli_compiles_no_pattern_and_a_parse_compiles_one_once():
+    proc = subprocess.run([sys.executable, "-c", _COMPILE_CHILD], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\nTrue True\n"
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 10000, reason="needs a digit limit under 10000")
+@pytest.mark.parametrize("point", ["F(1e10000)", "F(1e10000000)", "F(%s)" % ("7" * 10000)])
+def test_an_oversized_rational_is_refused_before_any_output(point):
+    # `str` prints at most sys.get_int_max_str_digits() digits (4300 by
+    # default); 1e10000000 is refused without building 10**10000000, which
+    # took seconds when it was built
+    start = time.perf_counter()
+    proc = run_cli(["separate", "F", point, "F(0)"])
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("parse error: ") and len(proc.stderr.splitlines()) == 1
+    assert "more than %d digits" % _DIGIT_LIMIT in proc.stderr
+    assert elapsed < 2.0
 
 
 def test_the_featherline_script_calls_run():

@@ -583,9 +583,10 @@ SEPARABLE_PAIRS = [("F(0,1)", "F(0,1,1)"), ("F(0,1,1)", "F(0,1)"), ("F(0)", "F(0
 def test_separable_checks_only_the_twin_it_builds(monkeypatch, p, q):
     p, q = ke.FEATHER.parse_point(p), ke.FEATHER.parse_point(q)
     full = _count_full_checks(monkeypatch)
-    sep, _ = ke.FEATHER.separable(p, q)
-    # a twin pair's refuter probes fp_twin(p), checked once for its 4 charts
-    assert len(full) == (0 if sep else 1)
+    ke.FEATHER.separable(p, q)
+    # a twin pair's refuter probes fp_twin(p), which the twin of a checked p
+    # is already: nothing is checked in full
+    assert full == []
 
 
 @pytest.mark.parametrize("x", ["F(0)", "F(0,1)", "F(0,1,1)", "F(0,1,2,2)"])
@@ -593,9 +594,10 @@ def test_maximal_hausdorff_checks_each_point_it_builds_once(monkeypatch, x):
     x = ke.FEATHER.parse_point(x)
     full = _count_full_checks(monkeypatch)
     _, handle, samples = ke.FEATHER.maximal_hausdorff(x)
-    # three candidates, each sample's partner, and the pivot of the flip
-    # that conjugates the skeleton through an upper twin
-    assert len(full) == 3 + len(samples) + (handle.flip is not None)
+    # the two candidates at x[0] ± 1 and the pivot of the flip that
+    # conjugates the skeleton through an upper twin; the twin candidate and
+    # each sample's partner are twins of checked points
+    assert samples and len(full) == 2 + (handle.flip is not None)
 
 
 def test_a_maximal_certificate_carries_the_point_its_space_checked(monkeypatch):

@@ -75,6 +75,16 @@ def test_twin_involution_and_incomparability(p):
     assert not fe.fp_less(p, q) and not fe.fp_less(q, p)
 
 
+@given(feather_points())
+def test_the_twin_of_a_checked_point_is_a_checked_point(p):
+    checked = fe.fp_validate(p)
+    twin = fe.fp_twin(checked)
+    # built unchecked: equal to the plain twin, and valid
+    assert type(twin) is fe.FeatherPoint and type(fe.fp_twin(p)) is tuple
+    assert twin == fe.fp_twin(p) and fe.fp_ordered(twin)
+    assert all(type(c) is Fraction for c in twin)
+
+
 @given(feather_points(), feather_points())
 def test_twins_share_strict_predecessors(p, r):
     q = fe.fp_twin(p)

@@ -1,5 +1,5 @@
 """The one-pass profiler's `--callers` listing, its count of `Fraction`
-arithmetic calls and its table of op kinds."""
+arithmetic calls, its table of op kinds and its set-up phase."""
 
 import importlib.util
 import pathlib
@@ -71,3 +71,25 @@ def test_the_op_kind_table_splits_one_timed_pass_by_the_pool_s_kinds():
     shares = [float(share) for *_, share in cells]
     assert shares == sorted(shares, reverse=True)
     assert abs(sum(shares) - 100) <= 0.05 * len(shares)  # each share is rounded to 0.1
+
+
+def test_the_setup_phase_profiles_building_the_pool_and_lists_no_op_kinds():
+    proc = run_profile("--phase", "setup", "--callers", r"syntax\.py:\d+\(parse_point\)$")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"feather-deep seed 7: building the pool, [\d.]+ s of self time", lines[0])
+    assert lines[1].split() == ["self_s", "share", "calls", "function"]
+    assert all(re.fullmatch(r" *[\d.]+ +[\d.]+% +\d+  \S.*", line) for line in lines[2:5])
+    assert re.fullmatch(r"fractions\.py share of self time: [\d.]+%, \d+ Fraction arithmetic"
+                        r" calls", lines[5])
+    assert "op kinds" not in proc.stdout
+    # every point of the pool is parsed once, through `ops.build`
+    header, *callers = proc.stdout.split("\ncallers of ")[1].strip().splitlines()
+    assert header.startswith("parse_point(src/featherline/syntax.py:")
+    assert callers and all(re.fullmatch(r" *\d+  \w+\(bench/ops\.py:\d+\)", line)
+                           for line in callers)
+
+
+def test_the_phase_must_be_pass_or_setup():
+    proc = run_profile("--phase", "teardown")
+    assert proc.returncode == 2 and "--phase" in proc.stderr and proc.stdout == ""

@@ -8,6 +8,8 @@ import fractions
 import math
 import os
 import pstats
+import sys
+import time
 from fractions import Fraction
 from operator import itemgetter
 
@@ -19,9 +21,11 @@ from featherline import feather as fe
 from featherline import kernel as ke
 from featherline import multiline as ml
 from featherline import separation as sp
+from featherline import syntax
 from featherline.intervals import IntervalSet, canon_intervals, iset_meet, iset_meets
-from featherline.rationals import (NEG_INF, POS_INF, PreconditionError, _floor_key, add,
-                                   denominator_bits, eq, fmt_ext, key, lt, same, sorted_by, sub)
+from featherline.rationals import (NEG_INF, POS_INF, ParseError, PreconditionError, _floor_key,
+                                   add, denominator_bits, eq, fmt_ext, key, lt, parse_ext, same,
+                                   sorted_by, sub)
 
 big = st.integers(-10**30, 10**30)
 fracs = st.builds(Fraction, big, st.integers(1, 10**30))
@@ -410,9 +414,128 @@ def test_maximal_and_move_queries_and_the_twin_swap_flip_make_no_fraction_sum_or
         out = fe.replay(word, p)
         assert out == q and ke.verify_certificate(ke.FEATHER, cert.homeo_word(word, p, out))
 
-    for fn in (maximal, move, lambda: fe.twin_swap_flip(x),
+    doubled = ke.space_of("doubled")
+    samples = [doubled.parse_point(t) for t in ("D(0 @0)", "D(1/2 @1)", "D(-3/4 @0)")]
+
+    def pipeline():  # a lemma-zorn stage per sample, then the subcover fails
+        report = sp.theorem_pipeline(doubled, samples)
+        assert report["verdict"] == "subcover-stage-failure"
+        assert all(stage["verified"] for stage in report["stages"])
+
+    for fn in (maximal, move, pipeline, lambda: fe.twin_swap_flip(x),
                lambda: fe.twin_swap_flip(fe.fp_twin(x))):
         assert _fraction_calls(fn, "forward") == 0
+
+
+def test_a_feather_twin_query_checks_points_only_in_the_schema_walk():
+    # as the feather-deep `twin` op: the refuter probes the trusted twin of
+    # p, and the verifier's walk checks the two payload points in full
+    p = ke.FEATHER.parse_point("F(0,1/3,5/7,5/2)")
+    q = ke.FEATHER.parse_point("F(0,1/3,5/7,5/2,5/2)")
+    out = []
+    assert _fraction_calls(lambda: out.append(ke.FEATHER.separable(p, q)),
+                           "fp_ordered", "feather.py") == 0
+    (sep, c), = out
+    assert not sep
+    assert _fraction_calls(lambda: out.append(ke.verify_certificate(ke.FEATHER, c)),
+                           "fp_ordered", "feather.py") == 2
+    assert out[-1] is True
+
+
+def test_parsing_plain_points_and_waves_builds_no_fraction_from_text():
+    # texts in the engine's own syntax, so they print back unchanged
+    point = "F(%s)" % ",".join("%d/7" % (7 * i + 1) for i in range(-60, 60))
+    wave = "W[(-inf,-1/2)u(-1/3,inf)-{%s}]" % ",".join(
+        "%d/3^%d" % (3 * i + 1, 1 + i % 2) for i in range(300))
+    parsed = []
+    assert _fraction_calls(lambda: parsed.append(syntax.parse_point(point)), "__new__") == 0
+    assert _fraction_calls(lambda: parsed.append(syntax.parse_basic(wave, ml.TRIPLED)),
+                           "__new__") == 0
+    p, w = parsed
+    assert len(p) == 120 and p[0] == Fraction(-419, 7) and len(w.lift) == 300
+    assert str(w) == wave and fe.fp_str(p) == point
+
+
+# ---------------------------------------------------------------------------
+# Parsing: `parse_ext` reads text as `Fraction(text)` does, within a size
+# limit.  The limit is lowered to 640 digits (the least Python allows) so
+# that short drawn text reaches it.
+
+_LIMIT = 640
+_DIGITS = "0123456789\u0663\u0669\u09ea\uff15"  # ASCII, Arabic-Indic, Bengali, fullwidth
+_TOKENS = (st.sampled_from(["-", "+", "/", ".", "e", "E", "_", " ", "\t"])
+           | st.text(st.sampled_from(_DIGITS), min_size=1, max_size=4)
+           | st.builds(str.__mul__, st.sampled_from(["1", "9", "\u0663"]),
+                       st.integers(_LIMIT - 2, _LIMIT + 2)))
+_TEXTS = st.lists(_TOKENS, max_size=8).map("".join)
+
+
+def _exponent_of(text):
+    """|exp| of the text as an exponent form, None if it has no exponent
+    that `int` reads (then `Fraction` reads none either)."""
+    head, e, tail = text.strip().replace("E", "e").rpartition("e")
+    try:
+        return abs(int(tail)) if e else None
+    except ValueError:
+        return None
+
+
+def _expected(text):
+    """`Fraction(text)`, or None where `parse_ext` must raise: where
+    `Fraction` raises, and over the size limit."""
+    exp = _exponent_of(text)
+    if exp is not None and exp > _LIMIT:  # refused before `Fraction` is asked
+        return None
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return None if max(abs(x.numerator), x.denominator) >= 10 ** _LIMIT else x
+
+
+def _check_parse_ext(text):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_LIMIT)
+    try:
+        expected = _expected(text)
+        if expected is None:
+            with pytest.raises(ParseError):
+                parse_ext(text)
+            return
+        got = parse_ext(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert type(got) is Fraction and got == expected
+    assert (type(got._numerator), type(got._denominator)) == (int, int)
+    assert (got._numerator, got._denominator) == (expected._numerator, expected._denominator)
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_a_limit = pytest.mark.skipif(not 0 < _DIGIT_LIMIT < 5000, reason="needs a digit limit")
+
+
+@needs_a_limit
+@given(_TEXTS)
+def test_parse_ext_reads_text_as_fraction_does_within_the_size_limit(text):
+    _check_parse_ext(text)
+
+
+@needs_a_limit
+@pytest.mark.parametrize("text", ["12/18", "-0", "+7/1", "1/0", "0.5e-3", "1 / 2", "1_000",
+                                  "\u0663/\u0669", "9" * 641, "1e640", "1e641", "0e99999",
+                                  "1.5e639", "5e-640"])
+def test_parse_ext_on_chosen_text(text):
+    _check_parse_ext(text)
+
+
+@needs_a_limit
+def test_the_size_limit_refuses_a_huge_exponent_without_building_it():
+    start = time.perf_counter()
+    for text in ("1e10000000", "-2.5E+10000000", "1e-10000000", "1" * 5000, "1/" + "3" * 5000):
+        with pytest.raises(ParseError, match="more than"):
+            parse_ext(text)
+    assert time.perf_counter() - start < 1.0
+    assert parse_ext("0.001") == Fraction(1, 1000) and parse_ext(" inf ") == POS_INF
 
 
 def test_denominator_bits_sums_over_points_and_basics():
