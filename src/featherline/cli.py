@@ -48,7 +48,7 @@ from . import kernel as ke
 from . import multiline as ml
 from . import separation as sp
 from .intervals import CofiniteSet, FinSet, IntervalSet
-from .rationals import ParseError, PreconditionError, parse_rat
+from .rationals import ParseError, PreconditionError, parse_rat, shorten
 from .syntax import jsonable, render
 
 EXIT_OK = 0
@@ -139,7 +139,7 @@ def cmd_chain(space, src, dst, remove, window):
     removed = [space.parse_point(t) for t in remove.split(";")] if remove else []
     ends = window.split(",")
     if len(ends) != 2:
-        raise ParseError("--window takes LO,HI, got %r" % window)
+        raise ParseError("--window takes LO,HI, got %r" % shorten(window))
     links = space.chain(src, dst, removed, tuple(parse_rat(t) for t in ends))
     if links is None:
         return "inconclusive", {"certificate": None}, False

@@ -56,7 +56,7 @@ share p's coordinate objects.
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .rationals import PreconditionError, Value, add, check_rational, eq, lt, same, sub
+from .rationals import PreconditionError, Value, add, check_rational, eq, lt, same, shorten, sub
 
 _ONE = Fraction(1)
 
@@ -101,9 +101,10 @@ def fp_validate(seq) -> FeatherPoint:
         raise PreconditionError("feather point must be nonempty")
     if not fp_ordered(seq):
         if all(map(lt, seq[:-2], seq[1:-1])):
-            raise PreconditionError("last step must be non-decreasing: %s" % fp_str(seq))
+            raise PreconditionError("last step must be non-decreasing: %s"
+                                    % shorten(fp_str(seq)))
         raise PreconditionError("coordinates must be strictly increasing before the last step: %s"
-                                % fp_str(seq))
+                                % shorten(fp_str(seq)))
     return tuple.__new__(FeatherPoint, seq)
 
 
@@ -178,7 +179,7 @@ class FeatherInterval(Value):
         if not fp_less(self.lower, self.upper):
             raise PreconditionError(
                 "interval endpoints must satisfy lower < upper: %s, %s"
-                % (fp_str(self.lower), fp_str(self.upper)))
+                % (shorten(fp_str(self.lower)), shorten(fp_str(self.upper))))
 
     def __str__(self):
         return "FI[(%s);(%s)]" % (_coords(self.lower), _coords(self.upper))

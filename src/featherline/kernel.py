@@ -81,7 +81,9 @@ the refuter and without the producer's `non_separable_pair`:
     one piece (0, R] stands for every pair of scales;
   - on (0, R] each membership margin a + b·δ must be positive, that is
     a >= 0 and a + b·R > 0, decided by comparisons first, each one on
-    integers by `rationals.lt`, so no float enters a verdict;
+    integers by `rationals.lt`, so no float enters a verdict; a common
+    point and a chart form reuse the point's abscissa, so ends and keys
+    that are one object settle by identity before any comparison;
   - no chart is built, so every payload point is first validated against
     the space: a point of the right type but not of the space, such as
     D(1 @1) on the line with two origins, is rejected.
@@ -94,7 +96,9 @@ through x.  The verifier reads maximality off the handle's form in O(1)
     so every wave is Hausdorff; a wave of the space's spec is maximal
     exactly when it holds a point over every abscissa, that is, when its
     open set is the whole line, and it is then dense, as its down
-    projection misses only its finitely many lifted abscissae;
+    projection misses only its finitely many lifted abscissae; each lift
+    must be an upper point of the space that the wave's level map reads,
+    checked here, since `Wave.trusted` builds a handle unchecked;
   - on the feather the handle must be a `SkeletonHandle`: the strict
     skeleton, maximal, dense and Hausdorff, or its image under a flip, a
     homeomorphism, which is all three too; a chart or interval is not;
@@ -118,7 +122,7 @@ from . import multiline as ml
 from .intervals import (CofiniteSet, IntervalSet, cofinite_meet, iset_complement_is_finite,
                         iset_covers_line, iset_pick_point, iset_union, pick_rational_in)
 from .rationals import (NEG_INF, POS_INF, PreconditionError, Value, add, check_rational,
-                        denominator_bits, eq, key, lt, same, sorted_by, sub)
+                        denominator_bits, eq, key, lt, same, shorten, sorted_by, sub)
 from .syntax import parse_basic, parse_point
 
 REFUTER_SCALES = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
@@ -177,8 +181,12 @@ class ChartForm:
         self.shared_below = shared_below
 
     def nested(self) -> bool:
-        """Lower ends fall and upper ends rise with ρ, so the charts grow."""
-        return all(lo[1] <= 0 <= hi[1] for _, lo, hi, _ in self.arms)
+        """Lower ends fall and upper ends rise with ρ, so the charts grow.
+        A plain loop: the verifier asks this of two forms per pair."""
+        for _, lo, hi, _ in self.arms:
+            if not lo[1] <= 0 <= hi[1]:
+                return False
+        return True
 
 
 class Space:
@@ -193,7 +201,7 @@ class Space:
         types, noun = kind  # accepted types, name in messages
         x = parse(text, self.spec)
         if type(x) not in types:
-            raise PreconditionError("not a %s: %s" % (noun, text.strip()))
+            raise PreconditionError("not a %s: %s" % (noun, shorten(text.strip())))
         return x
 
     def parse_point(self, text):
@@ -397,6 +405,9 @@ class MultiLineSpace(Space):
 
     def __init__(self, spec: ml.SpaceSpec):
         self.spec = spec
+        # the maximal handle through every down point, and the k = 1
+        # subfamily: one wave, so its text is formatted once
+        self._full = ml.Wave.trusted(spec, IntervalSet.full_line(), (), {})
 
     def meet(self, b1, b2) -> list:
         w = ml.wave_meet(b1, b2)
@@ -479,8 +490,13 @@ class MultiLineSpace(Space):
         return ml.wave_meet(small, big) == small
 
     def maximal_hausdorff(self, x):
-        spec = self.spec
-        handle = ml.full_wave(spec, ((x.x, x.level),) if x.level > 0 else ())
+        # x is checked once, here; its full wave, the one `ml.full_wave`
+        # would build, lifts at most x, which is a point of the space
+        self._check_points(x)
+        spec, handle = self.spec, self._full
+        if x.level:
+            a = x.x if x.x.__class__ is Fraction else Fraction(x.x)
+            handle = ml.Wave.trusted(spec, handle.parts, ((a, x.level),), {key(a): x.level})
         samples = []
         lift_map = handle.lift_map()
         for a in [x.x] if spec.everywhere else spec.finite:  # x's abscissa, or each doubled one
@@ -496,8 +512,14 @@ class MultiLineSpace(Space):
 
     def is_maximal_hausdorff(self, w) -> bool:
         # a wave of this spec holds at most one point over each abscissa; it
-        # is maximal when it holds one over every abscissa
-        return (w.spec is self.spec or w.spec == self.spec) and iset_covers_line(w.parts)
+        # is maximal when it holds one over every abscissa.  Each lift is held
+        # to the space here, not to the constructor (`Wave.trusted` checks
+        # nothing): an upper point of the space, at the level `_levels` reads
+        levels = w._levels
+        return ((w.spec is self.spec or w.spec == self.spec) and iset_covers_line(w.parts)
+                and len(levels) == len(w.lift)
+                and all(j != 0 and self.is_point(ml.MultiLinePoint(x, j))
+                        and levels.get(key(x)) == j for x, j in w.lift))
 
     def cover_admits(self, b) -> bool:
         """Whether `b` is in the canonical cover: the waves of this spec over
@@ -555,7 +577,7 @@ class MultiLineSpace(Space):
 
     def default_subfamily(self, sample_points, handles):
         # the samples' handles are full waves lifting at most their own point
-        return (ml.full_wave(self.spec),) if self.spec.k == 1 else tuple(handles)
+        return (self._full,) if self.spec.k == 1 else tuple(handles)
 
     def baire_point(self, members, probe):
         avoid = {x for x, _ in probe.lift}
@@ -821,7 +843,11 @@ def _non_separable_at_every_scale(space, p, q) -> bool:
 
 def _equal(a, b) -> bool:
     """`a == b` for two points or two chart keys; tuples (feather points,
-    checked or not, and prefixes) are compared by `rationals.same`."""
+    checked or not, and prefixes) are compared by `rationals.same`.  The
+    same object is equal without a comparison: a common point's key is
+    often the chart form's own."""
+    if a is b:
+        return True
     ca, cb = a.__class__, b.__class__
     if (ca is tuple or ca is fe.FeatherPoint) and (cb is tuple or cb is fe.FeatherPoint):
         return same(a, b)
@@ -867,10 +893,13 @@ def _above(hi, lo, r) -> bool:
     pairs (a, b) = a + b·δ: the constants may tie, and then the slopes
     decide; the values at r may not tie.  Comparisons decide it, except when
     hi starts above lo and falls towards it.  Each comparison is
-    `rationals.eq` or `rationals.lt`, decided on integers."""
+    `rationals.eq` or `rationals.lt`, decided on integers.  Shared objects
+    settle by identity first: a common point and a chart form reuse the
+    point's abscissa, so constants that are one object tie, and then slopes
+    that are one object decide False."""
     (ha, hb), (la, lb) = hi, lo
-    if eq(ha, la):
-        return lt(lb, hb)
+    if ha is la or eq(ha, la):
+        return hb is not lb and lt(lb, hb)
     if lt(ha, la):
         return False
     return not lt(hb, lb) or lt(la + lb * r, ha + hb * r)

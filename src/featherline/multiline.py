@@ -5,6 +5,15 @@ doubling restricted to the abscissa 0) -- plus the branching line.
 Basic opens are waves: an open set downstairs with finitely many abscissae
 removed and lifted to an upper level.
 
+Validation contract.  `Wave(spec, parts, lift)` checks its input: parsed
+text and caller-supplied lifts are coerced to Fractions, sorted, and each
+lift must be a doubled abscissa inside the open set at a level in 1..k-1,
+lifted to one level only.  `Wave.trusted(spec, parts, lift, levels)` builds
+only from checked inputs and checks nothing: `MultiLineSpace.maximal_hausdorff`
+uses it for the full wave through a point that `is_point` has accepted.  The
+verifier holds a handle's lifts to the space itself
+(`is_maximal_hausdorff`), so it does not rely on either constructor.
+
 The wave algebra is near-linear in the number of lifts.  A `Wave` builds its
 abscissa -> level map once, when it is constructed, and membership, member
 levels and meets read that stored map.  The map `_levels` is keyed by the
@@ -99,6 +108,20 @@ class Wave(Value):
         object.__setattr__(self, "lift", lift)
         object.__setattr__(self, "_text", None)
         self.__post_init__()
+
+    @classmethod
+    def trusted(cls, spec, parts, lift, levels):
+        """The wave of `spec` over `parts` lifting `lift`, a sorted tuple of
+        (Fraction, level) pairs that `Wave` would accept, with `levels` its
+        map `key(abscissa)` -> level, which the caller guarantees; nothing is
+        checked."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "spec", spec)
+        object.__setattr__(w, "parts", parts)
+        object.__setattr__(w, "lift", lift)
+        object.__setattr__(w, "_levels", levels)
+        object.__setattr__(w, "_text", None)
+        return w
 
     def __post_init__(self):
         levels, lift = {}, []

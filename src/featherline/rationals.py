@@ -220,7 +220,7 @@ def parse_ext(s: str):
         except ValueError:  # more digits than `int` reads
             raise _oversized(s, _digit_limit()) from None
         if d == 0:
-            raise ParseError("cannot parse rational %r" % s)
+            raise ParseError("cannot parse rational %r" % shorten(s))
         return _lowest(n, d)
     if s in ("inf", "+inf", "oo", "+oo"):
         return POS_INF
@@ -233,7 +233,7 @@ def parse_ext(s: str):
     try:
         x = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError("cannot parse rational %r" % s) from exc
+        raise ParseError("cannot parse rational %r" % shorten(s)) from exc
     big = max(abs(x._numerator), x._denominator)
     if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:  # `str` cannot print it
         raise _oversized(s, limit)
@@ -255,16 +255,21 @@ def _exponent(s: str) -> int:
         return 0
 
 
+def shorten(text: str) -> str:
+    """What an error message echoes of input text: the text itself, or its
+    first 20 characters and "..." when it is longer than 24."""
+    return text if len(text) <= 24 else text[:20] + "..."
+
+
 def _oversized(s: str, limit: int):
-    shown = s if len(s) <= 24 else s[:20] + "..."
-    return ParseError("rational %r has more than %d digits" % (shown, limit))
+    return ParseError("rational %r has more than %d digits" % (shorten(s), limit))
 
 
 def parse_rat(s: str) -> Fraction:
     """A finite rational; the infinities are rejected."""
     x = parse_ext(s)
     if x.__class__ is float:
-        raise ParseError("expected a finite rational, got %r" % s.strip())
+        raise ParseError("expected a finite rational, got %r" % shorten(s.strip()))
     return x
 
 
@@ -272,7 +277,7 @@ def parse_int(s: str) -> int:
     try:
         return int(s)
     except ValueError as exc:
-        raise ParseError("cannot parse integer %r" % s.strip()) from exc
+        raise ParseError("cannot parse integer %r" % shorten(s.strip())) from exc
 
 
 class ParseError(ValueError):

@@ -41,7 +41,7 @@ from . import certificates as cert
 from . import feather as fe
 from . import multiline as ml
 from .intervals import CofiniteSet, IntervalSet
-from .rationals import ParseError, fmt_ext, parse_ext, parse_int, parse_rat
+from .rationals import ParseError, fmt_ext, parse_ext, parse_int, parse_rat, shorten
 
 # ---------------------------------------------------------------------------
 # Formatting.
@@ -162,13 +162,13 @@ def parse_point(text: str, spec: ml.SpaceSpec = None):
     text = text.strip()
     m = _match(_POINT_RE, text)
     if not m:
-        raise ParseError("cannot parse point %r" % text)
+        raise ParseError("cannot parse point %r" % shorten(text))
     tag, body = m.groups()
     if tag == "F":
         try:
             return fe.fp_validate(tuple(map(parse_rat, body.split(","))))
         except Exception as exc:
-            raise ParseError("invalid feather point %r: %s" % (text, exc)) from exc
+            raise ParseError("invalid feather point %r: %s" % (shorten(text), exc)) from exc
     if tag == "D":
         xs, at, lvl = body.partition("@")
         x, level = parse_rat(xs), parse_int(lvl) if at else 0
@@ -186,7 +186,7 @@ def parse_point(text: str, spec: ml.SpaceSpec = None):
 def _parse_natural(text: str) -> int:
     n = parse_int(text)
     if n < 0:
-        raise ParseError("%s is not a natural number" % n)
+        raise ParseError("%s is not a natural number" % shorten(str(n)))
     return n
 
 
@@ -199,7 +199,7 @@ def parse_iset(text: str) -> IntervalSet:
     for part in text.split("u"):
         m = _match(_ISET_RE, part.strip())
         if not m or m.group(0) != part.strip():
-            raise ParseError("cannot parse interval set %r" % rest)
+            raise ParseError("cannot parse interval set %r" % shorten(rest))
         pairs.append((parse_ext(m.group(1)), parse_ext(m.group(2))))
     return IntervalSet.of(*pairs)
 
@@ -213,7 +213,7 @@ def parse_cofinite(text: str) -> CofiniteSet:
         if not body:
             return CofiniteSet.ground()
         return CofiniteSet.excl(*(_parse_natural(n) for n in body.split(",")))
-    raise ParseError("cannot parse cofinite set %r" % text)
+    raise ParseError("cannot parse cofinite set %r" % shorten(text))
 
 
 def parse_basic(text: str, spec: ml.SpaceSpec = None):
@@ -226,7 +226,7 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
         if body:
             for item in body.split(","):
                 if item.count("^") != 1:
-                    raise ParseError("lift entries look like x^level: %r" % item)
+                    raise ParseError("lift entries look like x^level: %r" % shorten(item))
                 xs, js = item.split("^")
                 lift.append((parse_rat(xs), parse_int(js)))
         return ml.Wave(spec or ml.DOUBLED, parts, tuple(lift))
@@ -237,7 +237,7 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
         try:
             return fe.FeatherInterval(lower, upper)
         except Exception as exc:
-            raise ParseError("invalid feather interval %r: %s" % (text, exc)) from exc
+            raise ParseError("invalid feather interval %r: %s" % (shorten(text), exc)) from exc
     m = _match(_BI_RE, text)
     if m:
         return ml.branch_interval(parse_ext(m.group(1)), parse_ext(m.group(2)), m.group(3))
@@ -248,4 +248,4 @@ def parse_basic(text: str, spec: ml.SpaceSpec = None):
     m = _match(_HANDLE_RE, text)
     if m:
         return fe.SkeletonHandle(fe.FlipGen(tuple(map(parse_rat, m.group(1).split(",")))))
-    raise ParseError("cannot parse basic open %r" % text)
+    raise ParseError("cannot parse basic open %r" % shorten(text))

@@ -836,6 +836,25 @@ def test_an_oversized_rational_is_refused_before_any_output(point):
     assert elapsed < 2.0
 
 
+_LONG_INPUTS = {
+    "point": ["separate", "F", "F(%s)" % ("7" * 10000), "F(0)"],
+    # 3000 coordinates above the upper end (0)
+    "feather-interval": ["meet", "F", "FI[(%s);(0)]" % ",".join(map(str, range(3000))),
+                         "FI[(0);(1)]"],
+    # 3000 intervals, the last without its closing parenthesis
+    "interval-set": ["meet", "D", "W[%su(6000-{}]" % "u".join(
+        "(%d,%d)" % (2 * i, 2 * i + 1) for i in range(3000)), "W[(0,1)-{}]"],
+}
+
+
+@pytest.mark.parametrize("argv", _LONG_INPUTS.values(), ids=_LONG_INPUTS.keys())
+def test_a_parse_error_echoes_a_short_excerpt_of_long_input(argv):
+    proc = run_cli(argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("parse error: ") and len(proc.stderr.encode()) < 200
+    assert "..." in proc.stderr
+
+
 def test_the_featherline_script_calls_run():
     pyproject = (ROOT / "pyproject.toml").read_text()
     assert re.search(r'^featherline = "featherline\.cli:run"$', pyproject, re.M)

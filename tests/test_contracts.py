@@ -30,7 +30,7 @@ from featherline import separation as sp
 from featherline import syntax
 from featherline.intervals import (CofiniteSet, FinSet, IntervalSet, iset_meet, iset_meets,
                                    iset_remove_points)
-from featherline.rationals import NEG_INF, POS_INF, PreconditionError, fmt_ext, same
+from featherline.rationals import NEG_INF, POS_INF, PreconditionError, eq, fmt_ext, lt, same
 
 F = Fraction
 
@@ -980,6 +980,125 @@ def test_a_report_builds_each_wave_text_once(monkeypatch, space_name):
     rendered = syntax.jsonable(report)
     assert waves and len(builds) <= len(waves)
     assert syntax.jsonable(report) == rendered and len(builds) <= len(waves)
+
+
+# ---------------------------------------------------------------------------
+# The lemma-zorn stage: the line family's maximal handle is built from the
+# checked point with no wave check, and the verifier's chart-form checks
+# settle shared objects by identity, with the answers of the checking
+# constructor and of the comparisons alone.
+
+
+@st.composite
+def line_points(draw):
+    """A point of a line-family space, its abscissa a Fraction or an int."""
+    space = ke.space_of(draw(st.sampled_from(["line", "doubled", "tripled", "two-origins"])))
+    x = draw(st.one_of(small_rationals, st.integers(-4, 4), st.sampled_from([F(0), 0])))
+    level = draw(st.integers(0, space.spec.k - 1)) if space.spec.is_doubled(x) else 0
+    return space, ml.MultiLinePoint(x, level)
+
+
+@given(line_points())
+def test_a_maximal_line_handle_is_the_checked_full_wave(case):
+    space, x = case
+    _, handle, _ = space.maximal_hausdorff(x)
+    full = ml.full_wave(space.spec, ((x.x, x.level),) if x.level else ())
+    assert handle == full and hash(handle) == hash(full)
+    assert handle.lift == full.lift and handle._levels == full._levels
+    assert all(type(a) is Fraction for a, _ in handle.lift)
+    assert str(handle) == str(full)
+
+
+@pytest.mark.parametrize("name", ["doubled", "tripled"])
+def test_the_pipeline_builds_its_handles_with_no_wave_check(monkeypatch, name):
+    space = ke.space_of(name)
+    checked = []
+    original = ml.Wave.__post_init__
+    monkeypatch.setattr(ml.Wave, "__post_init__",
+                        lambda self: checked.append(self) or original(self))
+    samples = [ml.MultiLinePoint(F(n, 7), n % space.spec.k) for n in range(60)]
+    report = sp.theorem_pipeline(space, samples)
+    handles = [stage["handle"] for stage in report["stages"] if stage["id"] == "lemma-zorn"]
+    assert len(handles) == 60 and all(stage["verified"] for stage in report["stages"])
+    assert report["verdict"] == "subcover-stage-failure"
+    assert checked == []
+
+
+@pytest.mark.parametrize("name", ["doubled", "tripled", "two-origins"])
+def test_the_line_twin_check_settles_a_shared_abscissa_by_identity(monkeypatch, name):
+    space = ke.space_of(name)
+    calls = []
+    original = ke.eq
+    monkeypatch.setattr(ke, "eq", lambda a, b: calls.append((a, b)) or original(a, b))
+    for a in (F(0), F(-5, 3)) if space.spec.everywhere else (F(0),):
+        for level in range(1, space.spec.k):
+            p, q = ml.MultiLinePoint(a, level), ml.MultiLinePoint(a, 0)
+            assert ke._non_separable_at_every_scale(space, p, q)
+            assert ke._non_separable_at_every_scale(space, q, p)
+            # a maximal certificate's adjoin samples share their abscissa too
+            assert ke.verify_certificate(space, sp.maximal_hausdorff_at(space, p)[1])
+    assert calls == []
+
+
+def _copy(v):
+    """A value equal to v, and another object unless v is a small int, None
+    or a string."""
+    if type(v) is Fraction:
+        return Fraction(v.numerator, v.denominator)
+    if type(v) is float:
+        return float(repr(v))
+    if type(v) is tuple:
+        return tuple(map(_copy, v))
+    if type(v) is fe.FeatherPoint:
+        return fe.fp_validate(tuple(map(_copy, v)))
+    if type(v) is ml.MultiLinePoint:
+        return ml.MultiLinePoint(_copy(v.x), v.level)
+    return v
+
+
+@st.composite
+def related(draw, values):
+    """A pair (a, b): one object twice, a and an equal copy, or two draws."""
+    a = draw(values)
+    how = draw(st.sampled_from(["same", "copy", "other"]))
+    return a, a if how == "same" else _copy(a) if how == "copy" else draw(values)
+
+
+constants = st.one_of(small_rationals, st.integers(-3, 3), st.sampled_from([NEG_INF, POS_INF]))
+slopes = st.one_of(small_rationals, st.sampled_from([-1, 0, 1, F(1, 2), F(-1, 2)]))
+chart_keys = st.one_of(feather_points(), feather_points().map(fe.fp_validate),
+                       st.builds(ml.MultiLinePoint, small_rationals, st.integers(0, 2)),
+                       st.integers(0, 3), st.sampled_from(["L", "R", None]))
+
+
+def _parent_above(hi, lo, r):
+    (ha, hb), (la, lb) = hi, lo
+    if eq(ha, la):
+        return lt(lb, hb)
+    if lt(ha, la):
+        return False
+    return not lt(hb, lb) or lt(la + lb * r, ha + hb * r)
+
+
+def _parent_equal(a, b):
+    ca, cb = a.__class__, b.__class__
+    if (ca is tuple or ca is fe.FeatherPoint) and (cb is tuple or cb is fe.FeatherPoint):
+        return same(a, b)
+    return a == b
+
+
+@given(related(constants), related(slopes), st.fractions(min_value=F(1, 100), max_value=1),
+       related(chart_keys),
+       st.lists(st.tuples(st.tuples(constants, slopes), st.tuples(constants, slopes)),
+                max_size=3))
+def test_the_identity_fast_paths_answer_as_the_comparisons(consts, slope_pair, r, keys, ends):
+    (ha, la), (hb, lb) = consts, slope_pair
+    for hi, lo in (((ha, hb), (la, lb)), ((la, lb), (ha, hb))):
+        assert ke._above(hi, lo, r) == _parent_above(hi, lo, r)
+    a, b = keys
+    assert ke._equal(a, b) == _parent_equal(a, b) == ke._equal(b, a)
+    arms = tuple((None, lo, hi, False) for lo, hi in ends)
+    assert ke.ChartForm(arms).nested() == all(lo[1] <= 0 <= hi[1] for _, lo, hi, _ in arms)
 
 
 # ---------------------------------------------------------------------------

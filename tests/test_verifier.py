@@ -624,6 +624,32 @@ def test_a_wave_of_another_spec_is_rejected():
     assert ke.verify_certificate(line, cert.maximal_hausdorff(x, wave, ())) is False
 
 
+# handles built by `Wave.trusted`, which checks nothing: two lifts that
+# `Wave(...)` refuses, and two lifts with a `_levels` that breaks them
+FORGED_LIFTS = [
+    ("two-origins", ((F(1), 1),), {(1, 1): 1}, True),  # 1 is not doubled
+    ("doubled", ((F(0), 2),), {(0, 1): 2}, True),  # the doubled line has no level 2
+    ("doubled", ((F(0), 1),), {}, False),  # `_levels` misses the lift
+    ("tripled", ((F(0), 1),), {(0, 1): 2}, False),  # `_levels` reads another level
+]
+
+
+@pytest.mark.parametrize("name,lift,levels,refused", FORGED_LIFTS,
+                         ids=["not-doubled", "level-2", "levels-missing", "levels-differ"])
+def test_a_trusted_handle_with_a_forged_lift_is_rejected(name, lift, levels, refused):
+    space = ke.space_of(name)
+    if refused:
+        with pytest.raises(ke.PreconditionError):
+            ml.Wave(space.spec, IntervalSet.full_line(), lift)
+    forged = ml.Wave.trusted(space.spec, IntervalSet.full_line(), lift, levels)
+    x = ml.MultiLinePoint(F(5), 0)
+    assert space.member(x, forged) and not space.is_maximal_hausdorff(forged)
+    assert ke.verify_certificate(space, cert.maximal_hausdorff(x, forged, ())) is False
+    # a lift to level 1 of the doubled abscissa 0, with its own map, verifies
+    sound = ml.Wave.trusted(space.spec, IntervalSet.full_line(), ((F(0), 1),), {(0, 1): 1})
+    assert ke.verify_certificate(space, cert.maximal_hausdorff(x, sound, ()))
+
+
 @pytest.mark.parametrize("name,x,handle", [("branch", "B(0,L)", "BI[(-1,1)@L]"),
                                            ("cofinite", "N(0)", "cofinite-excl{}")])
 def test_a_maximal_payload_on_a_space_without_maximal_handles_is_rejected(name, x, handle):
